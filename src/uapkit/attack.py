@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (apply_patch, clamp_unit, project_l2, project_linf,
-                   validate_mask)
+from .boundary import crossing_step
+from .core import (apply_delta, as_tensor, clamp_unit, project_l2, project_linf,
+                   validate_mask, validate_patch)
 from .datagen import Dataset
 from .encoder import (Encoder, backward_from_cache, encode_batch,
                       forward_with_cache)
@@ -31,10 +32,28 @@ from .retrieval import (EmbeddingIndex, indicator, recall_at_k,
                         select_nonmatching_topk, topk_class_accuracy)
 from .rng import Lcg
 
-DEGENERATE_DENOM = 1e-12
 EPS_L2_DEFAULT = 2000.0 / 255.0
 EPS_LINF_DEFAULT = 10.0 / 255.0
 PATCH_AREA_DEFAULT = 0.03
+
+
+def _validate_carrier(mode: str, mask, norm, epsilon) -> None:
+    """Check that (mask) or (norm, epsilon) fit the patch or global mode."""
+    if mode == "patch":
+        if mask is None:
+            raise InvalidArgumentError("patch mode requires a mask")
+        if norm is not None or epsilon is not None:
+            raise InvalidArgumentError("norm/epsilon are global-mode options")
+        validate_mask(mask)
+    elif mode == "global":
+        if mask is not None:
+            raise InvalidArgumentError("mask is a patch-mode option")
+        if norm not in ("l2", "linf"):
+            raise InvalidArgumentError("global mode requires norm in {l2, linf}")
+        if epsilon is None or not epsilon > 0:
+            raise InvalidArgumentError("global mode requires epsilon > 0")
+    else:
+        raise InvalidArgumentError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -56,21 +75,7 @@ class AttackConfig:
             raise InvalidArgumentError("k, max_inner_iters, batch_size must be positive")
         if self.eta <= 0:
             raise InvalidArgumentError("eta must be positive")
-        if self.mode == "patch":
-            if self.mask is None:
-                raise InvalidArgumentError("patch mode requires a mask")
-            if self.norm is not None or self.epsilon is not None:
-                raise InvalidArgumentError("norm/epsilon are global-mode options")
-            validate_mask(self.mask)
-        elif self.mode == "global":
-            if self.mask is not None:
-                raise InvalidArgumentError("mask is a patch-mode option")
-            if self.norm not in ("l2", "linf"):
-                raise InvalidArgumentError("global mode requires norm in {l2, linf}")
-            if self.epsilon is None or self.epsilon <= 0:
-                raise InvalidArgumentError("global mode requires epsilon > 0")
-        else:
-            raise InvalidArgumentError(f"unknown mode {self.mode!r}")
+        _validate_carrier(self.mode, self.mask, self.norm, self.epsilon)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -127,32 +132,32 @@ class Perturbation:
     epsilon: float | None = None
     provenance: dict = field(default_factory=dict)
 
-    def apply(self, image: np.ndarray) -> np.ndarray:
+    def __post_init__(self):
+        # reject a delta the mode cannot produce: non-finite values, a patch
+        # outside [0, 1] under the mask, or a global delta over its budget
+        self.delta = as_tensor(self.delta)
+        _validate_carrier(self.mode, self.mask, self.norm, self.epsilon)
         if self.mode == "patch":
-            return apply_patch(image, self.delta, self.mask)
-        return clamp_unit(image + self.delta)
+            validate_patch(self.delta, self.mask)
+            return
+        size = (np.linalg.norm(self.delta) if self.norm == "l2"
+                else np.abs(self.delta).max(initial=0.0))
+        if size > self.epsilon * (1.0 + 1e-12):
+            raise InvalidArgumentError(
+                f"global delta {self.norm} norm {size} exceeds epsilon {self.epsilon}")
+
+    def apply(self, image: np.ndarray) -> np.ndarray:
+        return self.apply_batch(image[None])[0]
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
-        if self.mode == "patch":
-            on = self.mask == 1.0
-            return np.where(on[None], self.delta[None], images)
-        return clamp_unit(images + self.delta[None])
+        return apply_delta(images, self.delta, self.mask)
 
 
 # -- inner loops -------------------------------------------------------------
 
 
-def _boundary_step(grad_target: np.ndarray, grad_true: np.ndarray, gap: float):
-    """One crossing step toward the boundary f_true = f_target.
-
-    gap = f_true - f_target (positive while uncrossed). Returns None when the
-    gradient difference is numerically degenerate.
-    """
-    diff = grad_target - grad_true
-    sq = float(np.vdot(diff, diff))
-    if sq < DEGENERATE_DENOM ** 2:
-        return None
-    return (gap / sq) * diff
+def _masked(g: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+    return g * mask if mask is not None else g
 
 
 def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
@@ -162,44 +167,35 @@ def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
     r accumulates on top of its incoming value (shared across a combined-run
     batch).
     """
-    mask = cfg.mask if cfg.mode == "patch" else None
-    clean = ds.images[v_idx]
+    mask = cfg.mask  # None in global mode
     match_set = ds.matches_of_image(v_idx)
     y_list = sorted(match_set)
-
-    if cfg.mode == "patch":
-        v = apply_patch(clean, delta, mask)
-    else:
-        v = clean + delta
+    v = apply_delta(ds.images[v_idx:v_idx + 1], delta, mask)[0]
 
     # candidate non-matching texts are the nearest to the image as it looks
     # under the current perturbation, so the stopping test tracks the metric
     entry_emb = encode_batch(enc, v[None])[0]
     y_prime = select_nonmatching_topk(entry_emb, ds.texts, match_set, cfg.k)
 
-    def masked(g):
-        return g * mask if mask is not None else g
-
     def fooled(r_vec):
-        probe = v + (1.0 + cfg.eta) * masked(r_vec)
+        probe = v + (1.0 + cfg.eta) * _masked(r_vec, mask)
         emb = encode_batch(enc, probe[None])[0]
         return indicator(emb, ds.texts, match_set, cfg.k) == 0
 
     iterations = 0
     while not fooled(r) and iterations < cfg.max_inner_iters:
-        v_hat = v + masked(r)
+        v_hat = v + _masked(r, mask)
         cache = forward_with_cache(enc, v_hat[None])
         sims = ds.texts.embeddings @ cache.embeddings[0]
         y_max = max(y_list, key=lambda y: (sims[y], -y))
         yp_min = min(y_prime, key=lambda y: (sims[y], y))
         t_diff = ds.texts.embeddings[yp_min] - ds.texts.embeddings[y_max]
         # single backward pass for the difference score (f_{y'} - f_y)
-        diff_grad = masked(backward_from_cache(enc, cache, t_diff[None])[0])
-        sq = float(np.vdot(diff_grad, diff_grad))
-        if sq < DEGENERATE_DENOM ** 2:
+        diff_grad = _masked(backward_from_cache(enc, cache, t_diff[None])[0], mask)
+        step = crossing_step(diff_grad, float(sims[y_max] - sims[yp_min]))
+        if step is None:
             return r, iterations, False
-        gap = float(sims[y_max] - sims[yp_min])
-        r = r + (gap / sq) * diff_grad
+        r = r + step
         iterations += 1
     return r, iterations, fooled(r)
 
@@ -212,29 +208,21 @@ def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
     perturbation; ranking candidates against it means the stopping test
     (match outranked by k candidates) certifies a full-gallery retrieval miss.
     """
-    mask = cfg.mask if cfg.mode == "patch" else None
+    mask = cfg.mask
     t_emb = ds.texts.embeddings[t_idx]
     y = ds.image_of_text(t_idx)
     y_prime = select_nonmatching_topk(t_emb, EmbeddingIndex(gallery_embs), {y}, cfg.k)
     candidates = [y, *y_prime]  # matched image first
-
-    if cfg.mode == "patch":
-        on = mask == 1.0
-        base = np.where(on[None], delta[None], ds.images[candidates])
-    else:
-        base = ds.images[candidates] + delta[None]
-
-    def masked(g):
-        return g * mask if mask is not None else g
+    base = apply_delta(ds.images[candidates], delta, mask)
 
     def fooled(r_vec):
-        probe = base + (1.0 + cfg.eta) * masked(r_vec)[None]
+        probe = base + (1.0 + cfg.eta) * _masked(r_vec, mask)[None]
         embs = encode_batch(enc, probe)
         return indicator(t_emb, EmbeddingIndex(embs), {0}, cfg.k) == 0
 
     iterations = 0
     while not fooled(r) and iterations < cfg.max_inner_iters:
-        v_hat = base + masked(r)[None]
+        v_hat = base + _masked(r, mask)[None]
         cache = forward_with_cache(enc, v_hat)
         sims = cache.embeddings @ t_emb
         # weakest non-matching candidate; ties toward the smallest image index
@@ -242,8 +230,8 @@ def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
                   key=lambda p: (sims[p], candidates[p]))
         grads = backward_from_cache(enc, cache, np.stack([t_emb, t_emb]),
                                     rows=[pos, 0])
-        step = _boundary_step(masked(grads[0]), masked(grads[1]),
-                              float(sims[0] - sims[pos]))
+        step = crossing_step(_masked(grads[0], mask) - _masked(grads[1], mask),
+                             float(sims[0] - sims[pos]))
         if step is None:
             return r, iterations, False
         r = r + step
@@ -311,17 +299,6 @@ def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | Non
     return out
 
 
-def _perturbed_gallery(enc: Encoder, ds: Dataset, delta: np.ndarray,
-                       cfg: AttackConfig) -> np.ndarray:
-    """Embeddings of every image under the current delta (inner-loop view)."""
-    if cfg.mode == "patch":
-        on = cfg.mask == 1.0
-        images = np.where(on[None], delta[None], ds.images)
-    else:
-        images = ds.images + delta[None]
-    return encode_batch(enc, images)
-
-
 def _probe_subset(ds: Dataset, limit: int = 32) -> list[int]:
     n = ds.params.n_images
     stride = max(1, n // limit)
@@ -347,9 +324,12 @@ def _provenance(enc_hash: str, ds_hash: str, cfg: AttackConfig, strategy: str) -
 
 def _epoch_metrics(enc, ds, delta, cfg, epoch, trace):
     probe = _probe_subset(ds)
-    pert = _make_perturbation(delta, cfg, {})
-    clean = evaluate_metrics(enc, ds, None, (10,), probe)
-    adv = evaluate_metrics(enc, ds, pert, (10,), probe)
+    if trace.epoch_metrics:  # the clean probe metrics are the same every epoch
+        first = trace.epoch_metrics[0]
+        clean = {"tr_r10": first["clean_tr_r10"], "ir_r10": first["clean_ir_r10"]}
+    else:
+        clean = evaluate_metrics(enc, ds, None, (10,), probe)
+    adv = evaluate_metrics(enc, ds, _make_perturbation(delta, cfg, {}), (10,), probe)
     trace.epoch_metrics.append({
         "epoch": epoch,
         "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],
@@ -372,7 +352,7 @@ def _run_single(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
             if strategy == "tra":
                 r, iters, ok = _tra_inner(enc, ds, sid, delta, r, cfg)
             else:
-                gallery = _perturbed_gallery(enc, ds, delta, cfg)
+                gallery = encode_batch(enc, apply_delta(ds.images, delta, cfg.mask))
                 r, iters, ok = _ira_inner(enc, ds, sid, delta, r, cfg, gallery)
             delta = _commit(delta, r, cfg, trace, epoch)
             trace.records.append(SampleRecord(kind, sid, epoch, iters, ok))
@@ -416,7 +396,7 @@ def run_tira(enc: Encoder, ds: Dataset, cfg: AttackConfig,
             delta = _commit(delta, r, cfg, trace, epoch)
 
             # delta is fixed for the whole text half, so one gallery suffices
-            gallery = _perturbed_gallery(enc, ds, delta, cfg)
+            gallery = encode_batch(enc, apply_delta(ds.images, delta, cfg.mask))
             r = np.zeros_like(delta)
             for t in texts:
                 r, iters, ok = _ira_inner(enc, ds, t, delta, r, cfg, gallery)

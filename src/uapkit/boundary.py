@@ -80,6 +80,16 @@ def binary_min_perturbation(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarra
     return -(f / sq) * w
 
 
+def crossing_step(diff: np.ndarray, gap: float) -> np.ndarray | None:
+    """Closed-form step (gap / ||diff||^2) * diff onto a linear(ized) boundary,
+    with diff = grad(f_target - f_true) and gap = f_true - f_target (positive
+    while uncrossed); None when ||diff|| < DEGENERATE_DENOM."""
+    sq = float(np.vdot(diff, diff))
+    if sq < DEGENERATE_DENOM ** 2:
+        return None
+    return (gap / sq) * diff
+
+
 def _check_correctly_classified(clf: LinearClassifier, x: np.ndarray, y: int) -> np.ndarray:
     if not 0 <= y < clf.n_classes:
         raise InvalidArgumentError(f"class index {y} out of range")
@@ -117,12 +127,10 @@ def multiclass_min_perturbation(clf: LinearClassifier, x: np.ndarray, y: int) ->
     x = as_tensor(x)
     s = _check_correctly_classified(clf, x, y)
     l = nearest_boundary(clf, x, y)
-    w_diff = clf.weights[l] - clf.weights[y]
-    sq = float(w_diff @ w_diff)
-    if sq < DEGENERATE_DENOM ** 2:
+    step = crossing_step(clf.weights[l] - clf.weights[y], float(s[y] - s[l]))
+    if step is None:
         raise InvalidArgumentError("all boundaries are degenerate")
-    gap = float(s[y] - s[l])
-    return (gap / sq) * w_diff
+    return step
 
 
 def k_nearest_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int) -> list[int]:
@@ -173,11 +181,11 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
             ratio = float(s[y] - s[l]) / denom
             if ratio < best_ratio:
                 best, best_ratio = l, ratio
-        if best is None:
+        step = None if best is None else crossing_step(
+            clf.weights[best] - clf.weights[y], float(s[y] - s[best]))
+        if step is None:
             break  # every remaining boundary degenerate
-        w_diff = clf.weights[best] - clf.weights[y]
-        gap = float(s[y] - s[best])
-        r = r + (gap / float(w_diff @ w_diff)) * w_diff
+        r = r + step
         iterations += 1
         remaining = uncrossed(r)
 

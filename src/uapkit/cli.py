@@ -3,17 +3,15 @@
 Subcommands: gen (dataset), attack (perturbation synthesis), eval (apply a
 saved perturbation), gradcheck (finite-difference gradient audit).
 
-Exit codes: 0 success, 2 invalid arguments/config, 3 I/O failure,
-4 degenerate dataset or failed numerical audit, 5 artifact hash mismatch.
+Exit codes: 0 success, 2 invalid arguments/config/perturbation, 3 I/O failure,
+4 degenerate dataset or failed numerical audit, 5 artifact hash mismatch or
+malformed sidecar.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
-import hashlib
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -23,7 +21,7 @@ import numpy as np
 from . import __version__, datagen, tensor_io
 from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
                      AttackConfig, Perturbation, evaluate_metrics, run_attack)
-from .core import patch_side_for_area, square_patch_mask
+from .core import as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
 from .encoder import (build_encoder, default_toy_encoder, encode_batch,
                       encoder_hash, gradcheck, load_encoder, save_encoder)
@@ -38,15 +36,6 @@ EXIT_DEGENERATE = 4
 EXIT_HASH_MISMATCH = 5
 
 GRADCHECK_THRESHOLD = 1e-6
-
-
-def _threads_from(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("UAP_THREADS")
-    if env is not None and env.isdigit() and int(env) > 0:
-        return int(env)
-    return os.cpu_count() or 1
 
 
 def _load_encoder_arg(path: str | None):
@@ -122,35 +111,24 @@ def _config_from(args, image_shape) -> tuple[AttackConfig, dict]:
     return cfg, mask_meta
 
 
-def _metrics_pair(enc, ds, pert, k_list, threads) -> tuple[dict, dict]:
-    """Clean and adversarial metrics over identical query sets.
-
-    The two evaluations are independent, so they map onto a small worker
-    pool; results are keyed, making the reduction order-independent.
-    """
-    with concurrent.futures.ThreadPoolExecutor(max_workers=min(threads, 2)) as pool:
-        clean_f = pool.submit(evaluate_metrics, enc, ds, None, k_list)
-        adv_f = pool.submit(evaluate_metrics, enc, ds, pert, k_list)
-        return clean_f.result(), adv_f.result()
-
-
 def cmd_attack(args) -> int:
     enc = _load_encoder_arg(args.encoder)
+    enc_hash = encoder_hash(enc)
     ds = datagen.load(args.dataset)
-    if ds.encoder_hash and ds.encoder_hash != encoder_hash(enc):
+    if ds.encoder_hash and ds.encoder_hash != enc_hash:
         raise IntegrityError("dataset was generated against a different encoder")
     # re-verify the clean-retrieval floor on the loaded pairing
     datagen._floor_check(ds, encode_batch(enc, ds.images))
 
     cfg, mask_meta = _config_from(args, ds.params.image_shape)
-    threads = _threads_from(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     start = time.monotonic()
     pert, trace = run_attack(enc, ds, cfg, args.strategy,
-                             enc_hash=encoder_hash(enc), ds_hash=ds.dataset_hash)
-    clean, adv = _metrics_pair(enc, ds, pert, tuple(args.k_list), threads)
+                             enc_hash=enc_hash, ds_hash=ds.dataset_hash)
+    clean = evaluate_metrics(enc, ds, None, tuple(args.k_list))
+    adv = evaluate_metrics(enc, ds, pert, tuple(args.k_list))
     elapsed = time.monotonic() - start
 
     delta_path = out / "delta.uapt"
@@ -162,7 +140,7 @@ def cmd_attack(args) -> int:
         "mode": cfg.mode,
         "strategy": args.strategy,
         "config": cfg.to_json_dict(),
-        "encoder_hash": encoder_hash(enc),
+        "encoder_hash": enc_hash,
         "dataset_hash": ds.dataset_hash,
         "library_version": __version__,
     }
@@ -185,12 +163,11 @@ def cmd_attack(args) -> int:
         "strategy": args.strategy,
         "config": cfg.to_json_dict(),
         "seeds": {"attack": cfg.seed, "dataset": ds.params.seed, "encoder": enc.seed},
-        "hashes": {"encoder": encoder_hash(enc), "dataset": ds.dataset_hash,
+        "hashes": {"encoder": enc_hash, "dataset": ds.dataset_hash,
                    "config": pert.provenance["config_hash"]},
         "clean": clean,
         "adversarial": adv,
         "trace_summary": trace.summary(),
-        "threads": threads,
         "wall_clock_seconds": elapsed,
         "library_version": __version__,
     }
@@ -202,28 +179,34 @@ def cmd_attack(args) -> int:
 
 
 def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, dict]:
-    sidecar = json.loads(sidecar_path.read_text())
-    delta_path = sidecar_path.parent / sidecar["delta_file"]
-    if tensor_io.sha256_file(delta_path) != sidecar["delta_sha256"]:
-        raise IntegrityError(f"{delta_path}: hash mismatch against sidecar")
-    delta = tensor_io.read_tensor(delta_path)
-    if sidecar["mode"] == "patch":
-        mask = square_patch_mask(image_shape, sidecar["mask"]["side"],
-                                 tuple(sidecar["mask"]["offset"]))
-        pert = Perturbation(delta=delta, mode="patch", mask=mask)
-    else:
-        pert = Perturbation(delta=delta, mode="global",
-                            norm=sidecar["norm"], epsilon=sidecar["epsilon"])
+    """Read a sidecar and its delta: a malformed sidecar raises IntegrityError,
+    a delta that does not fit the images or its mode InvalidArgumentError."""
+    try:
+        sidecar = json.loads(sidecar_path.read_text())
+        delta_path = sidecar_path.parent / sidecar["delta_file"]
+        if tensor_io.sha256_file(delta_path) != sidecar["delta_sha256"]:
+            raise IntegrityError(f"{delta_path}: hash mismatch against sidecar")
+        delta = as_tensor(tensor_io.read_tensor(delta_path), shape=image_shape)
+        if sidecar["mode"] == "patch":
+            mask = square_patch_mask(image_shape, sidecar["mask"]["side"],
+                                     tuple(sidecar["mask"]["offset"]))
+            pert = Perturbation(delta=delta, mode="patch", mask=mask)
+        else:
+            pert = Perturbation(delta=delta, mode="global",
+                                norm=sidecar["norm"], epsilon=sidecar["epsilon"])
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+        raise IntegrityError(f"{sidecar_path}: malformed sidecar ({exc!r})") from exc
     return pert, sidecar
 
 
 def cmd_eval(args) -> int:
     enc = _load_encoder_arg(args.encoder)
+    enc_hash = encoder_hash(enc)
     ds = datagen.load(args.dataset)
     pert, sidecar = _load_perturbation(Path(args.perturbation), ds.params.image_shape)
 
     mismatch = {
-        "encoder": sidecar.get("encoder_hash") not in ("", encoder_hash(enc)),
+        "encoder": sidecar.get("encoder_hash") not in ("", enc_hash),
         "dataset": sidecar.get("dataset_hash") not in ("", ds.dataset_hash),
     }
     if any(mismatch.values()) and not args.allow_mismatch:
@@ -233,9 +216,9 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_HASH_MISMATCH
 
-    threads = _threads_from(args)
     start = time.monotonic()
-    clean, adv = _metrics_pair(enc, ds, pert, tuple(args.k_list), threads)
+    clean = evaluate_metrics(enc, ds, None, tuple(args.k_list))
+    adv = evaluate_metrics(enc, ds, pert, tuple(args.k_list))
     elapsed = time.monotonic() - start
 
     report = {
@@ -244,12 +227,11 @@ def cmd_eval(args) -> int:
         "strategy": sidecar.get("strategy", ""),
         "config": sidecar.get("config", {}),
         "seeds": {"dataset": ds.params.seed, "encoder": enc.seed},
-        "hashes": {"encoder": encoder_hash(enc), "dataset": ds.dataset_hash,
+        "hashes": {"encoder": enc_hash, "dataset": ds.dataset_hash,
                    "perturbation": sidecar["delta_sha256"]},
         "cross_artifact": mismatch,
         "clean": clean,
         "adversarial": adv,
-        "threads": threads,
         "wall_clock_seconds": elapsed,
         "library_version": __version__,
     }
@@ -333,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--dataset", required=True, help="dataset manifest path")
     a.add_argument("--out", required=True)
     a.add_argument("--k-list", type=_int_list, default=[1, 5, 10])
-    a.add_argument("--threads", type=int)
     a.set_defaults(func=cmd_attack)
 
     e = sub.add_parser("eval", help="evaluate a saved perturbation")
@@ -343,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k-list", type=_int_list, default=[1, 5, 10])
     e.add_argument("--allow-mismatch", action="store_true")
     e.add_argument("--out")
-    e.add_argument("--threads", type=int)
     e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient audit")

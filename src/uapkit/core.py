@@ -1,4 +1,4 @@
-"""Dense float64 tensor helpers: norms, projections, clamping, patch application.
+"""Dense float64 tensor helpers: norms, projections, clamping, applying delta.
 
 All functions are pure and operate on C-contiguous float64 numpy arrays.
 There is deliberately no broadcasting: every shape mismatch raises.
@@ -80,16 +80,33 @@ def validate_mask(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
+def validate_patch(delta: np.ndarray, mask: np.ndarray) -> None:
+    """Check a valid mask of delta's shape, with delta in [0, 1] under the mask."""
+    validate_mask(mask)
+    require_same_shape(delta, mask)
+    patch_vals = delta[mask == 1.0]
+    if patch_vals.size and (patch_vals.min() < 0.0 or patch_vals.max() > 1.0):
+        raise InvalidArgumentError("delta values under the mask must lie in [0, 1]")
+
+
+def apply_delta(images: np.ndarray, delta: np.ndarray,
+                mask: np.ndarray | None = None) -> np.ndarray:
+    """Put delta on a (B, c, h, w) batch, clamped to [0, 1]: it replaces the
+    pixels under the mask (patch mode) or, without a mask, is added (global)."""
+    if images.shape[1:] != delta.shape or (mask is not None and mask.shape != delta.shape):
+        raise InvalidArgumentError(
+            f"delta shape {delta.shape} does not match images {images.shape} or mask")
+    if mask is None:
+        return clamp_unit(images + delta[None])
+    return clamp_unit(np.where(mask[None] == 1.0, delta[None], images))
+
+
 def apply_patch(image: np.ndarray, delta: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Replace the masked region of image with delta; off-mask pixels bit-identical."""
     validate_pixel_image(image)
-    validate_mask(mask)
-    require_same_shape(image, delta, mask)
-    on = mask == 1.0
-    patch_vals = delta[on]
-    if patch_vals.size and (patch_vals.min() < 0.0 or patch_vals.max() > 1.0):
-        raise InvalidArgumentError("delta values under the mask must lie in [0, 1]")
-    return np.where(on, delta, image)
+    require_same_shape(image, delta)
+    validate_patch(delta, mask)
+    return apply_delta(image[None], delta, mask)[0]
 
 
 def square_patch_mask(image_shape: tuple[int, int, int], side: int,

@@ -112,26 +112,6 @@ def _forward_flat(enc: Encoder, x: np.ndarray):
     return a, caches
 
 
-def encode_batch(enc: Encoder, images: np.ndarray) -> np.ndarray:
-    """Encode (B, c, h, w) images to (B, embed_dim) unit-norm rows."""
-    images = as_tensor(images)
-    if images.shape[1:] != enc.input_shape:
-        raise InvalidArgumentError(
-            f"expected images of shape (B,)+{enc.input_shape}, got {images.shape}")
-    x = images.reshape(images.shape[0], -1)
-    z, _ = _forward_flat(enc, x)
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms < _ZERO_NORM):
-        raise DegenerateEncodingError("pre-normalization output is zero")
-    return z / norms[:, None]
-
-
-def encode(enc: Encoder, image: np.ndarray) -> np.ndarray:
-    """Encode a single (c, h, w) image to a unit-norm embedding."""
-    image = as_tensor(image, shape=enc.input_shape)
-    return encode_batch(enc, image[None])[0]
-
-
 @dataclass(frozen=True)
 class ScoreGradient:
     value: float
@@ -146,18 +126,33 @@ class ForwardCache:
     layers: list                    # per layer (a_in, s, a_out)
 
 
-def forward_with_cache(enc: Encoder, images: np.ndarray) -> ForwardCache:
-    """Encode a (B, c, h, w) batch and keep activations for backward passes."""
+def _forward(enc: Encoder, images: np.ndarray) -> ForwardCache:
+    """Validate a (B, c, h, w) batch, run the stack and normalize each row."""
     images = as_tensor(images)
     if images.shape[1:] != enc.input_shape:
         raise InvalidArgumentError(
             f"expected images of shape (B,)+{enc.input_shape}, got {images.shape}")
-    x = images.reshape(images.shape[0], -1)
-    z, caches = _forward_flat(enc, x)
+    z, caches = _forward_flat(enc, images.reshape(images.shape[0], -1))
     norms = np.linalg.norm(z, axis=1)
     if np.any(norms < _ZERO_NORM):
         raise DegenerateEncodingError("pre-normalization output is zero")
     return ForwardCache(embeddings=z / norms[:, None], norms=norms, layers=caches)
+
+
+def encode_batch(enc: Encoder, images: np.ndarray) -> np.ndarray:
+    """Encode (B, c, h, w) images to (B, embed_dim) unit-norm rows."""
+    return _forward(enc, images).embeddings
+
+
+def encode(enc: Encoder, image: np.ndarray) -> np.ndarray:
+    """Encode a single (c, h, w) image to a unit-norm embedding."""
+    image = as_tensor(image, shape=enc.input_shape)
+    return encode_batch(enc, image[None])[0]
+
+
+def forward_with_cache(enc: Encoder, images: np.ndarray) -> ForwardCache:
+    """Encode a (B, c, h, w) batch and keep activations for backward passes."""
+    return _forward(enc, images)
 
 
 def backward_from_cache(enc: Encoder, cache: ForwardCache, us: np.ndarray,

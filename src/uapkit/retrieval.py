@@ -72,15 +72,32 @@ def ranked_indices(query: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     return np.lexsort((np.arange(len(index)), -sims))
 
 
+def _hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
+    """Per row of a (Q, M) similarity matrix: does a match rank in the top k?
+
+    The ranking is the one ranked_indices gives (descending similarity, ties
+    toward the smallest index), so the best-ranked match is the first argmax
+    among the matches, and it is in the top k iff fewer than k indices rank
+    ahead of it.
+    """
+    n = sims.shape[1]
+    if not 1 <= k <= n:
+        raise InvalidArgumentError(f"k={k} outside [1, {n}]")
+    is_match = np.zeros(sims.shape, dtype=bool)
+    for row, matches in zip(is_match, matches_per_query):
+        cols = [int(j) for j in matches]
+        if not cols or not all(0 <= j < n for j in cols):
+            raise InvalidArgumentError(f"matches must be nonempty indices in [0, {n})")
+        row[cols] = True
+    best = np.argmax(np.where(is_match, sims, -np.inf), axis=1)
+    best_sim = sims[np.arange(len(sims)), best][:, None]
+    ahead = (sims > best_sim) | ((sims == best_sim) & (np.arange(n) < best[:, None]))
+    return ahead.sum(axis=1) < k
+
+
 def indicator(query: np.ndarray, index: EmbeddingIndex, matches, k: int) -> int:
     """1 iff any matched index survives in the top-k retrieval results."""
-    matches = set(matches)
-    if not matches:
-        raise InvalidArgumentError("matches must be nonempty")
-    if not 1 <= k <= len(index):
-        raise InvalidArgumentError(f"k={k} outside [1, {len(index)}]")
-    top = ranked_indices(query, index)[:k]
-    return int(any(int(i) in matches for i in top))
+    return int(_hits_at_k((index.embeddings @ query)[None], [matches], k)[0])
 
 
 def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
@@ -103,9 +120,8 @@ def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,
     """Mean indicator over queries."""
     if len(matches_per_query) != len(queries):
         raise InvalidArgumentError("one match set per query required")
-    hits = sum(indicator(queries.embeddings[i], gallery, matches_per_query[i], k)
-               for i in range(len(queries)))
-    return hits / len(queries)
+    hits = _hits_at_k(queries.embeddings @ gallery.embeddings.T, matches_per_query, k)
+    return int(hits.sum()) / len(queries)
 
 
 def topk_class_accuracy(image_embeddings: EmbeddingIndex,
@@ -115,9 +131,5 @@ def topk_class_accuracy(image_embeddings: EmbeddingIndex,
     labels = list(labels)
     if len(labels) != len(image_embeddings):
         raise InvalidArgumentError("one label per image required")
-    n_classes = len(class_prototypes)
-    if any(not 0 <= int(y) < n_classes for y in labels):
-        raise InvalidArgumentError("label out of range")
-    hits = sum(indicator(image_embeddings.embeddings[i], class_prototypes, {int(y)}, k)
-               for i, y in enumerate(labels))
-    return hits / len(labels)
+    sims = image_embeddings.embeddings @ class_prototypes.embeddings.T
+    return int(_hits_at_k(sims, [[y] for y in labels], k).sum()) / len(labels)

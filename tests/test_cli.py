@@ -6,7 +6,7 @@ import pytest
 
 from uapkit.cli import main
 from uapkit.encoder import build_encoder, save_encoder
-from uapkit.tensor_io import read_tensor
+from uapkit.tensor_io import read_tensor, write_tensor
 
 GEN_ARGS = ["--n-images", "20", "--texts-per-image", "3",
             "--image-shape", "1", "8", "8", "--embed-dim", "16",
@@ -167,6 +167,54 @@ def test_eval_detects_tampered_delta(workspace, capsys):
                "--encoder", str(workspace / "encoder.json")])
     capsys.readouterr()
     assert rc == 5
+
+
+def run_eval(workspace, out):
+    return main(["eval", "--perturbation", str(workspace / out / "delta.json"),
+                 "--dataset", str(workspace / "data" / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json")])
+
+
+FORGED_DELTAS = [
+    ("patch_out_of_range", [], lambda d: np.full_like(d, 5.0)),
+    ("wrong_shape", [], lambda d: d[0]),
+    ("global_over_budget", ["--mode", "global", "--norm", "linf", "--epsilon", "0.05"],
+     lambda d: d + 1.0),
+    ("global_nan", ["--mode", "global", "--norm", "l2"], lambda d: np.full_like(d, np.nan)),
+]
+
+
+@pytest.mark.parametrize("name, extra, forge", FORGED_DELTAS,
+                         ids=[case[0] for case in FORGED_DELTAS])
+def test_eval_rejects_invalid_delta_exit_2(workspace, capsys, name, extra, forge):
+    # the forged delta carries a matching hash, so only the value checks stop it
+    assert run_attack(workspace, f"forged_{name}", extra) == 0
+    out = workspace / f"forged_{name}"
+    write_tensor(out / "delta.uapt", forge(read_tensor(out / "delta.uapt")))
+    sidecar = json.loads((out / "delta.json").read_text())
+    sidecar["delta_sha256"] = hashlib.sha256((out / "delta.uapt").read_bytes()).hexdigest()
+    (out / "delta.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run_eval(workspace, f"forged_{name}") == 2
+    assert capsys.readouterr().out == ""
+
+
+MALFORMED_SIDECARS = [
+    ("missing_key", lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "mask"})),
+    ("invalid_json", lambda text: text[:-5]),
+]
+
+
+@pytest.mark.parametrize("name, corrupt", MALFORMED_SIDECARS,
+                         ids=[case[0] for case in MALFORMED_SIDECARS])
+def test_eval_malformed_sidecar_exit_5(workspace, capsys, name, corrupt):
+    assert run_attack(workspace, f"malformed_{name}", []) == 0
+    path = workspace / f"malformed_{name}" / "delta.json"
+    path.write_text(corrupt(path.read_text()))
+    capsys.readouterr()
+    assert run_eval(workspace, f"malformed_{name}") == 5
+    assert "malformed sidecar" in capsys.readouterr().err
 
 
 def test_gradcheck_passes(workspace, capsys):

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapkit.errors import CorruptDatasetError, InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, MatchAnnotation, indicator,
@@ -99,6 +103,40 @@ def test_topk_class_accuracy():
     assert topk_class_accuracy(embs, protos, [0, 2], 1) == 1.0
     assert topk_class_accuracy(embs, protos, [1, 1], 1) == 0.0
     assert topk_class_accuracy(embs, protos, [1, 1], 2) == 1.0
+
+
+# unit vectors with dyadic coordinates: every dot product among them is exact
+# in any summation order, so repeated rows tie exactly whatever the BLAS does
+DYADIC_UNITS = np.array(
+    [np.eye(4)[i] * s for i in range(4) for s in (1.0, -1.0)]
+    + [np.array(signs) / 2.0 for signs in itertools.product((1.0, -1.0), repeat=4)])
+
+
+def loop_indicator(query, index, matches, k):
+    return int(any(int(i) in matches for i in ranked_indices(query, index)[:k]))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_rank_routines_match_ranked_indices_loop(data):
+    rows = st.integers(0, len(DYADIC_UNITS) - 1)
+    m = data.draw(st.integers(1, 12), label="gallery size")
+    gallery = EmbeddingIndex(DYADIC_UNITS[data.draw(st.lists(rows, min_size=m, max_size=m))])
+    queries = EmbeddingIndex(DYADIC_UNITS[data.draw(st.lists(rows, min_size=1, max_size=8))])
+    matches = [set(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)))
+               for _ in range(len(queries))]
+    k = data.draw(st.integers(1, m), label="k")
+
+    expected = [loop_indicator(q, gallery, ms, k)
+                for q, ms in zip(queries.embeddings, matches)]
+    assert [indicator(q, gallery, ms, k)
+            for q, ms in zip(queries.embeddings, matches)] == expected
+    assert recall_at_k(queries, gallery, matches, k) == sum(expected) / len(expected)
+
+    labels = [min(ms) for ms in matches]
+    expected = [loop_indicator(q, gallery, {y}, k)
+                for q, y in zip(queries.embeddings, labels)]
+    assert topk_class_accuracy(queries, gallery, labels, k) == sum(expected) / len(expected)
 
 
 def test_annotation_rejects_shared_text():
