@@ -6,9 +6,10 @@ crossing steps, and evaluates their effect on image-text retrieval.
 """
 
 from .attack import (AttackConfig, AttackTrace, Perturbation, evaluate_metrics,
-                     run_attack, run_global, run_ira, run_tira, run_tra)
-from .boundary import (CrossingReport, LinearClassifier, binary_distance,
-                       binary_min_perturbation, cross_k_boundaries,
+                     run_attack)
+from .boundary import (CrossingReport, LinearClassifier, accumulate,
+                       binary_distance, binary_min_perturbation,
+                       cross_k_boundaries,
                        k_nearest_boundaries, multiclass_min_perturbation,
                        nearest_boundary)
 from .core import (apply_patch, clamp_unit, patch_side_for_area, project_l2,

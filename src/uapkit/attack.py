@@ -8,6 +8,9 @@ Strategies:
   - tira: alternates both over image batches, sharing one inner direction r
           per batch half and committing delta once per half.
 
+run_attack drives all three as a sequence of halves (groups of samples that
+share one r and one commit); boundary.accumulate is the one inner loop.
+
 Patch mode replaces pixels under a binary mask and keeps delta clamped to
 [0, 1]; global mode adds delta to whole images and projects onto an l2/linf
 ball after every commit. All loops are sequential and fully deterministic.
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import crossing_step
+from .boundary import accumulate, crossing_step
 from .core import (apply_delta, as_tensor, clamp_unit, project_l2, project_linf,
                    validate_mask, validate_patch)
 from .datagen import Dataset
@@ -182,22 +185,17 @@ def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
         emb = encode_batch(enc, probe[None])[0]
         return indicator(emb, ds.texts, match_set, cfg.k) == 0
 
-    iterations = 0
-    while not fooled(r) and iterations < cfg.max_inner_iters:
-        v_hat = v + _masked(r, mask)
-        cache = forward_with_cache(enc, v_hat[None])
+    def step_at(r_vec):
+        cache = forward_with_cache(enc, (v + _masked(r_vec, mask))[None])
         sims = ds.texts.embeddings @ cache.embeddings[0]
         y_max = max(y_list, key=lambda y: (sims[y], -y))
         yp_min = min(y_prime, key=lambda y: (sims[y], y))
         t_diff = ds.texts.embeddings[yp_min] - ds.texts.embeddings[y_max]
         # single backward pass for the difference score (f_{y'} - f_y)
         diff_grad = _masked(backward_from_cache(enc, cache, t_diff[None])[0], mask)
-        step = crossing_step(diff_grad, float(sims[y_max] - sims[yp_min]))
-        if step is None:
-            return r, iterations, False
-        r = r + step
-        iterations += 1
-    return r, iterations, fooled(r)
+        return crossing_step(diff_grad, float(sims[y_max] - sims[yp_min]))
+
+    return accumulate(r, fooled, step_at, cfg.max_inner_iters)
 
 
 def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
@@ -220,26 +218,21 @@ def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
         embs = encode_batch(enc, probe)
         return indicator(t_emb, EmbeddingIndex(embs), {0}, cfg.k) == 0
 
-    iterations = 0
-    while not fooled(r) and iterations < cfg.max_inner_iters:
-        v_hat = base + _masked(r, mask)[None]
-        cache = forward_with_cache(enc, v_hat)
+    def step_at(r_vec):
+        cache = forward_with_cache(enc, base + _masked(r_vec, mask)[None])
         sims = cache.embeddings @ t_emb
         # weakest non-matching candidate; ties toward the smallest image index
         pos = min(range(1, len(candidates)),
                   key=lambda p: (sims[p], candidates[p]))
         grads = backward_from_cache(enc, cache, np.stack([t_emb, t_emb]),
                                     rows=[pos, 0])
-        step = crossing_step(_masked(grads[0], mask) - _masked(grads[1], mask),
+        return crossing_step(_masked(grads[0], mask) - _masked(grads[1], mask),
                              float(sims[0] - sims[pos]))
-        if step is None:
-            return r, iterations, False
-        r = r + step
-        iterations += 1
-    return r, iterations, fooled(r)
+
+    return accumulate(r, fooled, step_at, cfg.max_inner_iters)
 
 
-# -- commit and drivers ------------------------------------------------------
+# -- commit and driver -------------------------------------------------------
 
 
 def _commit(delta: np.ndarray, r: np.ndarray, cfg: AttackConfig,
@@ -322,113 +315,62 @@ def _provenance(enc_hash: str, ds_hash: str, cfg: AttackConfig, strategy: str) -
     }
 
 
-def _epoch_metrics(enc, ds, delta, cfg, epoch, trace):
-    probe = _probe_subset(ds)
-    if trace.epoch_metrics:  # the clean probe metrics are the same every epoch
-        first = trace.epoch_metrics[0]
-        clean = {"tr_r10": first["clean_tr_r10"], "ir_r10": first["clean_ir_r10"]}
-    else:
-        clean = evaluate_metrics(enc, ds, None, (10,), probe)
-    adv = evaluate_metrics(enc, ds, _make_perturbation(delta, cfg, {}), (10,), probe)
-    trace.epoch_metrics.append({
-        "epoch": epoch,
-        "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],
-        "clean_ir_r10": clean["ir_r10"], "adv_ir_r10": adv["ir_r10"],
-    })
+def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, epoch: int):
+    """One epoch's (kind, sample ids) groups, each sharing one r and one commit.
 
-
-def _run_single(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
-                enc_hash: str = "", ds_hash: str = ""):
-    """Driver for plain tra / ira over all images / texts."""
-    if ds.params.n_images == 0:
-        raise InvalidArgumentError("empty dataset")
-    delta = np.zeros(ds.params.image_shape)
-    trace = AttackTrace()
-    n = ds.params.n_images if strategy == "tra" else ds.params.n_texts
-    kind = "image" if strategy == "tra" else "text"
-    for epoch in range(cfg.epochs):
-        for sid in _order(n, cfg, epoch):
-            r = np.zeros_like(delta)
-            if strategy == "tra":
-                r, iters, ok = _tra_inner(enc, ds, sid, delta, r, cfg)
-            else:
-                gallery = encode_batch(enc, apply_delta(ds.images, delta, cfg.mask))
-                r, iters, ok = _ira_inner(enc, ds, sid, delta, r, cfg, gallery)
-            delta = _commit(delta, r, cfg, trace, epoch)
-            trace.records.append(SampleRecord(kind, sid, epoch, iters, ok))
-        _epoch_metrics(enc, ds, delta, cfg, epoch, trace)
-    pert = _make_perturbation(delta, cfg, _provenance(enc_hash, ds_hash, cfg, strategy))
-    return pert, trace
-
-
-def run_tra(enc: Encoder, ds: Dataset, cfg: AttackConfig, **prov):
-    """Image-loop attack (degrades image-to-text retrieval)."""
-    return _run_single(enc, ds, cfg, "tra", **prov)
-
-
-def run_ira(enc: Encoder, ds: Dataset, cfg: AttackConfig, **prov):
-    """Text-loop attack (degrades text-to-image retrieval)."""
-    return _run_single(enc, ds, cfg, "ira", **prov)
-
-
-def run_tira(enc: Encoder, ds: Dataset, cfg: AttackConfig,
-             enc_hash: str = "", ds_hash: str = ""):
-    """Alternating attack over image batches.
-
-    Per batch: the image loop accumulates one shared r and commits once,
-    then the batch's matching texts do the same with the text-loop bodies.
+    tra visits one image per half and ira one text per half; tira takes a
+    batch of images, then that batch's matching texts.
     """
-    if ds.params.n_images == 0:
-        raise InvalidArgumentError("empty dataset")
-    delta = np.zeros(ds.params.image_shape)
-    trace = AttackTrace()
-    n = ds.params.n_images
-    for epoch in range(cfg.epochs):
-        order = _order(n, cfg, epoch)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            texts = sorted(t for v in batch for t in ds.matches_of_image(v))
-
-            r = np.zeros_like(delta)
-            for v in batch:
-                r, iters, ok = _tra_inner(enc, ds, v, delta, r, cfg)
-                trace.records.append(SampleRecord("image", v, epoch, iters, ok))
-            delta = _commit(delta, r, cfg, trace, epoch)
-
-            # delta is fixed for the whole text half, so one gallery suffices
-            gallery = encode_batch(enc, apply_delta(ds.images, delta, cfg.mask))
-            r = np.zeros_like(delta)
-            for t in texts:
-                r, iters, ok = _ira_inner(enc, ds, t, delta, r, cfg, gallery)
-                trace.records.append(SampleRecord("text", t, epoch, iters, ok))
-            delta = _commit(delta, r, cfg, trace, epoch)
-        _epoch_metrics(enc, ds, delta, cfg, epoch, trace)
-    pert = _make_perturbation(delta, cfg, _provenance(enc_hash, ds_hash, cfg, "tira"))
-    return pert, trace
-
-
-def run_global(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
-               enc_hash: str = "", ds_hash: str = ""):
-    """Global (norm-bounded, whole-image) variant of tra or ira."""
-    if cfg.mode != "global":
-        raise InvalidArgumentError("run_global requires a global-mode config")
-    if strategy not in ("tra", "ira"):
-        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    return _run_single(enc, ds, cfg, strategy,
-                       enc_hash=enc_hash, ds_hash=ds_hash)
+    if strategy == "ira":
+        for t in _order(ds.params.n_texts, cfg, epoch):
+            yield "text", [t]
+        return
+    order = _order(ds.params.n_images, cfg, epoch)
+    if strategy == "tra":
+        for v in order:
+            yield "image", [v]
+        return
+    for start in range(0, len(order), cfg.batch_size):
+        batch = order[start:start + cfg.batch_size]
+        yield "image", batch
+        yield "text", sorted(t for v in batch for t in ds.matches_of_image(v))
 
 
 def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
                enc_hash: str = "", ds_hash: str = ""):
-    """Dispatch on (strategy, mode)."""
-    if strategy == "tira":
-        if cfg.mode != "patch":
-            raise InvalidArgumentError("tira is defined for patch mode")
-        return run_tira(enc, ds, cfg, enc_hash=enc_hash, ds_hash=ds_hash)
-    if cfg.mode == "global":
-        return run_global(enc, ds, cfg, strategy, enc_hash=enc_hash, ds_hash=ds_hash)
-    if strategy == "tra":
-        return run_tra(enc, ds, cfg, enc_hash=enc_hash, ds_hash=ds_hash)
-    if strategy == "ira":
-        return run_ira(enc, ds, cfg, enc_hash=enc_hash, ds_hash=ds_hash)
-    raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    """Run strategy tra, ira or tira; returns (Perturbation, AttackTrace).
+
+    Each half accumulates one r over its samples on top of the current delta,
+    then commits it once.
+    """
+    if strategy not in ("tra", "ira", "tira"):
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    if strategy == "tira" and cfg.mode != "patch":
+        raise InvalidArgumentError("tira is defined for patch mode")
+    if ds.params.n_images == 0:
+        raise InvalidArgumentError("empty dataset")
+    delta = np.zeros(ds.params.image_shape)
+    trace = AttackTrace()
+    probe = _probe_subset(ds)
+    clean = evaluate_metrics(enc, ds, None, (10,), probe)
+    for epoch in range(cfg.epochs):
+        for kind, samples in _halves(ds, cfg, strategy, epoch):
+            r = np.zeros_like(delta)
+            if kind == "text":
+                # delta is fixed for the whole half, so one gallery suffices
+                gallery = encode_batch(enc, apply_delta(ds.images, delta, cfg.mask))
+            for sid in samples:
+                if kind == "image":
+                    r, iters, ok = _tra_inner(enc, ds, sid, delta, r, cfg)
+                else:
+                    r, iters, ok = _ira_inner(enc, ds, sid, delta, r, cfg, gallery)
+                trace.records.append(SampleRecord(kind, sid, epoch, iters, ok))
+            delta = _commit(delta, r, cfg, trace, epoch)
+        adv = evaluate_metrics(enc, ds, _make_perturbation(delta, cfg, {}), (10,), probe)
+        trace.epoch_metrics.append({
+            "epoch": epoch,
+            "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],
+            "clean_ir_r10": clean["ir_r10"], "adv_ir_r10": adv["ir_r10"],
+        })
+    pert = _make_perturbation(delta, cfg, _provenance(enc_hash, ds_hash, cfg, strategy))
+    return pert, trace

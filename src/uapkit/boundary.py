@@ -1,7 +1,8 @@
 """Exact decision-boundary geometry for linear classifiers.
 
 Covers the binary point-to-plane case, the multiclass nearest-boundary
-minimal perturbation, and the iterative top-k boundary crossing loop.
+minimal perturbation, and the iterative boundary crossing loop
+(`accumulate`) that the top-k crossing here and both attack inner loops run.
 """
 
 from __future__ import annotations
@@ -90,6 +91,25 @@ def crossing_step(diff: np.ndarray, gap: float) -> np.ndarray | None:
     return (gap / sq) * diff
 
 
+def accumulate(r: np.ndarray, fooled, step_at, max_iters: int):
+    """Sum crossing steps onto r until fooled(r); returns (r, iterations, converged).
+
+    fooled is probed once per visited r. The loop stops unconverged after
+    max_iters steps, or at once when step_at(r) returns None (a degenerate
+    boundary).
+    """
+    iterations = 0
+    while not fooled(r):
+        if iterations >= max_iters:
+            return r, iterations, False
+        step = step_at(r)
+        if step is None:
+            return r, iterations, False
+        r = r + step
+        iterations += 1
+    return r, iterations, True
+
+
 def _check_correctly_classified(clf: LinearClassifier, x: np.ndarray, y: int) -> np.ndarray:
     if not 0 <= y < clf.n_classes:
         raise InvalidArgumentError(f"class index {y} out of range")
@@ -161,33 +181,27 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
         raise InvalidArgumentError("max_iters must be positive")
 
     targets = k_nearest_boundaries(clf, x, y, k)
-    r = np.zeros_like(x)
-    iterations = 0
 
     def uncrossed(r_vec):
         s = clf.scores(x + (1.0 + eta) * r_vec)
         return [l for l in targets if s[y] > s[l]]
 
-    remaining = uncrossed(r)
-    while remaining and iterations < max_iters:
-        x_hat = x + r
-        s = clf.scores(x_hat)
-        best, best_ratio = None, np.inf
-        for l in remaining:
-            w_diff = clf.weights[l] - clf.weights[y]
-            denom = float(np.linalg.norm(w_diff))
-            if denom < DEGENERATE_DENOM:
-                continue  # skip this boundary for this iteration
-            ratio = float(s[y] - s[l]) / denom
-            if ratio < best_ratio:
-                best, best_ratio = l, ratio
-        step = None if best is None else crossing_step(
-            clf.weights[best] - clf.weights[y], float(s[y] - s[best]))
-        if step is None:
-            break  # every remaining boundary degenerate
-        r = r + step
-        iterations += 1
-        remaining = uncrossed(r)
+    def step_at(r_vec):
+        # step toward the uncrossed target with the smallest crossing ratio at
+        # x + r; degenerate boundaries are skipped for this step
+        s = clf.scores(x + r_vec)
+
+        def ratio(l):
+            denom = float(np.linalg.norm(clf.weights[l] - clf.weights[y]))
+            return float(s[y] - s[l]) / denom if denom >= DEGENERATE_DENOM else np.inf
+
+        best = min(uncrossed(r_vec), key=ratio)
+        if ratio(best) == np.inf:
+            return None  # every remaining boundary degenerate
+        return crossing_step(clf.weights[best] - clf.weights[y], float(s[y] - s[best]))
+
+    r, iterations, converged = accumulate(
+        np.zeros_like(x), lambda r_vec: not uncrossed(r_vec), step_at, max_iters)
 
     s_final = clf.scores(x + (1.0 + eta) * r)
     crossed = {l for l in targets if s_final[y] < s_final[l]}
@@ -195,5 +209,5 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
         perturbation=(1.0 + eta) * r,
         iterations=iterations,
         crossed_indices=crossed,
-        converged=not remaining,
+        converged=converged,
     )

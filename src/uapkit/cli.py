@@ -5,7 +5,7 @@ saved perturbation), gradcheck (finite-difference gradient audit).
 
 Exit codes: 0 success, 2 invalid arguments/config/perturbation, 3 I/O failure,
 4 degenerate dataset or failed numerical audit, 5 artifact hash mismatch or
-malformed sidecar.
+malformed sidecar or manifest.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from .core import as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
 from .encoder import (build_encoder, default_toy_encoder, encode_batch,
                       encoder_hash, gradcheck, load_encoder, save_encoder)
-from .errors import (DegenerateDatasetError, IntegrityError,
-                     InvalidArgumentError, UapkitError)
+from .errors import (MALFORMED_JSON_ERRORS, DegenerateDatasetError,
+                     IntegrityError, InvalidArgumentError, UapkitError)
 from .rng import Lcg
 
 EXIT_OK = 0
@@ -194,7 +194,7 @@ def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, d
         else:
             pert = Perturbation(delta=delta, mode="global",
                                 norm=sidecar["norm"], epsilon=sidecar["epsilon"])
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError) as exc:
+    except MALFORMED_JSON_ERRORS as exc:
         raise IntegrityError(f"{sidecar_path}: malformed sidecar ({exc!r})") from exc
     return pert, sidecar
 

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import tensor_io
 from .encoder import Encoder, encode_batch, encoder_hash
-from .errors import (CorruptDatasetError, DegenerateDatasetError,
-                     IntegrityError, InvalidArgumentError)
+from .errors import (MALFORMED_JSON_ERRORS, CorruptDatasetError,
+                     DegenerateDatasetError, IntegrityError,
+                     InvalidArgumentError)
 from .retrieval import EmbeddingIndex, MatchAnnotation, recall_at_k
 from .rng import Lcg
 
@@ -185,27 +186,30 @@ def dataset_hash(manifest_path) -> str:
 def load(manifest_path) -> Dataset:
     """Load and validate a generated dataset from its manifest."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    root = manifest_path.parent
-    for name, fname in manifest["files"].items():
-        path = root / fname
-        if not path.exists():
-            raise IntegrityError(f"missing dataset file {path}")
-        if tensor_io.sha256_file(path) != manifest["sha256"][name]:
-            raise IntegrityError(f"{path}: hash mismatch")
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        root = manifest_path.parent
+        for name, fname in manifest["files"].items():
+            path = root / fname
+            if not path.exists():
+                raise IntegrityError(f"missing dataset file {path}")
+            if tensor_io.sha256_file(path) != manifest["sha256"][name]:
+                raise IntegrityError(f"{path}: hash mismatch")
 
-    p = manifest["params"]
-    params = DatasetParams(
-        n_images=p["n_images"], texts_per_image=p["texts_per_image"],
-        image_shape=tuple(p["image_shape"]), embed_dim=p["embed_dim"],
-        class_count=p["class_count"], noise_level=p["noise_level"], seed=p["seed"],
-        decoder_scale=p["decoder_scale"], decoder_rank=p["decoder_rank"])
+        p = manifest["params"]
+        params = DatasetParams(
+            n_images=p["n_images"], texts_per_image=p["texts_per_image"],
+            image_shape=tuple(p["image_shape"]), embed_dim=p["embed_dim"],
+            class_count=p["class_count"], noise_level=p["noise_level"], seed=p["seed"],
+            decoder_scale=p["decoder_scale"], decoder_rank=p["decoder_rank"])
 
-    images = tensor_io.read_tensor(root / manifest["files"]["images"])
-    texts = tensor_io.read_tensor(root / manifest["files"]["texts"])
-    protos = tensor_io.read_tensor(root / manifest["files"]["prototypes"])
-    raw_annotations = json.loads((root / manifest["files"]["annotations"]).read_text())
-    labels = json.loads((root / manifest["files"]["labels"]).read_text())
+        images = tensor_io.read_tensor(root / manifest["files"]["images"])
+        texts = tensor_io.read_tensor(root / manifest["files"]["texts"])
+        protos = tensor_io.read_tensor(root / manifest["files"]["prototypes"])
+        raw_annotations = json.loads((root / manifest["files"]["annotations"]).read_text())
+        labels = json.loads((root / manifest["files"]["labels"]).read_text())
+    except MALFORMED_JSON_ERRORS as exc:
+        raise IntegrityError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
 
     if images.shape != (params.n_images, *params.image_shape):
         raise CorruptDatasetError("image tensor shape does not match manifest")

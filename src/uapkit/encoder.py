@@ -18,7 +18,8 @@ import numpy as np
 
 from . import tensor_io
 from .core import as_tensor
-from .errors import DegenerateEncodingError, IntegrityError, InvalidArgumentError
+from .errors import (MALFORMED_JSON_ERRORS, DegenerateEncodingError,
+                     IntegrityError, InvalidArgumentError)
 from .rng import Lcg
 
 KINDS = ("linear", "mlp")
@@ -250,28 +251,33 @@ def save_encoder(enc: Encoder, manifest_path) -> str:
 
 
 def load_encoder(manifest_path) -> Encoder:
+    """Read an encoder manifest and its weights; a malformed manifest raises
+    IntegrityError."""
     manifest_path = Path(manifest_path)
-    manifest = json.loads(manifest_path.read_text())
-    weights, biases = [], []
-    for layer in manifest["layers"]:
-        w_path = manifest_path.parent / layer["weight"]
-        b_path = manifest_path.parent / layer["bias"]
-        if tensor_io.sha256_file(w_path) != layer["weight_sha256"]:
-            raise IntegrityError(f"{w_path}: hash mismatch")
-        if tensor_io.sha256_file(b_path) != layer["bias_sha256"]:
-            raise IntegrityError(f"{b_path}: hash mismatch")
-        weights.append(tensor_io.read_tensor(w_path))
-        biases.append(tensor_io.read_tensor(b_path))
-    return Encoder(
-        kind=manifest["kind"],
-        input_shape=tuple(manifest["input_shape"]),
-        embed_dim=manifest["embed_dim"],
-        layer_widths=tuple(manifest["layer_widths"]),
-        activation=manifest["activation"],
-        weights=tuple(weights),
-        biases=tuple(biases),
-        seed=manifest["seed"],
-    )
+    try:
+        manifest = json.loads(manifest_path.read_text())
+        weights, biases = [], []
+        for layer in manifest["layers"]:
+            w_path = manifest_path.parent / layer["weight"]
+            b_path = manifest_path.parent / layer["bias"]
+            if tensor_io.sha256_file(w_path) != layer["weight_sha256"]:
+                raise IntegrityError(f"{w_path}: hash mismatch")
+            if tensor_io.sha256_file(b_path) != layer["bias_sha256"]:
+                raise IntegrityError(f"{b_path}: hash mismatch")
+            weights.append(tensor_io.read_tensor(w_path))
+            biases.append(tensor_io.read_tensor(b_path))
+        return Encoder(
+            kind=manifest["kind"],
+            input_shape=tuple(manifest["input_shape"]),
+            embed_dim=manifest["embed_dim"],
+            layer_widths=tuple(manifest["layer_widths"]),
+            activation=manifest["activation"],
+            weights=tuple(weights),
+            biases=tuple(biases),
+            seed=manifest["seed"],
+        )
+    except MALFORMED_JSON_ERRORS as exc:
+        raise IntegrityError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
 
 
 def encoder_hash(enc: Encoder) -> str:

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all uapkit modules."""
 
+import json
+
 
 class UapkitError(Exception):
     """Base class for all library errors."""
@@ -27,3 +29,9 @@ class CorruptDatasetError(UapkitError, RuntimeError):
 
 class DegenerateDatasetError(UapkitError, RuntimeError):
     """Generated dataset failed the clean-retrieval floor check."""
+
+
+# what reading a JSON manifest or sidecar with invalid text, a missing key or
+# a wrongly typed field raises; loaders turn these into IntegrityError
+MALFORMED_JSON_ERRORS = (json.JSONDecodeError, UnicodeDecodeError, KeyError,
+                         TypeError, AttributeError)

@@ -106,13 +106,8 @@ def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
     matches = set(matches)
     if k > len(index) - len(matches):
         raise InvalidArgumentError("not enough non-matching candidates")
-    out = []
-    for i in ranked_indices(query, index):
-        if int(i) not in matches:
-            out.append(int(i))
-            if len(out) == k:
-                break
-    return out
+    order = ranked_indices(query, index)
+    return order[~np.isin(order, list(matches))][:k].tolist()
 
 
 def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from uapkit.attack import (AttackConfig, EPS_L2_DEFAULT, EPS_LINF_DEFAULT,
-                           evaluate_metrics, run_attack, run_tira)
+                           evaluate_metrics, run_attack)
 from uapkit.boundary import (LinearClassifier, binary_min_perturbation,
                              cross_k_boundaries, multiclass_min_perturbation,
                              nearest_boundary)
@@ -60,7 +60,7 @@ def tira_run(bench):
     cfg = AttackConfig(k=10, eta=0.02, epochs=10, mode="patch",
                        mask=BENCH_MASK, seed=7)
     t0 = time.monotonic()
-    pert, trace = run_tira(enc, ds, cfg)
+    pert, trace = run_attack(enc, ds, cfg, "tira")
     elapsed = time.monotonic() - t0
     adv = evaluate_metrics(enc, ds, pert, (10,))
     return pert, trace, adv, elapsed

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from uapkit.attack import (AttackConfig, Perturbation, evaluate_metrics,
-                           run_attack, run_global, run_ira, run_tira, run_tra)
+                           run_attack)
 from uapkit.core import square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import build_encoder, encode_batch
@@ -57,16 +57,13 @@ def test_unknown_mode_and_strategy(enc, ds):
         AttackConfig(mode="sticker", mask=square_patch_mask(SHAPE, 2))
     with pytest.raises(InvalidArgumentError):
         run_attack(enc, ds, patch_cfg(epochs=0), "pgd")
-    with pytest.raises(InvalidArgumentError):
-        run_attack(enc, ds, patch_cfg(epochs=0), "tira")  # ok
-        run_global(enc, ds, patch_cfg(epochs=0), "tra")
 
 
 # -- trivial cases -----------------------------------------------------------
 
 def test_zero_epochs_identity(enc, ds):
-    for runner in (run_tra, run_ira, run_tira):
-        pert, trace = runner(enc, ds, patch_cfg(epochs=0))
+    for strategy in ("tra", "ira", "tira"):
+        pert, trace = run_attack(enc, ds, patch_cfg(epochs=0), strategy)
         assert np.array_equal(pert.delta, np.zeros(SHAPE))
         assert trace.records == [] and trace.commits == []
     clean = evaluate_metrics(enc, ds, None)
@@ -77,31 +74,31 @@ def test_zero_epochs_identity(enc, ds):
 
 def test_zero_mask_is_inert(enc, ds):
     mask = np.zeros(SHAPE)
-    pert, trace = run_tira(enc, ds, patch_cfg(mask=mask, epochs=2))
+    pert, trace = run_attack(enc, ds, patch_cfg(mask=mask, epochs=2), "tira")
     assert np.array_equal(pert.delta, np.zeros(SHAPE))
 
 
 def test_patch_delta_stays_in_unit_range(enc, ds):
-    pert, _ = run_tira(enc, ds, patch_cfg(epochs=2))
+    pert, _ = run_attack(enc, ds, patch_cfg(epochs=2), "tira")
     assert pert.delta.min() >= 0.0 and pert.delta.max() <= 1.0
 
 
 def test_patch_apply_off_patch_identity(enc, ds):
-    pert, _ = run_tra(enc, ds, patch_cfg(epochs=1))
+    pert, _ = run_attack(enc, ds, patch_cfg(epochs=1), "tra")
     out = pert.apply(ds.images[0])
     off = pert.mask == 0.0
     assert np.array_equal(out[off], ds.images[0][off])
 
 
 def test_determinism_bitwise(enc, ds):
-    a, _ = run_tira(enc, ds, patch_cfg(epochs=2, seed=3))
-    b, _ = run_tira(enc, ds, patch_cfg(epochs=2, seed=3))
+    a, _ = run_attack(enc, ds, patch_cfg(epochs=2, seed=3), "tira")
+    b, _ = run_attack(enc, ds, patch_cfg(epochs=2, seed=3), "tira")
     assert a.delta.tobytes() == b.delta.tobytes()
 
 
 def test_shuffle_changes_visit_order(enc, ds):
-    _, t1 = run_tra(enc, ds, patch_cfg(epochs=1, seed=3, shuffle=True))
-    _, t2 = run_tra(enc, ds, patch_cfg(epochs=1, seed=3))
+    _, t1 = run_attack(enc, ds, patch_cfg(epochs=1, seed=3, shuffle=True), "tra")
+    _, t2 = run_attack(enc, ds, patch_cfg(epochs=1, seed=3), "tra")
     ids1 = [r.sample_id for r in t1.records]
     ids2 = [r.sample_id for r in t2.records]
     assert sorted(ids1) == sorted(ids2) == list(range(20))
@@ -110,7 +107,7 @@ def test_shuffle_changes_visit_order(enc, ds):
 
 
 def test_trace_accounting(enc, ds):
-    _, trace = run_tira(enc, ds, patch_cfg(epochs=2, batch_size=8))
+    _, trace = run_attack(enc, ds, patch_cfg(epochs=2, batch_size=8), "tira")
     images = [r for r in trace.records if r.kind == "image"]
     texts = [r for r in trace.records if r.kind == "text"]
     assert len(images) == 2 * 20
@@ -129,7 +126,7 @@ def test_converged_samples_are_fooled_at_commit(enc, ds):
     """After a converged tra visit, the committed patch fools that image
     unless the pixel clamp truncated the step."""
     cfg = patch_cfg(epochs=1)
-    pert, trace = run_tra(enc, ds, cfg)
+    pert, trace = run_attack(enc, ds, cfg, "tra")
     last = trace.records[-1]
     on = cfg.mask == 1.0
     clamp_bound = np.any(pert.delta[on] <= 0.0) or np.any(pert.delta[on] >= 1.0)
@@ -152,7 +149,7 @@ def global_cfg(**kw):
 
 def test_global_l2_budget_every_commit(enc, ds):
     cfg = global_cfg(epochs=2)
-    pert, trace = run_global(enc, ds, cfg, "tra")
+    pert, trace = run_attack(enc, ds, cfg, "tra")
     for c in trace.commits:
         assert c.norm_l2 <= cfg.epsilon + 1e-9
     assert np.linalg.norm(pert.delta) <= cfg.epsilon + 1e-9
@@ -160,7 +157,7 @@ def test_global_l2_budget_every_commit(enc, ds):
 
 def test_global_linf_budget_every_commit(enc, ds):
     cfg = global_cfg(norm="linf", epsilon=0.05, epochs=2)
-    pert, trace = run_global(enc, ds, cfg, "ira")
+    pert, trace = run_attack(enc, ds, cfg, "ira")
     for c in trace.commits:
         assert c.norm_linf <= cfg.epsilon + 1e-15
     assert np.abs(pert.delta).max() <= cfg.epsilon
@@ -168,16 +165,11 @@ def test_global_linf_budget_every_commit(enc, ds):
 
 def test_global_vanishing_budget_is_harmless(enc, ds):
     cfg = global_cfg(epsilon=1e-9, epochs=1)
-    pert, _ = run_global(enc, ds, cfg, "tra")
+    pert, _ = run_attack(enc, ds, cfg, "tra")
     clean = evaluate_metrics(enc, ds, None)
     adv = evaluate_metrics(enc, ds, pert)
     for key in clean:
         assert abs(clean[key] - adv[key]) <= 0.01
-
-
-def test_run_global_rejects_patch_config(enc, ds):
-    with pytest.raises(InvalidArgumentError):
-        run_global(enc, ds, patch_cfg(epochs=1), "tra")
 
 
 def test_tira_requires_patch_mode(enc, ds):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from uapkit.boundary import (CrossingReport, LinearClassifier, binary_distance,
-                             binary_min_perturbation, cross_k_boundaries,
+from uapkit.boundary import (CrossingReport, LinearClassifier, accumulate,
+                             binary_distance, binary_min_perturbation,
+                             cross_k_boundaries,
                              k_nearest_boundaries, multiclass_min_perturbation,
                              nearest_boundary)
 from uapkit.errors import InvalidArgumentError, PreconditionError
@@ -196,3 +197,51 @@ def test_cross_k_invalid_args():
         cross_k_boundaries(clf, x, y, k=5)
     with pytest.raises(InvalidArgumentError):
         cross_k_boundaries(clf, x, y, k=1, eta=0.0)
+
+
+# -- accumulate --------------------------------------------------------------
+
+class Counting:
+    """Fake fooled/step_at pair: r counts unit steps, fooled once r >= n."""
+
+    def __init__(self, n_to_fool, none_from=None):
+        self.n_to_fool, self.none_from = n_to_fool, none_from
+        self.probes = self.steps = 0
+
+    def fooled(self, r):
+        self.probes += 1
+        return r[0] >= self.n_to_fool
+
+    def step_at(self, r):
+        self.steps += 1
+        if self.none_from is not None and r[0] >= self.none_from:
+            return None
+        return np.ones(1)
+
+
+def test_accumulate_fooled_at_entry():
+    fake = Counting(0)
+    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 5)
+    assert (r[0], iterations, converged) == (0.0, 0, True)
+    assert (fake.probes, fake.steps) == (1, 0)
+
+
+def test_accumulate_fooled_after_n_steps():
+    fake = Counting(3)
+    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 5)
+    assert (r[0], iterations, converged) == (3.0, 3, True)
+    assert (fake.probes, fake.steps) == (4, 3)
+
+
+def test_accumulate_stops_at_max_iters():
+    fake = Counting(10)
+    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 4)
+    assert (r[0], iterations, converged) == (4.0, 4, False)
+    assert (fake.probes, fake.steps) == (5, 4)
+
+
+def test_accumulate_stops_at_degenerate_step():
+    fake = Counting(10, none_from=2)
+    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 5)
+    assert (r[0], iterations, converged) == (2.0, 2, False)
+    assert (fake.probes, fake.steps) == (3, 3)

@@ -217,6 +217,40 @@ def test_eval_malformed_sidecar_exit_5(workspace, capsys, name, corrupt):
     assert "malformed sidecar" in capsys.readouterr().err
 
 
+def drop_key(path, *keys):
+    """Rewrite a JSON manifest without the nested key keys[-1]."""
+    manifest = json.loads(path.read_text())
+    node = manifest
+    for key in keys[:-1]:
+        node = node[key]
+    del node[keys[-1]]
+    path.write_text(json.dumps(manifest))
+
+
+def test_gradcheck_malformed_encoder_manifest_exit_5(tmp_path, capsys):
+    enc = build_encoder("mlp", (1, 8, 8), 16, (24,), "tanh", 42)
+    save_encoder(enc, tmp_path / "encoder.json")
+    drop_key(tmp_path / "encoder.json", "activation")
+    capsys.readouterr()
+    assert main(["gradcheck", "--encoder", str(tmp_path / "encoder.json"),
+                 "--trials", "1"]) == 5
+    assert "malformed manifest" in capsys.readouterr().err
+
+
+def test_eval_malformed_dataset_manifest_exit_5(workspace, tmp_path, capsys):
+    assert run_attack(workspace, "malformed_manifest", []) == 0
+    assert main(["gen", "--out", str(tmp_path / "data"),
+                 "--encoder", str(workspace / "encoder.json"), *GEN_ARGS]) == 0
+    drop_key(tmp_path / "data" / "manifest.json", "params", "seed")
+    capsys.readouterr()
+    assert main(["eval", "--perturbation",
+                 str(workspace / "malformed_manifest" / "delta.json"),
+                 "--dataset", str(tmp_path / "data" / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json"),
+                 "--allow-mismatch"]) == 5
+    assert "malformed manifest" in capsys.readouterr().err
+
+
 def test_gradcheck_passes(workspace, capsys):
     rc = main(["gradcheck", "--encoder", str(workspace / "encoder.json"),
                "--trials", "3"])
