@@ -12,8 +12,8 @@ from .boundary import (CrossingReport, LinearClassifier, accumulate,
                        cross_k_boundaries,
                        k_nearest_boundaries, multiclass_min_perturbation,
                        nearest_boundary)
-from .core import (apply_patch, clamp_unit, patch_side_for_area, project_l2,
-                   project_linf, square_patch_mask)
+from .core import (Carrier, apply_patch, clamp_unit, patch_side_for_area,
+                   project_l2, project_linf, square_patch_mask)
 from .datagen import Dataset, DatasetParams, build_dataset, generate, load
 from .encoder import (Encoder, build_encoder, default_toy_encoder, encode,
                       encode_batch, encoder_hash, gradcheck, load_encoder,

@@ -11,22 +11,19 @@ Strategies:
 run_attack drives all three as a sequence of halves (groups of samples that
 share one r and one commit); boundary.accumulate is the one inner loop.
 
-Patch mode replaces pixels under a binary mask and keeps delta clamped to
-[0, 1]; global mode adds delta to whole images and projects onto an l2/linf
-ball after every commit. All loops are sequential and fully deterministic.
+The carrier (core.Carrier) owns the patch/global rules: where delta sits on
+an image, how a gradient is restricted to it and how a commit is projected.
+All loops are sequential and fully deterministic.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .boundary import accumulate, crossing_step
-from .core import (apply_delta, as_tensor, clamp_unit, project_l2, project_linf,
-                   validate_mask, validate_patch)
+from .core import Carrier, as_tensor
 from .datagen import Dataset
 from .encoder import (Encoder, backward_from_cache, encode_batch,
                       forward_with_cache)
@@ -38,25 +35,6 @@ from .rng import Lcg
 EPS_L2_DEFAULT = 2000.0 / 255.0
 EPS_LINF_DEFAULT = 10.0 / 255.0
 PATCH_AREA_DEFAULT = 0.03
-
-
-def _validate_carrier(mode: str, mask, norm, epsilon) -> None:
-    """Check that (mask) or (norm, epsilon) fit the patch or global mode."""
-    if mode == "patch":
-        if mask is None:
-            raise InvalidArgumentError("patch mode requires a mask")
-        if norm is not None or epsilon is not None:
-            raise InvalidArgumentError("norm/epsilon are global-mode options")
-        validate_mask(mask)
-    elif mode == "global":
-        if mask is not None:
-            raise InvalidArgumentError("mask is a patch-mode option")
-        if norm not in ("l2", "linf"):
-            raise InvalidArgumentError("global mode requires norm in {l2, linf}")
-        if epsilon is None or not epsilon > 0:
-            raise InvalidArgumentError("global mode requires epsilon > 0")
-    else:
-        raise InvalidArgumentError(f"unknown mode {mode!r}")
 
 
 @dataclass(frozen=True)
@@ -72,24 +50,22 @@ class AttackConfig:
     epsilon: float | None = None     # global mode budget
     seed: int = 0
     shuffle: bool = False
+    carrier: Carrier = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or self.epochs < 0 or self.max_inner_iters < 1 or self.batch_size < 1:
             raise InvalidArgumentError("k, max_inner_iters, batch_size must be positive")
         if self.eta <= 0:
             raise InvalidArgumentError("eta must be positive")
-        _validate_carrier(self.mode, self.mask, self.norm, self.epsilon)
+        object.__setattr__(self, "carrier",
+                           Carrier(self.mode, self.mask, self.norm, self.epsilon))
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "k": self.k, "eta": self.eta, "epochs": self.epochs,
             "max_inner_iters": self.max_inner_iters, "batch_size": self.batch_size,
-            "mode": self.mode, "seed": self.seed, "shuffle": self.shuffle,
+            "seed": self.seed, "shuffle": self.shuffle, **self.carrier.to_json_dict(),
         }
-        if self.mode == "global":
-            d["norm"] = self.norm
-            d["epsilon"] = self.epsilon
-        return d
 
 
 @dataclass
@@ -126,41 +102,24 @@ class AttackTrace:
         }
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     delta: np.ndarray
-    mode: str
-    mask: np.ndarray | None = None
-    norm: str | None = None
-    epsilon: float | None = None
-    provenance: dict = field(default_factory=dict)
+    carrier: Carrier
 
     def __post_init__(self):
-        # reject a delta the mode cannot produce: non-finite values, a patch
-        # outside [0, 1] under the mask, or a global delta over its budget
-        self.delta = as_tensor(self.delta)
-        _validate_carrier(self.mode, self.mask, self.norm, self.epsilon)
-        if self.mode == "patch":
-            validate_patch(self.delta, self.mask)
-            return
-        size = (np.linalg.norm(self.delta) if self.norm == "l2"
-                else np.abs(self.delta).max(initial=0.0))
-        if size > self.epsilon * (1.0 + 1e-12):
-            raise InvalidArgumentError(
-                f"global delta {self.norm} norm {size} exceeds epsilon {self.epsilon}")
+        # reject a delta the carrier cannot produce, or a non-finite one
+        object.__setattr__(self, "delta", as_tensor(self.delta))
+        self.carrier.check(self.delta)
 
     def apply(self, image: np.ndarray) -> np.ndarray:
         return self.apply_batch(image[None])[0]
 
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
-        return apply_delta(images, self.delta, self.mask)
+        return self.carrier.apply(images, self.delta)
 
 
 # -- inner loops -------------------------------------------------------------
-
-
-def _masked(g: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
-    return g * mask if mask is not None else g
 
 
 def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
@@ -168,12 +127,12 @@ def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
     """Image-loop inner body for one image; returns (r, iterations, converged).
 
     r accumulates on top of its incoming value (shared across a combined-run
-    batch).
+    batch). Every step comes from a restricted gradient, so r is exactly zero
+    where the carrier cannot move pixels and needs no masking of its own.
     """
-    mask = cfg.mask  # None in global mode
     match_set = ds.matches_of_image(v_idx)
     y_list = sorted(match_set)
-    v = apply_delta(ds.images[v_idx:v_idx + 1], delta, mask)[0]
+    v = cfg.carrier.apply(ds.images[v_idx:v_idx + 1], delta)[0]
 
     # candidate non-matching texts are the nearest to the image as it looks
     # under the current perturbation, so the stopping test tracks the metric
@@ -181,18 +140,18 @@ def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
     y_prime = select_nonmatching_topk(entry_emb, ds.texts, match_set, cfg.k)
 
     def fooled(r_vec):
-        probe = v + (1.0 + cfg.eta) * _masked(r_vec, mask)
+        probe = v + (1.0 + cfg.eta) * r_vec
         emb = encode_batch(enc, probe[None])[0]
         return indicator(emb, ds.texts, match_set, cfg.k) == 0
 
     def step_at(r_vec):
-        cache = forward_with_cache(enc, (v + _masked(r_vec, mask))[None])
+        cache = forward_with_cache(enc, (v + r_vec)[None])
         sims = ds.texts.embeddings @ cache.embeddings[0]
         y_max = max(y_list, key=lambda y: (sims[y], -y))
         yp_min = min(y_prime, key=lambda y: (sims[y], y))
         t_diff = ds.texts.embeddings[yp_min] - ds.texts.embeddings[y_max]
         # single backward pass for the difference score (f_{y'} - f_y)
-        diff_grad = _masked(backward_from_cache(enc, cache, t_diff[None])[0], mask)
+        diff_grad = cfg.carrier.restrict(backward_from_cache(enc, cache, t_diff[None])[0])
         return crossing_step(diff_grad, float(sims[y_max] - sims[yp_min]))
 
     return accumulate(r, fooled, step_at, cfg.max_inner_iters)
@@ -206,27 +165,26 @@ def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
     perturbation; ranking candidates against it means the stopping test
     (match outranked by k candidates) certifies a full-gallery retrieval miss.
     """
-    mask = cfg.mask
     t_emb = ds.texts.embeddings[t_idx]
     y = ds.image_of_text(t_idx)
     y_prime = select_nonmatching_topk(t_emb, EmbeddingIndex(gallery_embs), {y}, cfg.k)
     candidates = [y, *y_prime]  # matched image first
-    base = apply_delta(ds.images[candidates], delta, mask)
+    base = cfg.carrier.apply(ds.images[candidates], delta)
 
     def fooled(r_vec):
-        probe = base + (1.0 + cfg.eta) * _masked(r_vec, mask)[None]
+        probe = base + (1.0 + cfg.eta) * r_vec[None]
         embs = encode_batch(enc, probe)
         return indicator(t_emb, EmbeddingIndex(embs), {0}, cfg.k) == 0
 
     def step_at(r_vec):
-        cache = forward_with_cache(enc, base + _masked(r_vec, mask)[None])
+        cache = forward_with_cache(enc, base + r_vec[None])
         sims = cache.embeddings @ t_emb
         # weakest non-matching candidate; ties toward the smallest image index
         pos = min(range(1, len(candidates)),
                   key=lambda p: (sims[p], candidates[p]))
         grads = backward_from_cache(enc, cache, np.stack([t_emb, t_emb]),
                                     rows=[pos, 0])
-        return crossing_step(_masked(grads[0], mask) - _masked(grads[1], mask),
+        return crossing_step(cfg.carrier.restrict(grads[0] - grads[1]),
                              float(sims[0] - sims[pos]))
 
     return accumulate(r, fooled, step_at, cfg.max_inner_iters)
@@ -237,13 +195,7 @@ def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
 
 def _commit(delta: np.ndarray, r: np.ndarray, cfg: AttackConfig,
             trace: AttackTrace, epoch: int) -> np.ndarray:
-    if cfg.mode == "patch":
-        step = r * cfg.mask
-        new = clamp_unit(delta + (1.0 + cfg.eta) * step)
-    elif cfg.norm == "l2":
-        new = project_l2(delta + (1.0 + cfg.eta) * r, cfg.epsilon)
-    else:
-        new = project_linf(delta + (1.0 + cfg.eta) * r, cfg.epsilon)
+    new = cfg.carrier.commit(delta, (1.0 + cfg.eta) * r)
     trace.commits.append(CommitRecord(
         epoch=epoch,
         norm_l2=float(np.linalg.norm(new)),
@@ -298,23 +250,6 @@ def _probe_subset(ds: Dataset, limit: int = 32) -> list[int]:
     return list(range(0, n, stride))[:limit]
 
 
-def _make_perturbation(delta: np.ndarray, cfg: AttackConfig,
-                       provenance: dict) -> Perturbation:
-    return Perturbation(delta=delta, mode=cfg.mode, mask=cfg.mask,
-                        norm=cfg.norm, epsilon=cfg.epsilon, provenance=provenance)
-
-
-def _provenance(enc_hash: str, ds_hash: str, cfg: AttackConfig, strategy: str) -> dict:
-    cfg_json = json.dumps(cfg.to_json_dict(), sort_keys=True)
-    return {
-        "strategy": strategy,
-        "config": cfg.to_json_dict(),
-        "config_hash": hashlib.sha256(cfg_json.encode()).hexdigest(),
-        "encoder_hash": enc_hash,
-        "dataset_hash": ds_hash,
-    }
-
-
 def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, epoch: int):
     """One epoch's (kind, sample ids) groups, each sharing one r and one commit.
 
@@ -336,8 +271,7 @@ def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, epoch: int):
         yield "text", sorted(t for v in batch for t in ds.matches_of_image(v))
 
 
-def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
-               enc_hash: str = "", ds_hash: str = ""):
+def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
     """Run strategy tra, ira or tira; returns (Perturbation, AttackTrace).
 
     Each half accumulates one r over its samples on top of the current delta,
@@ -345,7 +279,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
     """
     if strategy not in ("tra", "ira", "tira"):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    if strategy == "tira" and cfg.mode != "patch":
+    if strategy == "tira" and cfg.carrier.mode != "patch":
         raise InvalidArgumentError("tira is defined for patch mode")
     if ds.params.n_images == 0:
         raise InvalidArgumentError("empty dataset")
@@ -358,7 +292,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
             r = np.zeros_like(delta)
             if kind == "text":
                 # delta is fixed for the whole half, so one gallery suffices
-                gallery = encode_batch(enc, apply_delta(ds.images, delta, cfg.mask))
+                gallery = encode_batch(enc, cfg.carrier.apply(ds.images, delta))
             for sid in samples:
                 if kind == "image":
                     r, iters, ok = _tra_inner(enc, ds, sid, delta, r, cfg)
@@ -366,11 +300,10 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
                     r, iters, ok = _ira_inner(enc, ds, sid, delta, r, cfg, gallery)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, ok))
             delta = _commit(delta, r, cfg, trace, epoch)
-        adv = evaluate_metrics(enc, ds, _make_perturbation(delta, cfg, {}), (10,), probe)
+        adv = evaluate_metrics(enc, ds, Perturbation(delta, cfg.carrier), (10,), probe)
         trace.epoch_metrics.append({
             "epoch": epoch,
             "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],
             "clean_ir_r10": clean["ir_r10"], "adv_ir_r10": adv["ir_r10"],
         })
-    pert = _make_perturbation(delta, cfg, _provenance(enc_hash, ds_hash, cfg, strategy))
-    return pert, trace
+    return Perturbation(delta, cfg.carrier), trace

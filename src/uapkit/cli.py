@@ -3,14 +3,15 @@
 Subcommands: gen (dataset), attack (perturbation synthesis), eval (apply a
 saved perturbation), gradcheck (finite-difference gradient audit).
 
-Exit codes: 0 success, 2 invalid arguments/config/perturbation, 3 I/O failure,
-4 degenerate dataset or failed numerical audit, 5 artifact hash mismatch or
-malformed sidecar or manifest.
+Exit codes: 0 success, 2 invalid arguments/config/perturbation or corrupt
+dataset content, 3 I/O failure, 4 degenerate dataset or failed numerical
+audit, 5 artifact hash mismatch or malformed sidecar or manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__, datagen, tensor_io
 from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
                      AttackConfig, Perturbation, evaluate_metrics, run_attack)
-from .core import as_tensor, patch_side_for_area, square_patch_mask
+from .core import Carrier, as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
 from .encoder import (build_encoder, default_toy_encoder, encode_batch,
                       encoder_hash, gradcheck, load_encoder, save_encoder)
@@ -44,11 +45,26 @@ def _load_encoder_arg(path: str | None):
     return load_encoder(path)
 
 
+def _write_json(path: Path, obj) -> None:
+    tensor_io.write_atomic(path, json.dumps(obj, indent=2, sort_keys=True).encode())
+
+
+def _report(command: str, start: float, enc, ds, pert: Perturbation, k_list,
+            **fields) -> dict:
+    """Clean and adversarial metrics, the wall clock since start and the
+    fields every report has, plus the command's own fields."""
+    k_list = tuple(k_list)
+    return {"schema": "uapkit-report-v1", "command": command,
+            "clean": evaluate_metrics(enc, ds, None, k_list),
+            "adversarial": evaluate_metrics(enc, ds, pert, k_list),
+            "wall_clock_seconds": time.monotonic() - start,
+            "library_version": __version__, **fields}
+
+
 def _emit_report(report: dict, out_path: Path | None):
-    text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    print(json.dumps(report, indent=2, sort_keys=True))
     if out_path is not None:
-        out_path.write_text(text)
+        _write_json(out_path, report)
 
 
 # -- gen ---------------------------------------------------------------------
@@ -79,36 +95,20 @@ def cmd_gen(args) -> int:
 # -- attack ------------------------------------------------------------------
 
 
-def _mask_for(args, image_shape):
-    side = args.mask_side
-    if side is None:
-        side = patch_side_for_area(image_shape, PATCH_AREA_DEFAULT)
-    return side, square_patch_mask(image_shape, side, tuple(args.mask_offset))
-
-
-def _config_from(args, image_shape) -> tuple[AttackConfig, dict]:
-    mask_meta = {}
-    if args.mode == "patch":
-        if args.norm is not None or args.epsilon is not None:
-            raise InvalidArgumentError("--norm/--epsilon are global-mode flags")
-        side, mask = _mask_for(args, image_shape)
-        mask_meta = {"side": side, "offset": list(args.mask_offset)}
-        cfg = AttackConfig(
-            k=args.k, eta=args.eta, epochs=args.epochs,
-            max_inner_iters=args.max_inner_iters, batch_size=args.batch_size,
-            mode="patch", mask=mask, seed=args.seed, shuffle=args.shuffle)
-    else:
-        if args.norm is None:
-            raise InvalidArgumentError("global mode requires --norm")
+def _carrier_args(args, image_shape) -> tuple[dict, dict]:
+    """AttackConfig's carrier keywords and the sidecar's mask geometry, which
+    is empty in global mode; Carrier rejects the flags of the other mode."""
+    if args.mode == "global":
         epsilon = args.epsilon
         if epsilon is None:
             epsilon = EPS_L2_DEFAULT if args.norm == "l2" else EPS_LINF_DEFAULT
-        cfg = AttackConfig(
-            k=args.k, eta=args.eta, epochs=args.epochs,
-            max_inner_iters=args.max_inner_iters, batch_size=args.batch_size,
-            mode="global", norm=args.norm, epsilon=epsilon,
-            seed=args.seed, shuffle=args.shuffle)
-    return cfg, mask_meta
+        return {"mode": "global", "norm": args.norm, "epsilon": epsilon}, {}
+    side = args.mask_side
+    if side is None:
+        side = patch_side_for_area(image_shape, PATCH_AREA_DEFAULT)
+    mask = square_patch_mask(image_shape, side, tuple(args.mask_offset))
+    return ({"mode": "patch", "mask": mask, "norm": args.norm, "epsilon": args.epsilon},
+            {"mask": {"side": side, "offset": list(args.mask_offset)}})
 
 
 def cmd_attack(args) -> int:
@@ -120,57 +120,45 @@ def cmd_attack(args) -> int:
     # re-verify the clean-retrieval floor on the loaded pairing
     datagen._floor_check(ds, encode_batch(enc, ds.images))
 
-    cfg, mask_meta = _config_from(args, ds.params.image_shape)
+    carrier_kw, geometry = _carrier_args(args, ds.params.image_shape)
+    cfg = AttackConfig(
+        k=args.k, eta=args.eta, epochs=args.epochs,
+        max_inner_iters=args.max_inner_iters, batch_size=args.batch_size,
+        seed=args.seed, shuffle=args.shuffle, **carrier_kw)
+    config = cfg.to_json_dict()
+    config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     start = time.monotonic()
-    pert, trace = run_attack(enc, ds, cfg, args.strategy,
-                             enc_hash=enc_hash, ds_hash=ds.dataset_hash)
-    clean = evaluate_metrics(enc, ds, None, tuple(args.k_list))
-    adv = evaluate_metrics(enc, ds, pert, tuple(args.k_list))
-    elapsed = time.monotonic() - start
+    pert, trace = run_attack(enc, ds, cfg, args.strategy)
+    report = _report(
+        "attack", start, enc, ds, pert, args.k_list,
+        strategy=args.strategy, config=config,
+        seeds={"attack": cfg.seed, "dataset": ds.params.seed, "encoder": enc.seed},
+        hashes={"encoder": enc_hash, "dataset": ds.dataset_hash, "config": config_hash},
+        trace_summary=trace.summary())
 
     delta_path = out / "delta.uapt"
     tensor_io.write_tensor(delta_path, pert.delta)
-    sidecar = {
+    _write_json(out / "delta.json", {
         "format": "uapkit-perturbation-v1",
         "delta_file": "delta.uapt",
         "delta_sha256": tensor_io.sha256_file(delta_path),
-        "mode": cfg.mode,
         "strategy": args.strategy,
-        "config": cfg.to_json_dict(),
+        "config": config,
         "encoder_hash": enc_hash,
         "dataset_hash": ds.dataset_hash,
         "library_version": __version__,
-    }
-    if cfg.mode == "patch":
-        sidecar["mask"] = mask_meta
-    else:
-        sidecar["norm"] = cfg.norm
-        sidecar["epsilon"] = cfg.epsilon
-    (out / "delta.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-    (out / "trace.json").write_text(json.dumps({
+        **cfg.carrier.to_json_dict(),
+        **geometry,
+    })
+    _write_json(out / "trace.json", {
         "summary": trace.summary(),
         "epoch_metrics": trace.epoch_metrics,
         "commits": [{"epoch": c.epoch, "norm_l2": c.norm_l2, "norm_linf": c.norm_linf}
                     for c in trace.commits],
-    }, indent=2, sort_keys=True))
-
-    report = {
-        "schema": "uapkit-report-v1",
-        "command": "attack",
-        "strategy": args.strategy,
-        "config": cfg.to_json_dict(),
-        "seeds": {"attack": cfg.seed, "dataset": ds.params.seed, "encoder": enc.seed},
-        "hashes": {"encoder": enc_hash, "dataset": ds.dataset_hash,
-                   "config": pert.provenance["config_hash"]},
-        "clean": clean,
-        "adversarial": adv,
-        "trace_summary": trace.summary(),
-        "wall_clock_seconds": elapsed,
-        "library_version": __version__,
-    }
+    })
     _emit_report(report, out / "report.json")
     return EXIT_OK
 
@@ -188,12 +176,12 @@ def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, d
             raise IntegrityError(f"{delta_path}: hash mismatch against sidecar")
         delta = as_tensor(tensor_io.read_tensor(delta_path), shape=image_shape)
         if sidecar["mode"] == "patch":
-            mask = square_patch_mask(image_shape, sidecar["mask"]["side"],
-                                     tuple(sidecar["mask"]["offset"]))
-            pert = Perturbation(delta=delta, mode="patch", mask=mask)
+            geometry = sidecar["mask"]
+            carrier = Carrier("patch", square_patch_mask(
+                image_shape, geometry["side"], tuple(geometry["offset"])))
         else:
-            pert = Perturbation(delta=delta, mode="global",
-                                norm=sidecar["norm"], epsilon=sidecar["epsilon"])
+            carrier = Carrier("global", norm=sidecar["norm"], epsilon=sidecar["epsilon"])
+        pert = Perturbation(delta, carrier)
     except MALFORMED_JSON_ERRORS as exc:
         raise IntegrityError(f"{sidecar_path}: malformed sidecar ({exc!r})") from exc
     return pert, sidecar
@@ -216,25 +204,13 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_HASH_MISMATCH
 
-    start = time.monotonic()
-    clean = evaluate_metrics(enc, ds, None, tuple(args.k_list))
-    adv = evaluate_metrics(enc, ds, pert, tuple(args.k_list))
-    elapsed = time.monotonic() - start
-
-    report = {
-        "schema": "uapkit-report-v1",
-        "command": "eval",
-        "strategy": sidecar.get("strategy", ""),
-        "config": sidecar.get("config", {}),
-        "seeds": {"dataset": ds.params.seed, "encoder": enc.seed},
-        "hashes": {"encoder": enc_hash, "dataset": ds.dataset_hash,
-                   "perturbation": sidecar["delta_sha256"]},
-        "cross_artifact": mismatch,
-        "clean": clean,
-        "adversarial": adv,
-        "wall_clock_seconds": elapsed,
-        "library_version": __version__,
-    }
+    report = _report(
+        "eval", time.monotonic(), enc, ds, pert, args.k_list,
+        strategy=sidecar.get("strategy", ""), config=sidecar.get("config", {}),
+        seeds={"dataset": ds.params.seed, "encoder": enc.seed},
+        hashes={"encoder": enc_hash, "dataset": ds.dataset_hash,
+                "perturbation": sidecar["delta_sha256"]},
+        cross_artifact=mismatch)
     _emit_report(report, Path(args.out) if args.out else None)
     return EXIT_OK
 

@@ -1,4 +1,5 @@
-"""Dense float64 tensor helpers: norms, projections, clamping, applying delta.
+"""Dense float64 tensor helpers: norms, projections, clamping, and the Carrier
+that puts delta on images.
 
 All functions are pure and operate on C-contiguous float64 numpy arrays.
 There is deliberately no broadcasting: every shape mismatch raises.
@@ -7,6 +8,7 @@ There is deliberately no broadcasting: every shape mismatch raises.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,33 +82,84 @@ def validate_mask(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def validate_patch(delta: np.ndarray, mask: np.ndarray) -> None:
-    """Check a valid mask of delta's shape, with delta in [0, 1] under the mask."""
-    validate_mask(mask)
-    require_same_shape(delta, mask)
-    patch_vals = delta[mask == 1.0]
-    if patch_vals.size and (patch_vals.min() < 0.0 or patch_vals.max() > 1.0):
-        raise InvalidArgumentError("delta values under the mask must lie in [0, 1]")
+@dataclass(frozen=True, eq=False)
+class Carrier:
+    """Every patch/global rule: a patch replaces the pixels under a binary
+    mask and stays in [0, 1]; a global delta is added to whole images and
+    stays in the l2 or linf ball of radius epsilon."""
+    mode: str                         # "patch" | "global"
+    mask: np.ndarray | None = None    # patch mode
+    norm: str | None = None           # "l2" | "linf", global mode
+    epsilon: float | None = None      # global mode budget
 
+    def __post_init__(self):
+        if self.mode == "patch":
+            if self.mask is None:
+                raise InvalidArgumentError("patch mode requires a mask")
+            if self.norm is not None or self.epsilon is not None:
+                raise InvalidArgumentError("norm/epsilon are global-mode options")
+            validate_mask(self.mask)
+        elif self.mode == "global":
+            if self.mask is not None:
+                raise InvalidArgumentError("mask is a patch-mode option")
+            if self.norm not in ("l2", "linf"):
+                raise InvalidArgumentError("global mode requires norm in {l2, linf}")
+            if self.epsilon is None or not self.epsilon > 0:
+                raise InvalidArgumentError("global mode requires epsilon > 0")
+        else:
+            raise InvalidArgumentError(f"unknown mode {self.mode!r}")
 
-def apply_delta(images: np.ndarray, delta: np.ndarray,
-                mask: np.ndarray | None = None) -> np.ndarray:
-    """Put delta on a (B, c, h, w) batch, clamped to [0, 1]: it replaces the
-    pixels under the mask (patch mode) or, without a mask, is added (global)."""
-    if images.shape[1:] != delta.shape or (mask is not None and mask.shape != delta.shape):
-        raise InvalidArgumentError(
-            f"delta shape {delta.shape} does not match images {images.shape} or mask")
-    if mask is None:
-        return clamp_unit(images + delta[None])
-    return clamp_unit(np.where(mask[None] == 1.0, delta[None], images))
+    def apply(self, images: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        """Put delta on a (B, c, h, w) batch, clamped to [0, 1]: it replaces the
+        pixels under the mask (patch) or is added (global)."""
+        if images.shape[1:] != delta.shape or (self.mode == "patch"
+                                               and self.mask.shape != delta.shape):
+            raise InvalidArgumentError(
+                f"delta shape {delta.shape} does not match images {images.shape} or mask")
+        if self.mode == "global":
+            return clamp_unit(images + delta[None])
+        return clamp_unit(np.where(self.mask[None] == 1.0, delta[None], images))
+
+    def restrict(self, g: np.ndarray) -> np.ndarray:
+        """A gradient with its off-mask entries zeroed (patch), or g (global)."""
+        return g * self.mask if self.mode == "patch" else g
+
+    def commit(self, delta: np.ndarray, step: np.ndarray) -> np.ndarray:
+        """delta + step, clamped to [0, 1] (patch) or projected onto the ball."""
+        if self.mode == "patch":
+            return clamp_unit(delta + step)
+        if self.norm == "l2":
+            return project_l2(delta + step, self.epsilon)
+        return project_linf(delta + step, self.epsilon)
+
+    def check(self, delta: np.ndarray) -> None:
+        """Reject a patch outside [0, 1] under the mask or a global delta over budget."""
+        if self.mode == "patch":
+            require_same_shape(delta, self.mask)
+            patch_vals = delta[self.mask == 1.0]
+            if patch_vals.size and (patch_vals.min() < 0.0 or patch_vals.max() > 1.0):
+                raise InvalidArgumentError("delta values under the mask must lie in [0, 1]")
+            return
+        size = (np.linalg.norm(delta) if self.norm == "l2"
+                else np.abs(delta).max(initial=0.0))
+        if size > self.epsilon * (1.0 + 1e-12):
+            raise InvalidArgumentError(
+                f"global delta {self.norm} norm {size} exceeds epsilon {self.epsilon}")
+
+    def to_json_dict(self) -> dict:
+        """The mode, plus norm and epsilon in global mode; callers record the mask."""
+        if self.mode == "patch":
+            return {"mode": "patch"}
+        return {"mode": "global", "norm": self.norm, "epsilon": self.epsilon}
 
 
 def apply_patch(image: np.ndarray, delta: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Replace the masked region of image with delta; off-mask pixels bit-identical."""
     validate_pixel_image(image)
     require_same_shape(image, delta)
-    validate_patch(delta, mask)
-    return apply_delta(image[None], delta, mask)[0]
+    carrier = Carrier("patch", mask)
+    carrier.check(delta)
+    return carrier.apply(image[None], delta)[0]
 
 
 def square_patch_mask(image_shape: tuple[int, int, int], side: int,

@@ -183,6 +183,24 @@ def dataset_hash(manifest_path) -> str:
     return tensor_io.sha256_file(manifest_path)
 
 
+def _is_int_list(values) -> bool:
+    # type(v) is int: a JSON float, string or true/false is not an index
+    return isinstance(values, list) and all(type(v) is int for v in values)
+
+
+def _annotation_from(raw, params: DatasetParams) -> MatchAnnotation:
+    """Parse annotations.json, which maps image ids (as keys) to text id lists."""
+    if not isinstance(raw, dict) or not all(
+            key.isdecimal() and _is_int_list(ts) for key, ts in raw.items()):
+        raise CorruptDatasetError("annotations must map image ids to text id lists")
+    annotation = MatchAnnotation.from_image_lists(
+        {int(key): ts for key, ts in raw.items()})
+    if (set(annotation.image_to_texts) != set(range(params.n_images))
+            or set(annotation.text_to_image) != set(range(params.n_texts))):
+        raise CorruptDatasetError("annotation does not cover every image and text")
+    return annotation
+
+
 def load(manifest_path) -> Dataset:
     """Load and validate a generated dataset from its manifest."""
     manifest_path = Path(manifest_path)
@@ -219,23 +237,20 @@ def load(manifest_path) -> Dataset:
         raise CorruptDatasetError("text tensor shape does not match manifest")
     if protos.shape != (params.class_count, params.embed_dim):
         raise CorruptDatasetError("prototype tensor shape does not match manifest")
-    if len(labels) != params.n_images or any(
-            not 0 <= int(y) < params.class_count for y in labels):
+    if (not _is_int_list(labels) or len(labels) != params.n_images
+            or any(not 0 <= y < params.class_count for y in labels)):
         raise CorruptDatasetError("bad label list")
 
+    annotation = _annotation_from(raw_annotations, params)
     try:
-        annotation = MatchAnnotation.from_image_lists(
-            {int(v): [int(t) for t in ts] for v, ts in raw_annotations.items()})
         texts_index = EmbeddingIndex(texts)
         protos_index = EmbeddingIndex(protos)
     except InvalidArgumentError as exc:
         raise CorruptDatasetError(str(exc)) from exc
-    if sum(len(ts) for ts in annotation.image_to_texts.values()) != params.n_texts:
-        raise CorruptDatasetError("annotation does not cover every text exactly once")
 
     return Dataset(params=params, images=images, texts=texts_index,
                    annotation=annotation, prototypes=protos_index,
-                   labels=[int(y) for y in labels],
+                   labels=labels,
                    encoder_hash=manifest.get("encoder_hash", ""),
                    dataset_hash=dataset_hash(manifest_path),
                    manifest_path=str(manifest_path))

@@ -7,6 +7,7 @@ then prod(dims) little-endian float64 values in row-major order.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from pathlib import Path
 
@@ -18,15 +19,27 @@ MAGIC = b"UAPT"
 VERSION = 1
 
 
+def write_atomic(path, *chunks: bytes) -> None:
+    """Write chunks to a temp file beside path, then move it onto path, so a
+    write that fails partway leaves the previous file intact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_tensor(path, tensor: np.ndarray) -> None:
     t = np.ascontiguousarray(tensor, dtype=np.float64)
     if t.ndim > 255:
         raise InvalidArgumentError("rank exceeds u8")
     header = MAGIC + struct.pack("<BB", VERSION, t.ndim)
     header += struct.pack(f"<{t.ndim}I", *t.shape)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(t.astype("<f8").tobytes(order="C"))
+    write_atomic(path, header, t.astype("<f8").tobytes(order="C"))
 
 
 def read_tensor(path) -> np.ndarray:

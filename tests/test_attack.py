@@ -3,7 +3,7 @@ import pytest
 
 from uapkit.attack import (AttackConfig, Perturbation, evaluate_metrics,
                            run_attack)
-from uapkit.core import square_patch_mask
+from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import build_encoder, encode_batch
 from uapkit.errors import InvalidArgumentError
@@ -67,8 +67,8 @@ def test_zero_epochs_identity(enc, ds):
         assert np.array_equal(pert.delta, np.zeros(SHAPE))
         assert trace.records == [] and trace.commits == []
     clean = evaluate_metrics(enc, ds, None)
-    adv = evaluate_metrics(enc, ds, Perturbation(np.zeros(SHAPE), "global",
-                                                 norm="l2", epsilon=1.0))
+    adv = evaluate_metrics(enc, ds, Perturbation(np.zeros(SHAPE),
+                                                 Carrier("global", norm="l2", epsilon=1.0)))
     assert clean == adv  # zero additive delta is an exact identity
 
 
@@ -86,7 +86,7 @@ def test_patch_delta_stays_in_unit_range(enc, ds):
 def test_patch_apply_off_patch_identity(enc, ds):
     pert, _ = run_attack(enc, ds, patch_cfg(epochs=1), "tra")
     out = pert.apply(ds.images[0])
-    off = pert.mask == 0.0
+    off = pert.carrier.mask == 0.0
     assert np.array_equal(out[off], ds.images[0][off])
 
 
@@ -121,6 +121,18 @@ def test_trace_accounting(enc, ds):
 
 
 # -- attack effect on small benchmark ---------------------------------------
+
+@pytest.mark.parametrize("strategy", ["tra", "ira", "tira"])
+def test_patch_delta_is_zero_off_mask(enc, ds, strategy):
+    # only gradients are restricted to the mask; r and delta stay exactly 0.0
+    # off it because every step is built from a restricted gradient
+    cfg = patch_cfg(epochs=1, batch_size=8)
+    pert, trace = run_attack(enc, ds, cfg, strategy)
+    assert trace.summary()["total_inner_iterations"] > 0
+    off = cfg.mask == 0.0
+    assert np.all(pert.delta[off] == 0.0)
+    assert np.any(pert.delta[~off] != 0.0)
+
 
 def test_converged_samples_are_fooled_at_commit(enc, ds):
     """After a converged tra visit, the committed patch fools that image

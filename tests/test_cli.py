@@ -1,5 +1,6 @@
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -249,6 +250,41 @@ def test_eval_malformed_dataset_manifest_exit_5(workspace, tmp_path, capsys):
                  "--encoder", str(workspace / "encoder.json"),
                  "--allow-mismatch"]) == 5
     assert "malformed manifest" in capsys.readouterr().err
+
+
+CORRUPT_DATASET_FILES = [
+    ("annotation_key_not_int", "annotations.json", lambda a: {"x" if k == "0" else k: v
+                                                              for k, v in a.items()}),
+    ("annotation_value_not_int", "annotations.json", lambda a: {**a, "0": ["a", 1, 2]}),
+    ("annotations_as_list", "annotations.json", lambda a: list(a.values())),
+    ("label_string", "labels.json", lambda labels: ["a", *labels[1:]]),
+    ("label_list", "labels.json", lambda labels: [[0], *labels[1:]]),
+    ("labels_bare_int", "labels.json", lambda labels: 3),
+    ("label_fraction", "labels.json", lambda labels: [0.5, *labels[1:]]),
+]
+
+
+@pytest.mark.parametrize("name, fname, corrupt", CORRUPT_DATASET_FILES,
+                         ids=[case[0] for case in CORRUPT_DATASET_FILES])
+def test_eval_corrupt_dataset_content_exit_2(workspace, tmp_path, capsys,
+                                             name, fname, corrupt):
+    # the file still parses and its hash is fixed up, so only the content
+    # checks stop it
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    path = data / fname
+    path.write_text(json.dumps(corrupt(json.loads(path.read_text()))))
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["sha256"][fname.removesuffix(".json")] = hashlib.sha256(
+        path.read_bytes()).hexdigest()
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert run_attack(workspace, "for_corrupt", []) == 0
+    capsys.readouterr()
+    assert main(["eval", "--perturbation", str(workspace / "for_corrupt" / "delta.json"),
+                 "--dataset", str(data / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json"),
+                 "--allow-mismatch"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_gradcheck_passes(workspace, capsys):

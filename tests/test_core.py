@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from uapkit.core import (apply_patch, as_tensor, clamp_unit,
+from uapkit.core import (Carrier, apply_patch, as_tensor, clamp_unit,
                          patch_side_for_area, project_l2, project_linf,
                          square_patch_mask, validate_mask)
 from uapkit.errors import InvalidArgumentError
@@ -140,3 +140,81 @@ def test_validate_mask_rejects_channel_disagreement():
     mask[0, 0, 0] = 1.0
     with pytest.raises(InvalidArgumentError):
         validate_mask(mask)
+
+
+# -- carrier -----------------------------------------------------------------
+
+MASK = square_patch_mask((2, 4, 4), 2)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"mode": "patch"},                                           # mask missing
+    {"mode": "patch", "mask": MASK, "norm": "l2"},
+    {"mode": "patch", "mask": MASK, "epsilon": 1.0},
+    {"mode": "patch", "mask": np.full((2, 4, 4), 0.5)},          # not binary
+    {"mode": "global"},
+    {"mode": "global", "norm": "l1", "epsilon": 1.0},
+    {"mode": "global", "norm": "l2"},
+    {"mode": "global", "norm": "l2", "epsilon": 0.0},
+    {"mode": "global", "norm": "linf", "epsilon": float("nan")},
+    {"mode": "global", "norm": "l2", "epsilon": 1.0, "mask": MASK},
+    {"mode": "sticker", "mask": MASK},
+])
+def test_carrier_rejects_invalid_options(kwargs):
+    with pytest.raises(InvalidArgumentError):
+        Carrier(**kwargs)
+
+
+def test_carrier_to_json_dict():
+    assert Carrier("patch", MASK).to_json_dict() == {"mode": "patch"}
+    assert Carrier("global", norm="linf", epsilon=0.5).to_json_dict() == {
+        "mode": "global", "norm": "linf", "epsilon": 0.5}
+
+
+def test_carrier_apply():
+    images = np.full((3, 2, 4, 4), 0.5)
+    delta = np.full((2, 4, 4), 0.75)
+    on = MASK == 1.0
+    patched = Carrier("patch", MASK).apply(images, delta)
+    assert np.all(patched[:, on] == 0.75) and np.all(patched[:, ~on] == 0.5)
+    shifted = Carrier("global", norm="l2", epsilon=9.0).apply(images, delta)
+    assert np.all(shifted == 1.0)  # 0.5 + 0.75 clamped to the pixel range
+    with pytest.raises(InvalidArgumentError):
+        Carrier("patch", MASK).apply(images, delta[:1])
+
+
+def test_carrier_restrict():
+    g = np.arange(1.0, 33.0).reshape(2, 4, 4)
+    out = Carrier("patch", MASK).restrict(g)
+    assert np.array_equal(out, np.where(MASK == 1.0, g, 0.0))
+    assert np.array_equal(Carrier("global", norm="l2", epsilon=1.0).restrict(g), g)
+
+
+def test_carrier_commit():
+    delta = np.full((2, 4, 4), 0.5)
+    step = np.full((2, 4, 4), 0.75)
+    assert np.all(Carrier("patch", MASK).commit(delta, step) == 1.0)
+    assert np.all(Carrier("patch", MASK).commit(delta, -step) == 0.0)
+    l2 = Carrier("global", norm="l2", epsilon=2.0).commit(delta, step)
+    np.testing.assert_allclose(l2, np.full((2, 4, 4), 2.0 / np.sqrt(32)))
+    linf = Carrier("global", norm="linf", epsilon=0.25).commit(delta, -step)
+    assert np.all(linf == -0.25)
+    inside = Carrier("global", norm="l2", epsilon=100.0).commit(delta, step)
+    assert np.array_equal(inside, delta + step)
+
+
+def test_carrier_check():
+    patch = Carrier("patch", MASK)
+    patch.check(np.where(MASK == 1.0, 1.0, -3.0))  # off-mask values are never used
+    with pytest.raises(InvalidArgumentError):
+        patch.check(np.where(MASK == 1.0, 1.5, 0.0))
+    with pytest.raises(InvalidArgumentError):
+        patch.check(np.zeros((1, 4, 4)))
+    l2 = Carrier("global", norm="l2", epsilon=2.0)
+    l2.check(np.full((2, 4, 4), 2.0 / np.sqrt(32)))
+    with pytest.raises(InvalidArgumentError):
+        l2.check(np.full((2, 4, 4), 0.5))
+    linf = Carrier("global", norm="linf", epsilon=0.25)
+    linf.check(np.full((2, 4, 4), -0.25))
+    with pytest.raises(InvalidArgumentError):
+        linf.check(np.full((2, 4, 4), 0.3))

@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from uapkit.errors import IntegrityError
 from uapkit.rng import Lcg
-from uapkit.tensor_io import read_tensor, write_tensor
+from uapkit import tensor_io
+from uapkit.tensor_io import read_tensor, write_atomic, write_tensor
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=5),
@@ -80,3 +81,27 @@ def test_lcg_gaussian_moments():
     vals = np.array(Lcg(11).fill_gaussian(20000))
     assert abs(vals.mean()) < 0.05
     assert abs(vals.std() - 1.0) < 0.05
+
+
+def test_write_failing_partway_keeps_previous_file(tmp_path):
+    path = tmp_path / "t.uapt"
+    write_tensor(path, np.arange(4.0))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_atomic(path, b"UAPT", "the second chunk is not bytes")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.uapt"]
+
+
+def test_write_tensor_failing_to_replace_keeps_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "t.uapt"
+    write_tensor(path, np.arange(4.0))
+
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(tensor_io.os, "replace", fail)
+    with pytest.raises(OSError):
+        write_tensor(path, np.ones(7))
+    assert np.array_equal(read_tensor(path), np.arange(4.0))
+    assert [p.name for p in tmp_path.iterdir()] == ["t.uapt"]
