@@ -5,7 +5,8 @@ saved perturbation), gradcheck (finite-difference gradient audit).
 
 Exit codes: 0 success, 2 invalid arguments/config/perturbation or corrupt
 dataset content, 3 I/O failure, 4 degenerate dataset or failed numerical
-audit, 5 artifact hash mismatch or malformed sidecar or manifest.
+audit, 5 a missing or altered file named by a manifest or sidecar, or a
+malformed sidecar or manifest.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -45,10 +47,6 @@ def _load_encoder_arg(path: str | None):
     return load_encoder(path)
 
 
-def _write_json(path: Path, obj) -> None:
-    tensor_io.write_atomic(path, json.dumps(obj, indent=2, sort_keys=True).encode())
-
-
 def _report(command: str, start: float, enc, ds, pert: Perturbation, k_list,
             **fields) -> dict:
     """Clean and adversarial metrics, the wall clock since start and the
@@ -64,7 +62,7 @@ def _report(command: str, start: float, enc, ds, pert: Perturbation, k_list,
 def _emit_report(report: dict, out_path: Path | None):
     print(json.dumps(report, indent=2, sort_keys=True))
     if out_path is not None:
-        _write_json(out_path, report)
+        tensor_io.write_json(out_path, report)
 
 
 # -- gen ---------------------------------------------------------------------
@@ -98,17 +96,17 @@ def cmd_gen(args) -> int:
 def _carrier_args(args, image_shape) -> tuple[dict, dict]:
     """AttackConfig's carrier keywords and the sidecar's mask geometry, which
     is empty in global mode; Carrier rejects the flags of the other mode."""
-    if args.mode == "global":
-        epsilon = args.epsilon
-        if epsilon is None:
-            epsilon = EPS_L2_DEFAULT if args.norm == "l2" else EPS_LINF_DEFAULT
-        return {"mode": "global", "norm": args.norm, "epsilon": epsilon}, {}
+    kw = {"mode": args.mode, "norm": args.norm, "epsilon": args.epsilon}
+    if args.mode == "global" and args.epsilon is None:
+        kw["epsilon"] = EPS_L2_DEFAULT if args.norm == "l2" else EPS_LINF_DEFAULT
+    if args.mode == "global" and args.mask_side is None and args.mask_offset is None:
+        return kw, {}
     side = args.mask_side
     if side is None:
         side = patch_side_for_area(image_shape, PATCH_AREA_DEFAULT)
-    mask = square_patch_mask(image_shape, side, tuple(args.mask_offset))
-    return ({"mode": "patch", "mask": mask, "norm": args.norm, "epsilon": args.epsilon},
-            {"mask": {"side": side, "offset": list(args.mask_offset)}})
+    offset = args.mask_offset or [0, 0]
+    kw["mask"] = square_patch_mask(image_shape, side, tuple(offset))
+    return kw, {"mask": {"side": side, "offset": offset}}
 
 
 def cmd_attack(args) -> int:
@@ -139,12 +137,10 @@ def cmd_attack(args) -> int:
         hashes={"encoder": enc_hash, "dataset": ds.dataset_hash, "config": config_hash},
         trace_summary=trace.summary())
 
-    delta_path = out / "delta.uapt"
-    tensor_io.write_tensor(delta_path, pert.delta)
-    _write_json(out / "delta.json", {
+    tensor_io.write_json(out / "delta.json", {
         "format": "uapkit-perturbation-v1",
         "delta_file": "delta.uapt",
-        "delta_sha256": tensor_io.sha256_file(delta_path),
+        "delta_sha256": tensor_io.write_tensor(out / "delta.uapt", pert.delta),
         "strategy": args.strategy,
         "config": config,
         "encoder_hash": enc_hash,
@@ -153,11 +149,10 @@ def cmd_attack(args) -> int:
         **cfg.carrier.to_json_dict(),
         **geometry,
     })
-    _write_json(out / "trace.json", {
+    tensor_io.write_json(out / "trace.json", {
         "summary": trace.summary(),
         "epoch_metrics": trace.epoch_metrics,
-        "commits": [{"epoch": c.epoch, "norm_l2": c.norm_l2, "norm_linf": c.norm_linf}
-                    for c in trace.commits],
+        "commits": [asdict(c) for c in trace.commits],
     })
     _emit_report(report, out / "report.json")
     return EXIT_OK
@@ -170,11 +165,9 @@ def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, d
     """Read a sidecar and its delta: a malformed sidecar raises IntegrityError,
     a delta that does not fit the images or its mode InvalidArgumentError."""
     try:
-        sidecar = json.loads(sidecar_path.read_text())
-        delta_path = sidecar_path.parent / sidecar["delta_file"]
-        if tensor_io.sha256_file(delta_path) != sidecar["delta_sha256"]:
-            raise IntegrityError(f"{delta_path}: hash mismatch against sidecar")
-        delta = as_tensor(tensor_io.read_tensor(delta_path), shape=image_shape)
+        sidecar = json.loads(sidecar_path.read_bytes())
+        delta = as_tensor(tensor_io.read_tensor(sidecar_path.parent / sidecar["delta_file"],
+                                                sidecar["delta_sha256"]), shape=image_shape)
         if sidecar["mode"] == "patch":
             geometry = sidecar["mask"]
             carrier = Carrier("patch", square_patch_mask(
@@ -281,8 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--batch-size", type=int, default=16)
     a.add_argument("--max-inner-iters", type=int, default=50)
     a.add_argument("--mask-side", type=int, help="patch side (default: 3%% area)")
-    a.add_argument("--mask-offset", type=int, nargs=2, default=[0, 0],
-                   metavar=("DY", "DX"), help="offset from the bottom-right corner")
+    a.add_argument("--mask-offset", type=int, nargs=2, metavar=("DY", "DX"),
+                   help="offset from the bottom-right corner (default: 0 0)")
     a.add_argument("--norm", choices=("l2", "linf"))
     a.add_argument("--epsilon", type=float)
     a.add_argument("--seed", type=int, default=0)

@@ -10,9 +10,10 @@ where the benchmark would start from chance-level recall.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -142,40 +143,21 @@ def generate(params: DatasetParams, enc: Encoder, out_dir) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = build_dataset(params, enc)
 
-    files = {
-        "images": "images.uapt",
-        "texts": "texts.uapt",
-        "prototypes": "prototypes.uapt",
-    }
-    tensor_io.write_tensor(out_dir / files["images"], ds.images)
-    tensor_io.write_tensor(out_dir / files["texts"], ds.texts.embeddings)
-    tensor_io.write_tensor(out_dir / files["prototypes"], ds.prototypes.embeddings)
-
+    files, sha256 = {}, {}
+    for name, tensor in (("images", ds.images), ("texts", ds.texts.embeddings),
+                         ("prototypes", ds.prototypes.embeddings)):
+        files[name] = f"{name}.uapt"
+        sha256[name] = tensor_io.write_tensor(out_dir / files[name], tensor)
     annotations = {str(v): sorted(ts) for v, ts in ds.annotation.image_to_texts.items()}
-    (out_dir / "annotations.json").write_text(json.dumps(annotations, sort_keys=True))
-    (out_dir / "labels.json").write_text(json.dumps(ds.labels))
-    files["annotations"] = "annotations.json"
-    files["labels"] = "labels.json"
+    for name, text in (("annotations", json.dumps(annotations, sort_keys=True)),
+                       ("labels", json.dumps(ds.labels))):
+        files[name] = f"{name}.json"
+        sha256[name] = tensor_io.write_atomic(out_dir / files[name], text.encode())
 
-    manifest = {
-        "params": {
-            "n_images": params.n_images,
-            "texts_per_image": params.texts_per_image,
-            "image_shape": list(params.image_shape),
-            "embed_dim": params.embed_dim,
-            "class_count": params.class_count,
-            "noise_level": params.noise_level,
-            "seed": params.seed,
-            "decoder_scale": params.decoder_scale,
-            "decoder_rank": params.decoder_rank,
-        },
-        "files": files,
-        "sha256": {name: tensor_io.sha256_file(out_dir / fname)
-                   for name, fname in files.items()},
-        "encoder_hash": ds.encoder_hash,
-    }
+    manifest = {"params": asdict(params), "files": files, "sha256": sha256,
+                "encoder_hash": ds.encoder_hash}
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    tensor_io.write_json(manifest_path, manifest)
     return manifest_path
 
 
@@ -204,28 +186,19 @@ def _annotation_from(raw, params: DatasetParams) -> MatchAnnotation:
 def load(manifest_path) -> Dataset:
     """Load and validate a generated dataset from its manifest."""
     manifest_path = Path(manifest_path)
+    raw = manifest_path.read_bytes()
     try:
-        manifest = json.loads(manifest_path.read_text())
-        root = manifest_path.parent
-        for name, fname in manifest["files"].items():
-            path = root / fname
-            if not path.exists():
-                raise IntegrityError(f"missing dataset file {path}")
-            if tensor_io.sha256_file(path) != manifest["sha256"][name]:
-                raise IntegrityError(f"{path}: hash mismatch")
-
+        manifest = json.loads(raw)
         p = manifest["params"]
-        params = DatasetParams(
-            n_images=p["n_images"], texts_per_image=p["texts_per_image"],
-            image_shape=tuple(p["image_shape"]), embed_dim=p["embed_dim"],
-            class_count=p["class_count"], noise_level=p["noise_level"], seed=p["seed"],
-            decoder_scale=p["decoder_scale"], decoder_rank=p["decoder_rank"])
+        params = DatasetParams(**{f.name: p[f.name] for f in fields(DatasetParams)})
 
-        images = tensor_io.read_tensor(root / manifest["files"]["images"])
-        texts = tensor_io.read_tensor(root / manifest["files"]["texts"])
-        protos = tensor_io.read_tensor(root / manifest["files"]["prototypes"])
-        raw_annotations = json.loads((root / manifest["files"]["annotations"]).read_text())
-        labels = json.loads((root / manifest["files"]["labels"]).read_text())
+        def named(name):  # a file's path and its recorded hash
+            return manifest_path.parent / manifest["files"][name], manifest["sha256"][name]
+
+        images, texts, protos = (tensor_io.read_tensor(*named(name))
+                                 for name in ("images", "texts", "prototypes"))
+        raw_annotations = json.loads(tensor_io.read_verified(*named("annotations")))
+        labels = json.loads(tensor_io.read_verified(*named("labels")))
     except MALFORMED_JSON_ERRORS as exc:
         raise IntegrityError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
 
@@ -252,5 +225,5 @@ def load(manifest_path) -> Dataset:
                    annotation=annotation, prototypes=protos_index,
                    labels=labels,
                    encoder_hash=manifest.get("encoder_hash", ""),
-                   dataset_hash=dataset_hash(manifest_path),
+                   dataset_hash=hashlib.sha256(raw).hexdigest(),
                    manifest_path=str(manifest_path))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,7 +25,25 @@ from .rng import Lcg
 
 KINDS = ("linear", "mlp")
 ACTIVATIONS = ("tanh", "relu")
+# the Encoder fields an encoder.json manifest records, besides the weights
+ARCHITECTURE = ("kind", "input_shape", "embed_dim", "layer_widths", "activation", "seed")
 _ZERO_NORM = 1e-12
+
+
+def _layer_dims(kind, input_shape, embed_dim, layer_widths, activation) -> list[int]:
+    """[n_inputs, *layer_widths, embed_dim] of a valid architecture; anything
+    else raises InvalidArgumentError, or TypeError for a size that is no int."""
+    if kind not in KINDS:
+        raise InvalidArgumentError(f"unknown encoder kind {kind!r}")
+    if activation not in ACTIVATIONS:
+        raise InvalidArgumentError(f"unknown activation {activation!r}")
+    if kind == "linear" and layer_widths:
+        raise InvalidArgumentError("linear encoder takes no layer_widths")
+    sizes = [*map(operator.index, input_shape), *map(operator.index, layer_widths),
+             operator.index(embed_dim)]
+    if len(input_shape) != 3 or min(sizes) < 1:
+        raise InvalidArgumentError("bad input_shape, layer_widths or embed_dim")
+    return [math.prod(sizes[:3]), *sizes[3:]]
 
 
 @dataclass(frozen=True)
@@ -38,37 +57,31 @@ class Encoder:
     biases: tuple[np.ndarray, ...]
     seed: int
 
+    def __post_init__(self):
+        """Check the architecture, and that the weights chain through it."""
+        object.__setattr__(self, "input_shape", tuple(self.input_shape))
+        object.__setattr__(self, "layer_widths", tuple(self.layer_widths))
+        dims = _layer_dims(self.kind, self.input_shape, self.embed_dim,
+                           self.layer_widths, self.activation)
+        if ([np.shape(W) for W in self.weights] != list(zip(dims[1:], dims[:-1]))
+                or [np.shape(b) for b in self.biases] != [(d,) for d in dims[1:]]):
+            raise InvalidArgumentError("weight shapes do not chain through the layers")
+
     @property
     def n_inputs(self) -> int:
         c, h, w = self.input_shape
         return c * h * w
 
     def manifest_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "input_shape": list(self.input_shape),
-            "embed_dim": self.embed_dim,
-            "layer_widths": list(self.layer_widths),
-            "activation": self.activation,
-            "seed": self.seed,
-        }
+        return {key: getattr(self, key) for key in ARCHITECTURE}
 
 
 def build_encoder(kind: str, input_shape, embed_dim: int, layer_widths=(),
                   activation: str = "tanh", seed: int = 0) -> Encoder:
     """Construct an encoder with seeded uniform(-a, a), a = sqrt(6/(fan_in+fan_out))."""
-    if kind not in KINDS:
-        raise InvalidArgumentError(f"unknown encoder kind {kind!r}")
-    if activation not in ACTIVATIONS:
-        raise InvalidArgumentError(f"unknown activation {activation!r}")
     input_shape = tuple(int(v) for v in input_shape)
-    if len(input_shape) != 3 or min(input_shape) < 1 or embed_dim < 1:
-        raise InvalidArgumentError("bad input_shape or embed_dim")
     layer_widths = tuple(int(v) for v in layer_widths)
-    if kind == "linear" and layer_widths:
-        raise InvalidArgumentError("linear encoder takes no layer_widths")
-    c, h, w = input_shape
-    dims = [c * h * w, *layer_widths, embed_dim]
+    dims = _layer_dims(kind, input_shape, embed_dim, layer_widths, activation)
     rng = Lcg(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -237,46 +250,31 @@ def save_encoder(enc: Encoder, manifest_path) -> str:
     layers = []
     for i, (W, b) in enumerate(zip(enc.weights, enc.biases)):
         w_name, b_name = f"w{i}.uapt", f"b{i}.uapt"
-        tensor_io.write_tensor(manifest_path.parent / w_name, W)
-        tensor_io.write_tensor(manifest_path.parent / b_name, b)
         layers.append({
             "weight": w_name,
             "bias": b_name,
-            "weight_sha256": tensor_io.sha256_file(manifest_path.parent / w_name),
-            "bias_sha256": tensor_io.sha256_file(manifest_path.parent / b_name),
+            "weight_sha256": tensor_io.write_tensor(manifest_path.parent / w_name, W),
+            "bias_sha256": tensor_io.write_tensor(manifest_path.parent / b_name, b),
         })
-    manifest = enc.manifest_dict() | {"layers": layers}
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    tensor_io.write_json(manifest_path, enc.manifest_dict() | {"layers": layers})
     return encoder_hash(enc)
 
 
 def load_encoder(manifest_path) -> Encoder:
-    """Read an encoder manifest and its weights; a malformed manifest raises
-    IntegrityError."""
+    """Read an encoder manifest and its weights; a malformed manifest, a
+    missing or altered weight file, or weights that do not fit the
+    architecture raise IntegrityError."""
     manifest_path = Path(manifest_path)
     try:
-        manifest = json.loads(manifest_path.read_text())
-        weights, biases = [], []
-        for layer in manifest["layers"]:
-            w_path = manifest_path.parent / layer["weight"]
-            b_path = manifest_path.parent / layer["bias"]
-            if tensor_io.sha256_file(w_path) != layer["weight_sha256"]:
-                raise IntegrityError(f"{w_path}: hash mismatch")
-            if tensor_io.sha256_file(b_path) != layer["bias_sha256"]:
-                raise IntegrityError(f"{b_path}: hash mismatch")
-            weights.append(tensor_io.read_tensor(w_path))
-            biases.append(tensor_io.read_tensor(b_path))
-        return Encoder(
-            kind=manifest["kind"],
-            input_shape=tuple(manifest["input_shape"]),
-            embed_dim=manifest["embed_dim"],
-            layer_widths=tuple(manifest["layer_widths"]),
-            activation=manifest["activation"],
-            weights=tuple(weights),
-            biases=tuple(biases),
-            seed=manifest["seed"],
-        )
-    except MALFORMED_JSON_ERRORS as exc:
+        manifest = json.loads(manifest_path.read_bytes())
+        root, layers = manifest_path.parent, manifest["layers"]
+        weights = tuple(tensor_io.read_tensor(root / layer["weight"], layer["weight_sha256"])
+                        for layer in layers)
+        biases = tuple(tensor_io.read_tensor(root / layer["bias"], layer["bias_sha256"])
+                       for layer in layers)
+        return Encoder(**{key: manifest[key] for key in ARCHITECTURE},
+                       weights=weights, biases=biases)
+    except (*MALFORMED_JSON_ERRORS, InvalidArgumentError) as exc:
         raise IntegrityError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
 
 

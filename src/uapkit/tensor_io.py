@@ -1,4 +1,6 @@
-"""Reader/writer for the UAPT v1 binary tensor format.
+"""Reader/writer for the UAPT v1 binary tensor format, and the one place that
+hashes artifacts: writers return the SHA-256 of the bytes they wrote, and
+readers check the bytes they parse against a recorded SHA-256.
 
 Layout: magic b"UAPT", u8 version (=1), u8 rank, rank little-endian u32 dims,
 then prod(dims) little-endian float64 values in row-major order.
@@ -7,6 +9,8 @@ then prod(dims) little-endian float64 values in row-major order.
 from __future__ import annotations
 
 import hashlib
+import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -19,47 +23,73 @@ MAGIC = b"UAPT"
 VERSION = 1
 
 
-def write_atomic(path, *chunks: bytes) -> None:
+def write_atomic(path, *chunks: bytes) -> str:
     """Write chunks to a temp file beside path, then move it onto path, so a
-    write that fails partway leaves the previous file intact."""
+    write that fails partway leaves the previous file intact; returns the
+    SHA-256 of the bytes written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    h = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+                h.update(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    return h.hexdigest()
 
 
-def write_tensor(path, tensor: np.ndarray) -> None:
+def write_json(path, obj) -> str:
+    """Write obj as indented, key-sorted JSON; returns the SHA-256."""
+    return write_atomic(path, json.dumps(obj, indent=2, sort_keys=True).encode())
+
+
+def write_tensor(path, tensor: np.ndarray) -> str:
+    """Write a UAPT file; returns the SHA-256."""
     t = np.ascontiguousarray(tensor, dtype=np.float64)
     if t.ndim > 255:
         raise InvalidArgumentError("rank exceeds u8")
     header = MAGIC + struct.pack("<BB", VERSION, t.ndim)
     header += struct.pack(f"<{t.ndim}I", *t.shape)
-    write_atomic(path, header, t.astype("<f8").tobytes(order="C"))
+    return write_atomic(path, header, t.astype("<f8").tobytes(order="C"))
 
 
-def read_tensor(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+def read_verified(path, sha256: str) -> bytes:
+    """Read a file once and check those bytes against sha256; a missing file
+    or a different hash raises IntegrityError."""
+    try:
+        data = Path(path).read_bytes()
+    except FileNotFoundError as exc:
+        raise IntegrityError(f"missing file {path}") from exc
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise IntegrityError(f"{path}: hash mismatch")
+    return data
+
+
+def read_tensor(path, sha256: str) -> np.ndarray:
+    """Read a UAPT file whose bytes must hash to sha256; bad framing raises
+    IntegrityError."""
+    data = read_verified(path, sha256)
     if len(data) < 6 or data[:4] != MAGIC:
         raise IntegrityError(f"{path}: not a UAPT file")
     version, rank = struct.unpack_from("<BB", data, 4)
     if version != VERSION:
         raise IntegrityError(f"{path}: unsupported UAPT version {version}")
-    offset = 6
-    if len(data) < offset + 4 * rank:
+    offset = 6 + 4 * rank
+    if len(data) < offset:
         raise IntegrityError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", data, offset)
-    offset += 4 * rank
-    count = int(np.prod(dims)) if rank else 1
+    dims = struct.unpack_from(f"<{rank}I", data, 6)
+    count = math.prod(dims)  # exact: np.prod wraps past 2**63
     expected = offset + 8 * count
     if len(data) != expected:
         raise IntegrityError(f"{path}: expected {expected} bytes, got {len(data)}")
     values = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
-    return values.reshape(dims).astype(np.float64, copy=True)
+    try:
+        return values.reshape(dims).astype(np.float64, copy=True)
+    except ValueError as exc:  # an empty array whose other dims overflow
+        raise IntegrityError(f"{path}: dims {dims} too large") from exc
 
 
 def sha256_file(path) -> str:

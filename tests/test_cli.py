@@ -7,7 +7,7 @@ import pytest
 
 from uapkit.cli import main
 from uapkit.encoder import build_encoder, save_encoder
-from uapkit.tensor_io import read_tensor, write_tensor
+from uapkit.tensor_io import read_tensor, sha256_file, write_tensor
 
 GEN_ARGS = ["--n-images", "20", "--texts-per-image", "3",
             "--image-shape", "1", "8", "8", "--embed-dim", "16",
@@ -62,7 +62,7 @@ def test_attack_writes_artifacts_and_report(workspace, capsys):
     assert report["schema"] == "uapkit-report-v1"
     assert report == json.loads((out / "report.json").read_text())
     sidecar = json.loads((out / "delta.json").read_text())
-    delta = read_tensor(out / "delta.uapt")
+    delta = read_tensor(out / "delta.uapt", sha256_file(out / "delta.uapt"))
     assert delta.shape == (1, 8, 8)
     assert sidecar["delta_sha256"] == hashlib.sha256(
         (out / "delta.uapt").read_bytes()).hexdigest()
@@ -100,7 +100,8 @@ def test_attack_zero_epochs_clean_equals_adv(workspace, capsys):
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
     assert report["clean"] == report["adversarial"]
-    delta = read_tensor(workspace / "zero" / "delta.uapt")
+    path = workspace / "zero" / "delta.uapt"
+    delta = read_tensor(path, sha256_file(path))
     assert np.array_equal(delta, np.zeros((1, 8, 8)))
 
 
@@ -117,7 +118,8 @@ def test_attack_global_linf_bound_in_sidecar(workspace, capsys):
     capsys.readouterr()
     sidecar = json.loads((workspace / "linf" / "delta.json").read_text())
     assert sidecar["norm"] == "linf" and sidecar["epsilon"] == 0.0392
-    delta = read_tensor(workspace / "linf" / "delta.uapt")
+    path = workspace / "linf" / "delta.uapt"
+    delta = read_tensor(path, sha256_file(path))
     assert np.abs(delta).max() <= 0.0392
 
 
@@ -191,7 +193,8 @@ def test_eval_rejects_invalid_delta_exit_2(workspace, capsys, name, extra, forge
     # the forged delta carries a matching hash, so only the value checks stop it
     assert run_attack(workspace, f"forged_{name}", extra) == 0
     out = workspace / f"forged_{name}"
-    write_tensor(out / "delta.uapt", forge(read_tensor(out / "delta.uapt")))
+    path = out / "delta.uapt"
+    write_tensor(path, forge(read_tensor(path, sha256_file(path))))
     sidecar = json.loads((out / "delta.json").read_text())
     sidecar["delta_sha256"] = hashlib.sha256((out / "delta.uapt").read_bytes()).hexdigest()
     (out / "delta.json").write_text(json.dumps(sidecar))
@@ -236,6 +239,68 @@ def test_gradcheck_malformed_encoder_manifest_exit_5(tmp_path, capsys):
     assert main(["gradcheck", "--encoder", str(tmp_path / "encoder.json"),
                  "--trials", "1"]) == 5
     assert "malformed manifest" in capsys.readouterr().err
+
+
+def swap_first_layers(manifest):
+    manifest["layers"][:2] = manifest["layers"][1::-1]
+
+
+BAD_ENCODER_MANIFESTS = [
+    ("layers_swapped", swap_first_layers),
+    ("input_shape_string", lambda m: m.update(input_shape="abc")),
+    ("unknown_activation", lambda m: m.update(activation="gelu")),
+]
+
+
+@pytest.mark.parametrize("name, corrupt", BAD_ENCODER_MANIFESTS,
+                         ids=[case[0] for case in BAD_ENCODER_MANIFESTS])
+def test_gradcheck_encoder_manifest_that_does_not_fit_exit_5(tmp_path, capsys,
+                                                            name, corrupt):
+    enc = build_encoder("mlp", (1, 8, 8), 16, (24, 12), "tanh", 42)
+    save_encoder(enc, tmp_path / "encoder.json")
+    manifest = json.loads((tmp_path / "encoder.json").read_text())
+    corrupt(manifest)
+    (tmp_path / "encoder.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["gradcheck", "--encoder", str(tmp_path / "encoder.json"),
+                 "--trials", "1"]) == 5
+    assert "malformed manifest" in capsys.readouterr().err
+
+
+def test_missing_file_named_by_a_manifest_or_sidecar_exit_5(workspace, tmp_path, capsys):
+    assert run_attack(workspace, "missing_delta", []) == 0
+    (workspace / "missing_delta" / "delta.uapt").unlink()
+    save_encoder(build_encoder("mlp", (1, 8, 8), 16, (24,), "tanh", 42),
+                 tmp_path / "encoder.json")
+    (tmp_path / "w1.uapt").unlink()
+    capsys.readouterr()
+    assert run_eval(workspace, "missing_delta") == 5
+    assert "missing file" in capsys.readouterr().err
+    assert main(["gradcheck", "--encoder", str(tmp_path / "encoder.json"),
+                 "--trials", "1"]) == 5
+    assert "missing file" in capsys.readouterr().err
+
+
+def test_eval_delta_whose_dims_overflow_exit_5(workspace, capsys):
+    # 65536**4 wraps to 0 in int64, which once passed the length check
+    assert run_attack(workspace, "overflow", []) == 0
+    out = workspace / "overflow"
+    (out / "delta.uapt").write_bytes(
+        b"UAPT" + bytes([1, 4]) + (65536).to_bytes(4, "little") * 4)
+    sidecar = json.loads((out / "delta.json").read_text())
+    sidecar["delta_sha256"] = hashlib.sha256((out / "delta.uapt").read_bytes()).hexdigest()
+    (out / "delta.json").write_text(json.dumps(sidecar))
+    capsys.readouterr()
+    assert run_eval(workspace, "overflow") == 5
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("flags", [["--mask-side", "0"], ["--mask-side", "3"],
+                                   ["--mask-offset", "1", "1"]])
+def test_attack_global_mode_rejects_mask_flags_exit_2(workspace, capsys, flags):
+    rc = run_attack(workspace, "global_mask", ["--mode", "global", "--norm", "l2", *flags])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_eval_malformed_dataset_manifest_exit_5(workspace, tmp_path, capsys):

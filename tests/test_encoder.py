@@ -1,5 +1,10 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapkit.encoder import (Encoder, build_encoder, default_toy_encoder,
                             encode, encode_batch, encoder_hash, gradcheck,
@@ -153,3 +158,63 @@ def test_load_detects_tampering(tmp_path):
     (tmp_path / "w0.uapt").write_bytes(bytes(blob))
     with pytest.raises(IntegrityError):
         load_encoder(tmp_path / "encoder.json")
+
+
+def test_encoder_rejects_weights_that_do_not_chain():
+    enc = small_mlp()
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(enc, weights=enc.weights[::-1])
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(enc, biases=(enc.biases[0], enc.biases[0]))
+    with pytest.raises(InvalidArgumentError):
+        dataclasses.replace(enc, activation="gelu")
+    with pytest.raises(TypeError):
+        dataclasses.replace(enc, input_shape=(1.0, 4, 4))
+
+
+@pytest.fixture(scope="module")
+def saved_encoder(tmp_path_factory):
+    """A small mlp with nonzero biases (so a zero image has a nonzero
+    embedding), saved once; returns the manifest dict and its directory."""
+    enc = small_mlp(3)
+    enc = dataclasses.replace(enc, biases=tuple(np.full(b.shape, 0.1) for b in enc.biases))
+    root = tmp_path_factory.mktemp("encoder")
+    save_encoder(enc, root / "encoder.json")
+    return json.loads((root / "encoder.json").read_text()), root
+
+
+def manifest_fields(manifest):
+    """Paths of every field of an encoder manifest, layer fields included."""
+    paths = [(key,) for key in manifest]
+    paths += [("layers", i, key) for i, layer in enumerate(manifest["layers"])
+              for key in layer]
+    return paths
+
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                        st.floats(allow_nan=False), st.text(max_size=4),
+                        st.lists(st.integers(-3, 3), max_size=4),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_load_encoder_on_fuzzed_manifests(saved_encoder, data):
+    manifest, root = saved_encoder
+    manifest = json.loads(json.dumps(manifest))
+    *parents, key = data.draw(st.sampled_from(manifest_fields(manifest)))
+    node = manifest
+    for parent in parents:
+        node = node[parent]
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(node[key])))
+    path = root / "fuzzed.json"
+    path.write_text(json.dumps(manifest))
+    try:
+        enc = load_encoder(path)
+    except IntegrityError:
+        return
+    embeddings = encode_batch(enc, np.zeros((1, *enc.input_shape)))
+    assert embeddings.shape == (1, enc.embed_dim)

@@ -1,13 +1,18 @@
+import hashlib
+import math
+import struct
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from uapkit.errors import IntegrityError
 from uapkit.rng import Lcg
 from uapkit import tensor_io
-from uapkit.tensor_io import read_tensor, write_atomic, write_tensor
+from uapkit.tensor_io import (MAGIC, read_tensor, read_verified, sha256_file,
+                              write_atomic, write_json, write_tensor)
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=5),
@@ -16,7 +21,7 @@ from uapkit.tensor_io import read_tensor, write_atomic, write_tensor
 def test_roundtrip_bitwise(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("io") / "t.uapt"
     write_tensor(path, data)
-    out = read_tensor(path)
+    out = read_tensor(path, sha256_file(path))
     assert out.shape == data.shape
     assert np.array_equal(out, data)
 
@@ -39,7 +44,7 @@ def test_bad_magic_rejected(tmp_path):
     blob[0] = ord(b"X")
     path.write_bytes(bytes(blob))
     with pytest.raises(IntegrityError):
-        read_tensor(path)
+        read_tensor(path, sha256_file(path))
 
 
 def test_truncation_rejected(tmp_path):
@@ -47,7 +52,7 @@ def test_truncation_rejected(tmp_path):
     write_tensor(path, np.arange(10.0))
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(IntegrityError):
-        read_tensor(path)
+        read_tensor(path, sha256_file(path))
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -55,7 +60,7 @@ def test_trailing_garbage_rejected(tmp_path):
     write_tensor(path, np.arange(4.0))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(IntegrityError):
-        read_tensor(path)
+        read_tensor(path, sha256_file(path))
 
 
 # -- seeded generator --------------------------------------------------------
@@ -103,5 +108,64 @@ def test_write_tensor_failing_to_replace_keeps_previous_file(tmp_path, monkeypat
     monkeypatch.setattr(tensor_io.os, "replace", fail)
     with pytest.raises(OSError):
         write_tensor(path, np.ones(7))
-    assert np.array_equal(read_tensor(path), np.arange(4.0))
+    assert np.array_equal(read_tensor(path, sha256_file(path)), np.arange(4.0))
     assert [p.name for p in tmp_path.iterdir()] == ["t.uapt"]
+
+
+def test_writers_return_the_hash_of_the_bytes_written(tmp_path):
+    assert write_tensor(tmp_path / "t.uapt", np.arange(6.0).reshape(2, 3)) == sha256_file(
+        tmp_path / "t.uapt")
+    assert write_json(tmp_path / "t.json", {"b": [1, 2], "a": 0.5}) == sha256_file(
+        tmp_path / "t.json")
+    assert (tmp_path / "t.json").read_text() == '{\n  "a": 0.5,\n  "b": [\n    1,\n    2\n  ]\n}'
+    assert write_atomic(tmp_path / "t.bin", b"ab", b"c") == hashlib.sha256(b"abc").hexdigest()
+
+
+def test_read_verified_rejects_missing_file_and_wrong_hash(tmp_path):
+    path = tmp_path / "t.bin"
+    with pytest.raises(IntegrityError, match="missing file"):
+        read_verified(path, hashlib.sha256(b"abc").hexdigest())
+    path.write_bytes(b"abc")
+    assert read_verified(path, hashlib.sha256(b"abc").hexdigest()) == b"abc"
+    with pytest.raises(IntegrityError, match="hash mismatch"):
+        read_verified(path, hashlib.sha256(b"abd").hexdigest())
+
+
+def read_blob(tmp_path_factory, blob: bytes):
+    """read_tensor on a file holding blob, with blob's own hash."""
+    path = tmp_path_factory.mktemp("io") / "t.uapt"
+    path.write_bytes(blob)
+    return read_tensor(path, hashlib.sha256(blob).hexdigest())
+
+
+def header(dims) -> bytes:
+    return MAGIC + struct.pack("<BB", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+
+
+@given(st.one_of(st.binary(max_size=64),
+                 st.binary(max_size=64).map(lambda tail: MAGIC + b"\x01" + tail)))
+@settings(max_examples=200, deadline=None)
+def test_read_tensor_on_arbitrary_bytes(tmp_path_factory, blob):
+    try:
+        out = read_blob(tmp_path_factory, blob)
+    except IntegrityError:
+        return
+    dims = struct.unpack_from(f"<{blob[5]}I", blob, 6)
+    assert out.shape == dims and out.size == math.prod(dims)
+
+
+@given(dims=st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1)), max_size=6),
+       n_bytes=st.one_of(st.none(), st.integers(0, 80)))
+@example(dims=[65536] * 4, n_bytes=0)  # np.prod wraps this count to 0
+@example(dims=[0, 2**32 - 1, 2**32 - 1], n_bytes=0)
+@settings(max_examples=200, deadline=None)
+def test_read_tensor_on_uapt_headers(tmp_path_factory, dims, n_bytes):
+    # n_bytes None: exactly the payload the dims ask for, when that is small
+    count = math.prod(dims)
+    if n_bytes is None:
+        n_bytes = 8 * count if count <= 10 else 0
+    try:
+        out = read_blob(tmp_path_factory, header(dims) + bytes(n_bytes))
+    except IntegrityError:
+        return
+    assert out.shape == tuple(dims) and out.size == math.prod(dims)
