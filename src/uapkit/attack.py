@@ -55,8 +55,8 @@ class AttackConfig:
     def __post_init__(self):
         if self.k < 1 or self.epochs < 0 or self.max_inner_iters < 1 or self.batch_size < 1:
             raise InvalidArgumentError("k, max_inner_iters, batch_size must be positive")
-        if self.eta <= 0:
-            raise InvalidArgumentError("eta must be positive")
+        if not 0 < self.eta < np.inf:  # False for NaN
+            raise InvalidArgumentError(f"eta must be positive and finite, got {self.eta}")
         object.__setattr__(self, "carrier",
                            Carrier(self.mode, self.mask, self.norm, self.epsilon))
 
@@ -112,9 +112,6 @@ class Perturbation:
         object.__setattr__(self, "delta", as_tensor(self.delta))
         self.carrier.check(self.delta)
 
-    def apply(self, image: np.ndarray) -> np.ndarray:
-        return self.apply_batch(image[None])[0]
-
     def apply_batch(self, images: np.ndarray) -> np.ndarray:
         return self.carrier.apply(images, self.delta)
 
@@ -158,16 +155,16 @@ def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
 
 
 def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
-               r: np.ndarray, cfg: AttackConfig, gallery_embs: np.ndarray):
+               r: np.ndarray, cfg: AttackConfig, gallery: EmbeddingIndex):
     """Text-loop inner body for one text; returns (r, iterations, converged).
 
-    gallery_embs holds the embeddings of every image under the current
+    gallery holds the embeddings of every image under the current
     perturbation; ranking candidates against it means the stopping test
     (match outranked by k candidates) certifies a full-gallery retrieval miss.
     """
     t_emb = ds.texts.embeddings[t_idx]
     y = ds.image_of_text(t_idx)
-    y_prime = select_nonmatching_topk(t_emb, EmbeddingIndex(gallery_embs), {y}, cfg.k)
+    y_prime = select_nonmatching_topk(t_emb, gallery, {y}, cfg.k)
     candidates = [y, *y_prime]  # matched image first
     base = cfg.carrier.apply(ds.images[candidates], delta)
 
@@ -292,7 +289,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
             r = np.zeros_like(delta)
             if kind == "text":
                 # delta is fixed for the whole half, so one gallery suffices
-                gallery = encode_batch(enc, cfg.carrier.apply(ds.images, delta))
+                gallery = EmbeddingIndex(encode_batch(enc, cfg.carrier.apply(ds.images, delta)))
             for sid in samples:
                 if kind == "image":
                     r, iters, ok = _tra_inner(enc, ds, sid, delta, r, cfg)

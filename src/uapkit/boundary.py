@@ -130,7 +130,6 @@ def _boundary_ratios(clf: LinearClassifier, x: np.ndarray, y: int):
     ok = denoms >= DEGENERATE_DENOM
     ok[y] = False
     ratios[ok] = gaps[ok] / denoms[ok]
-    ratios[y] = np.inf
     return ratios
 
 
@@ -138,15 +137,14 @@ def nearest_boundary(clf: LinearClassifier, x: np.ndarray, y: int) -> int:
     """Index of the closest decision boundary by gap-over-gradient-norm ratio."""
     x = as_tensor(x)
     _check_correctly_classified(clf, x, y)
-    ratios = _boundary_ratios(clf, x, y)
-    return int(np.argmin(ratios))  # argmin takes the smallest index on ties
+    return k_nearest_boundaries(clf, x, y, 1)[0]
 
 
 def multiclass_min_perturbation(clf: LinearClassifier, x: np.ndarray, y: int) -> np.ndarray:
     """Minimal r moving x onto its nearest boundary: f_y(x+r) = f_l(x+r)."""
     x = as_tensor(x)
     s = _check_correctly_classified(clf, x, y)
-    l = nearest_boundary(clf, x, y)
+    l = k_nearest_boundaries(clf, x, y, 1)[0]
     step = crossing_step(clf.weights[l] - clf.weights[y], float(s[y] - s[l]))
     if step is None:
         raise InvalidArgumentError("all boundaries are degenerate")
@@ -189,15 +187,11 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
     def step_at(r_vec):
         # step toward the uncrossed target with the smallest crossing ratio at
         # x + r; degenerate boundaries are skipped for this step
-        s = clf.scores(x + r_vec)
-
-        def ratio(l):
-            denom = float(np.linalg.norm(clf.weights[l] - clf.weights[y]))
-            return float(s[y] - s[l]) / denom if denom >= DEGENERATE_DENOM else np.inf
-
-        best = min(uncrossed(r_vec), key=ratio)
-        if ratio(best) == np.inf:
+        ratios = _boundary_ratios(clf, x + r_vec, y)
+        best = min(uncrossed(r_vec), key=lambda l: ratios[l])
+        if ratios[best] == np.inf:
             return None  # every remaining boundary degenerate
+        s = clf.scores(x + r_vec)
         return crossing_step(clf.weights[best] - clf.weights[y], float(s[y] - s[best]))
 
     r, iterations, converged = accumulate(

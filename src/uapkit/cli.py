@@ -26,8 +26,8 @@ from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
                      AttackConfig, Perturbation, evaluate_metrics, run_attack)
 from .core import Carrier, as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
-from .encoder import (build_encoder, default_toy_encoder, encode_batch,
-                      encoder_hash, gradcheck, load_encoder, save_encoder)
+from .encoder import (default_toy_encoder, encode_batch, encoder_hash, gradcheck,
+                      load_encoder, save_encoder)
 from .errors import (MALFORMED_JSON_ERRORS, DegenerateDatasetError,
                      IntegrityError, InvalidArgumentError, UapkitError)
 from .rng import Lcg
@@ -77,13 +77,12 @@ def cmd_gen(args) -> int:
         decoder_rank=args.decoder_rank)
     enc = _load_encoder_arg(args.encoder)
     out = Path(args.out)
-    manifest_path = datagen.generate(params, enc, out)
+    manifest_path, manifest, dataset_hash = datagen.generate(params, enc, out)
     if args.encoder is None:
         save_encoder(enc, out / "encoder.json")
-    manifest = json.loads(manifest_path.read_text())
     print(json.dumps({
         "manifest": str(manifest_path),
-        "dataset_hash": datagen.dataset_hash(manifest_path),
+        "dataset_hash": dataset_hash,
         "encoder_hash": manifest["encoder_hash"],
         "sha256": manifest["sha256"],
     }, indent=2, sort_keys=True))
@@ -115,6 +114,10 @@ def cmd_attack(args) -> int:
     ds = datagen.load(args.dataset)
     if ds.encoder_hash and ds.encoder_hash != enc_hash:
         raise IntegrityError("dataset was generated against a different encoder")
+    # the report ranks each direction's gallery, so check k before the attack
+    k_max = min(ds.params.n_images, ds.params.n_texts)
+    if any(not 1 <= k <= k_max for k in args.k_list):
+        raise InvalidArgumentError(f"--k-list {args.k_list}: each k must be in [1, {k_max}]")
     # re-verify the clean-retrieval floor on the loaded pairing
     datagen._floor_check(ds, encode_batch(enc, ds.images))
 

@@ -31,18 +31,11 @@ def require_same_shape(*tensors: np.ndarray) -> None:
         raise InvalidArgumentError(f"shape mismatch: {sorted(shapes)}")
 
 
-def l2_norm(t: np.ndarray) -> float:
-    """Euclidean norm of the flattened tensor."""
-    if t.size == 0:
-        raise InvalidArgumentError("l2_norm of an empty tensor")
-    return float(np.linalg.norm(t.ravel()))
-
-
 def project_l2(delta: np.ndarray, epsilon: float) -> np.ndarray:
     """Project onto the l2 ball of radius epsilon; identity inside the ball."""
     if epsilon <= 0:
         raise InvalidArgumentError("epsilon must be positive")
-    norm = l2_norm(delta) if delta.size else 0.0
+    norm = np.linalg.norm(delta)
     # the relative slack makes the projection an exact fixed point: rescaling
     # can leave the recomputed norm a few ulps above epsilon
     if norm > epsilon * (1.0 + 1e-12):
@@ -60,15 +53,6 @@ def project_linf(delta: np.ndarray, epsilon: float) -> np.ndarray:
 def clamp_unit(t: np.ndarray) -> np.ndarray:
     """Elementwise clamp to the valid pixel range [0, 1]."""
     return np.clip(t, 0.0, 1.0)
-
-
-def validate_pixel_image(image: np.ndarray) -> np.ndarray:
-    """Check a (c, h, w) image with all values in [0, 1]."""
-    if image.ndim != 3:
-        raise InvalidArgumentError(f"image must be rank 3 (c,h,w), got rank {image.ndim}")
-    if image.size and (image.min() < 0.0 or image.max() > 1.0):
-        raise InvalidArgumentError("image values outside [0, 1]")
-    return image
 
 
 def validate_mask(mask: np.ndarray) -> np.ndarray:
@@ -155,7 +139,10 @@ class Carrier:
 
 def apply_patch(image: np.ndarray, delta: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Replace the masked region of image with delta; off-mask pixels bit-identical."""
-    validate_pixel_image(image)
+    if image.ndim != 3:
+        raise InvalidArgumentError(f"image must be rank 3 (c,h,w), got rank {image.ndim}")
+    if image.size and (image.min() < 0.0 or image.max() > 1.0):
+        raise InvalidArgumentError("image values outside [0, 1]")
     require_same_shape(image, delta)
     carrier = Carrier("patch", mask)
     carrier.check(delta)
@@ -170,6 +157,8 @@ def square_patch_mask(image_shape: tuple[int, int, int], side: int,
     image's bottom-right corner (nonnegative values move up/left).
     """
     c, h, w = image_shape
+    if len(offset) != 2:
+        raise InvalidArgumentError(f"offset {offset} is not (dy, dx)")
     dy, dx = offset
     if side <= 0 or side + dy > h or side + dx > w or dy < 0 or dx < 0:
         raise InvalidArgumentError("patch does not fit inside the image")

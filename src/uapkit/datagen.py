@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -46,15 +47,17 @@ class DatasetParams:
     decoder_rank: int = 8
 
     def __post_init__(self):
-        if (self.n_images < 1 or self.texts_per_image < 1 or self.embed_dim < 1
-                or self.class_count < 1 or self.noise_level < 0):
+        # sizes must be integers (operator.index raises TypeError for 40.0)
+        object.__setattr__(self, "image_shape", tuple(map(operator.index, self.image_shape)))
+        sizes = (self.n_images, self.texts_per_image, self.embed_dim, self.class_count,
+                 self.decoder_rank)
+        if min(map(operator.index, sizes)) < 1 or self.noise_level < 0:
             raise InvalidArgumentError("invalid dataset parameters")
         if len(self.image_shape) != 3 or min(self.image_shape) < 1:
             raise InvalidArgumentError("image_shape must be (c, h, w)")
-        if self.decoder_scale <= 0 or not 1 <= self.decoder_rank <= self.embed_dim:
+        if self.decoder_scale <= 0 or self.decoder_rank > self.embed_dim:
             raise InvalidArgumentError(
                 "decoder_scale must be positive and decoder_rank in [1, embed_dim]")
-        object.__setattr__(self, "image_shape", tuple(int(v) for v in self.image_shape))
 
     @property
     def n_texts(self) -> int:
@@ -71,7 +74,6 @@ class Dataset:
     labels: list[int]             # per image
     encoder_hash: str = ""
     dataset_hash: str = ""
-    manifest_path: str = ""
 
     def matches_of_image(self, v: int) -> frozenset[int]:
         return self.annotation.image_to_texts[v]
@@ -137,8 +139,9 @@ def _floor_check(ds: Dataset, image_embeddings: np.ndarray) -> float:
     return r
 
 
-def generate(params: DatasetParams, enc: Encoder, out_dir) -> Path:
-    """Generate the dataset and write all files; returns the manifest path."""
+def generate(params: DatasetParams, enc: Encoder, out_dir) -> tuple[Path, dict, str]:
+    """Generate the dataset and write all files; returns the manifest's path,
+    its contents and its SHA-256, which is the dataset hash."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ds = build_dataset(params, enc)
@@ -157,12 +160,7 @@ def generate(params: DatasetParams, enc: Encoder, out_dir) -> Path:
     manifest = {"params": asdict(params), "files": files, "sha256": sha256,
                 "encoder_hash": ds.encoder_hash}
     manifest_path = out_dir / "manifest.json"
-    tensor_io.write_json(manifest_path, manifest)
-    return manifest_path
-
-
-def dataset_hash(manifest_path) -> str:
-    return tensor_io.sha256_file(manifest_path)
+    return manifest_path, manifest, tensor_io.write_json(manifest_path, manifest)
 
 
 def _is_int_list(values) -> bool:
@@ -225,5 +223,4 @@ def load(manifest_path) -> Dataset:
                    annotation=annotation, prototypes=protos_index,
                    labels=labels,
                    encoder_hash=manifest.get("encoder_hash", ""),
-                   dataset_hash=hashlib.sha256(raw).hexdigest(),
-                   manifest_path=str(manifest_path))
+                   dataset_hash=hashlib.sha256(raw).hexdigest())

@@ -121,7 +121,7 @@ def _forward_flat(enc: Encoder, x: np.ndarray):
             out = _activate(enc.activation, s)
         else:
             out = s
-        caches.append((a, s, out))
+        caches.append((s, out))
         a = out
     return a, caches
 
@@ -137,7 +137,7 @@ class ForwardCache:
     """Batched forward state kept around for a later backward pass."""
     embeddings: np.ndarray          # (B, d) unit rows
     norms: np.ndarray               # (B,) pre-normalization norms
-    layers: list                    # per layer (a_in, s, a_out)
+    layers: list                    # per layer (s, a_out)
 
 
 def _forward(enc: Encoder, images: np.ndarray) -> ForwardCache:
@@ -158,12 +158,6 @@ def encode_batch(enc: Encoder, images: np.ndarray) -> np.ndarray:
     return _forward(enc, images).embeddings
 
 
-def encode(enc: Encoder, image: np.ndarray) -> np.ndarray:
-    """Encode a single (c, h, w) image to a unit-norm embedding."""
-    image = as_tensor(image, shape=enc.input_shape)
-    return encode_batch(enc, image[None])[0]
-
-
 def forward_with_cache(enc: Encoder, images: np.ndarray) -> ForwardCache:
     """Encode a (B, c, h, w) batch and keep activations for backward passes."""
     return _forward(enc, images)
@@ -182,13 +176,13 @@ def backward_from_cache(enc: Encoder, cache: ForwardCache, us: np.ndarray,
     else:
         rows = list(rows)
         e, norms = cache.embeddings[rows], cache.norms[rows]
-        layers = [(a[rows], s[rows], out[rows]) for a, s, out in cache.layers]
+        layers = [(s[rows], out[rows]) for s, out in cache.layers]
     values = np.sum(us * e, axis=1)
     # normalization Jacobian: d(u.e)/dz = (u - (u.e) e) / ||z||
     g = (us - values[:, None] * e) / norms[:, None]
     last = len(enc.weights) - 1
     for i in range(last, -1, -1):
-        _, s, a_out = layers[i]
+        s, a_out = layers[i]
         if i < last:  # hidden layer: undo the activation
             g = g * _activate_grad(enc.activation, s, a_out)
         g = g @ enc.weights[i]
@@ -231,9 +225,9 @@ def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
     for idx in coords:
         bumped = base.copy()
         bumped[idx] += step
-        hi = float(text_embedding @ encode(enc, bumped.reshape(enc.input_shape)))
+        hi = float(text_embedding @ encode_batch(enc, bumped.reshape(1, *enc.input_shape))[0])
         bumped[idx] = base[idx] - step
-        lo = float(text_embedding @ encode(enc, bumped.reshape(enc.input_shape)))
+        lo = float(text_embedding @ encode_batch(enc, bumped.reshape(1, *enc.input_shape))[0])
         fd = (hi - lo) / (2.0 * step)
         analytic = float(flat_grad[idx])
         err = abs(analytic - fd) / max(abs(analytic), 1e-12)

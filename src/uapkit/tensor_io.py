@@ -57,11 +57,11 @@ def write_tensor(path, tensor: np.ndarray) -> str:
 
 
 def read_verified(path, sha256: str) -> bytes:
-    """Read a file once and check those bytes against sha256; a missing file
-    or a different hash raises IntegrityError."""
+    """Read a file once and check those bytes against sha256; no file at path
+    (say a directory, or a NUL in the name) or a different hash raises IntegrityError."""
     try:
         data = Path(path).read_bytes()
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
         raise IntegrityError(f"missing file {path}") from exc
     if hashlib.sha256(data).hexdigest() != sha256:
         raise IntegrityError(f"{path}: hash mismatch")

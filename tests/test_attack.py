@@ -52,6 +52,12 @@ def test_global_mode_requires_norm_and_epsilon():
                      mask=square_patch_mask(SHAPE, 2))
 
 
+@pytest.mark.parametrize("eta", [0.0, -0.5, float("nan"), float("inf")])
+def test_eta_must_be_positive_and_finite(eta):
+    with pytest.raises(InvalidArgumentError, match="eta"):
+        patch_cfg(eta=eta)
+
+
 def test_unknown_mode_and_strategy(enc, ds):
     with pytest.raises(InvalidArgumentError):
         AttackConfig(mode="sticker", mask=square_patch_mask(SHAPE, 2))
@@ -85,7 +91,7 @@ def test_patch_delta_stays_in_unit_range(enc, ds):
 
 def test_patch_apply_off_patch_identity(enc, ds):
     pert, _ = run_attack(enc, ds, patch_cfg(epochs=1), "tra")
-    out = pert.apply(ds.images[0])
+    out = pert.apply_batch(ds.images[0][None])[0]
     off = pert.carrier.mask == 0.0
     assert np.array_equal(out[off], ds.images[0][off])
 
@@ -144,7 +150,7 @@ def test_converged_samples_are_fooled_at_commit(enc, ds):
     clamp_bound = np.any(pert.delta[on] <= 0.0) or np.any(pert.delta[on] >= 1.0)
     if last.converged and not clamp_bound:
         # the final image's visit is followed only by its own commit
-        v = pert.apply(ds.images[last.sample_id])
+        v = pert.apply_batch(ds.images[last.sample_id][None])[0]
         emb = encode_batch(enc, v[None])[0]
         assert indicator(emb, ds.texts,
                          ds.matches_of_image(last.sample_id), cfg.k) == 0

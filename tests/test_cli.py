@@ -1,12 +1,18 @@
+import functools
 import hashlib
 import json
+import operator
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uapkit.cli import main
+from uapkit import datagen
+from uapkit.cli import _load_perturbation, main
 from uapkit.encoder import build_encoder, save_encoder
+from uapkit.errors import CorruptDatasetError, IntegrityError, InvalidArgumentError
 from uapkit.tensor_io import read_tensor, sha256_file, write_tensor
 
 GEN_ARGS = ["--n-images", "20", "--texts-per-image", "3",
@@ -367,3 +373,121 @@ def test_gradcheck_large_step_still_reports(workspace, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["max_relative_error"] > 0.0
     assert rc in (0, 4)
+
+
+@pytest.mark.parametrize("k_list", ["0", "1,21"])
+def test_attack_rejects_k_list_before_the_attack(workspace, capsys, monkeypatch, k_list):
+    # the dataset has 20 images, so each k must lie in [1, 20]
+    monkeypatch.setattr("uapkit.cli.run_attack", lambda *args: pytest.fail("attack ran"))
+    assert run_attack(workspace, "bad_k_list", ["--k-list", k_list]) == 2
+    assert "--k-list" in capsys.readouterr().err
+    assert not (workspace / "bad_k_list" / "report.json").exists()
+
+
+@pytest.fixture(scope="module")
+def zero_epoch_runs(workspace):
+    """A patch and a global l2 run of 0 epochs: sidecar, delta and reports."""
+    runs = {"zero_patch": [], "zero_global": ["--mode", "global", "--norm", "l2"]}
+    for name, extra in runs.items():
+        assert run_attack(workspace, name, ["--epochs", "0", *extra]) == 0
+    return list(runs)
+
+
+@pytest.mark.parametrize("field", ["n_images", "texts_per_image"])
+def test_eval_dataset_manifest_with_float_size_exit_5(workspace, zero_epoch_runs, tmp_path,
+                                                      capsys, field):
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    manifest["params"][field] = float(manifest["params"][field])
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["eval", "--perturbation", str(workspace / "zero_patch" / "delta.json"),
+                 "--dataset", str(data / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json"),
+                 "--allow-mismatch"]) == 5
+    assert "malformed manifest" in capsys.readouterr().err
+
+
+# -- fuzzing the dataset and perturbation loaders -----------------------------
+
+JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 30),
+                        st.floats(allow_nan=False), st.text(max_size=4),
+                        st.lists(st.integers(-3, 30), max_size=4),
+                        st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+
+
+def json_paths(node, prefix=()):
+    """The key path of every value below a JSON object or list."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield (*prefix, key)
+        yield from json_paths(child, (*prefix, key))
+
+
+def fuzz_file(data, path):
+    """Truncate the file or garble one byte of it, or, in a JSON file,
+    delete or retype one value."""
+    raw = path.read_bytes()
+    ways = ["truncate", "garble"] + (["delete", "retype"] if path.suffix == ".json" else [])
+    way = data.draw(st.sampled_from(ways))
+    if way == "truncate":
+        path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+    elif way == "garble":
+        i = data.draw(st.integers(0, len(raw) - 1))
+        path.write_bytes(raw[:i] + bytes([data.draw(st.integers(0, 255))]) + raw[i + 1:])
+    else:
+        obj = json.loads(raw)
+        *parents, key = data.draw(st.sampled_from(list(json_paths(obj))))
+        node = functools.reduce(operator.getitem, parents, obj)
+        if way == "delete":
+            del node[key]
+        else:
+            node[key] = data.draw(JSON_VALUES)
+        path.write_text(json.dumps(obj))
+
+
+DATASET_FILES = ["manifest.json", "images.uapt", "texts.uapt", "prototypes.uapt",
+                 "annotations.json", "labels.json"]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_load_dataset_on_fuzzed_files(workspace, data):
+    # only the errors main maps to exit 5 (manifest or file integrity) or 2
+    # (content or parameters) may escape; the altered file's hash is fixed up
+    root = workspace / "fuzzed_data"
+    shutil.copytree(workspace / "data", root, dirs_exist_ok=True)
+    name = data.draw(st.sampled_from(DATASET_FILES))
+    fuzz_file(data, root / name)
+    if name != "manifest.json":
+        manifest = json.loads((root / "manifest.json").read_text())
+        manifest["sha256"][name.split(".")[0]] = sha256_file(root / name)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    try:
+        ds = datagen.load(root / "manifest.json")
+    except (IntegrityError, CorruptDatasetError, InvalidArgumentError):
+        return
+    assert ds.images.shape == (ds.params.n_images, *ds.params.image_shape)
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_load_perturbation_on_fuzzed_files(workspace, zero_epoch_runs, data):
+    # a malformed sidecar or delta file raises IntegrityError (exit 5), a
+    # delta its carrier cannot produce InvalidArgumentError (exit 2)
+    root = workspace / "fuzzed_run"
+    shutil.copytree(workspace / data.draw(st.sampled_from(zero_epoch_runs)), root,
+                    dirs_exist_ok=True)
+    name = data.draw(st.sampled_from(["delta.json", "delta.uapt"]))
+    fuzz_file(data, root / name)
+    if name == "delta.uapt":
+        sidecar = json.loads((root / "delta.json").read_text())
+        sidecar["delta_sha256"] = sha256_file(root / name)
+        (root / "delta.json").write_text(json.dumps(sidecar))
+    try:
+        pert, _ = _load_perturbation(root / "delta.json", (1, 8, 8))
+    except (IntegrityError, InvalidArgumentError):
+        return
+    assert pert.delta.shape == (1, 8, 8)

@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from uapkit.datagen import (Dataset, DatasetParams, build_dataset,
-                            dataset_hash, generate, load)
+from uapkit.datagen import Dataset, DatasetParams, build_dataset, generate, load
 from uapkit.encoder import build_encoder, default_toy_encoder
 from uapkit.errors import (CorruptDatasetError, IntegrityError,
                            InvalidArgumentError)
+from uapkit.tensor_io import sha256_file
 
 SMALL = DatasetParams(n_images=20, texts_per_image=3, image_shape=(1, 8, 8),
                       embed_dim=16, class_count=4, noise_level=0.1, seed=7)
@@ -24,6 +24,13 @@ def test_params_validation():
         DatasetParams(noise_level=-0.1)
     with pytest.raises(InvalidArgumentError):
         DatasetParams(image_shape=(3, 32))
+
+
+@pytest.mark.parametrize("field, value", [("n_images", 20.0), ("texts_per_image", 3.0),
+                                          ("decoder_rank", 8.0), ("image_shape", (3, 32.0, 32))])
+def test_params_sizes_must_be_integers(field, value):
+    with pytest.raises(TypeError):
+        DatasetParams(**{field: value})
 
 
 def test_build_dataset_shapes_and_ranges():
@@ -54,18 +61,18 @@ def test_zero_noise_texts_identical():
 
 def test_generate_deterministic(tmp_path):
     enc = small_encoder()
-    m1 = generate(SMALL, enc, tmp_path / "a")
-    m2 = generate(SMALL, enc, tmp_path / "b")
+    m1, _, hash1 = generate(SMALL, enc, tmp_path / "a")
+    m2, _, hash2 = generate(SMALL, enc, tmp_path / "b")
     h1 = json.loads(m1.read_text())["sha256"]
     h2 = json.loads(m2.read_text())["sha256"]
     assert h1 == h2
-    assert dataset_hash(m1) == dataset_hash(m2)
+    assert hash1 == hash2
 
 
 def test_generate_load_roundtrip(tmp_path):
     enc = small_encoder()
     built = build_dataset(SMALL, enc)
-    manifest = generate(SMALL, enc, tmp_path)
+    manifest, _, manifest_hash = generate(SMALL, enc, tmp_path)
     loaded = load(manifest)
     np.testing.assert_array_equal(loaded.images, built.images)
     np.testing.assert_array_equal(loaded.texts.embeddings, built.texts.embeddings)
@@ -73,11 +80,17 @@ def test_generate_load_roundtrip(tmp_path):
                                   built.prototypes.embeddings)
     assert loaded.labels == built.labels
     assert loaded.annotation == built.annotation
-    assert loaded.dataset_hash == dataset_hash(manifest)
+    assert loaded.dataset_hash == manifest_hash
+
+
+def test_generate_returns_the_manifest_and_its_hash(tmp_path):
+    path, manifest, digest = generate(SMALL, small_encoder(), tmp_path)
+    assert json.dumps(manifest, indent=2, sort_keys=True).encode() == path.read_bytes()
+    assert digest == sha256_file(path) == load(path).dataset_hash
 
 
 def test_load_rejects_truncated_tensor(tmp_path):
-    manifest = generate(SMALL, small_encoder(), tmp_path)
+    manifest, _, _ = generate(SMALL, small_encoder(), tmp_path)
     img = tmp_path / "images.uapt"
     img.write_bytes(img.read_bytes()[:-8])
     with pytest.raises(IntegrityError):
@@ -85,14 +98,14 @@ def test_load_rejects_truncated_tensor(tmp_path):
 
 
 def test_load_rejects_missing_file(tmp_path):
-    manifest = generate(SMALL, small_encoder(), tmp_path)
+    manifest, _, _ = generate(SMALL, small_encoder(), tmp_path)
     (tmp_path / "labels.json").unlink()
     with pytest.raises(IntegrityError):
         load(manifest)
 
 
 def test_load_rejects_corrupt_annotation(tmp_path):
-    manifest = generate(SMALL, small_encoder(), tmp_path)
+    manifest, _, _ = generate(SMALL, small_encoder(), tmp_path)
     ann_path = tmp_path / "annotations.json"
     ann = json.loads(ann_path.read_text())
     ann["1"] = ann["0"]  # text now matched to two images

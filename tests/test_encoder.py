@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapkit.encoder import (Encoder, build_encoder, default_toy_encoder,
-                            encode, encode_batch, encoder_hash, gradcheck,
+                            encode_batch, encoder_hash, gradcheck,
                             input_gradient, load_encoder, save_encoder,
                             score_with_gradient)
 from uapkit.errors import IntegrityError, InvalidArgumentError
@@ -27,14 +27,6 @@ def test_embeddings_are_unit_norm():
     images = rng.uniform(size=(5, 1, 4, 4))
     embs = encode_batch(enc, images)
     np.testing.assert_allclose(np.linalg.norm(embs, axis=1), 1.0, atol=1e-12)
-
-
-def test_encode_single_matches_batch():
-    enc = small_mlp()
-    rng = np.random.default_rng(1)
-    image = rng.uniform(size=(1, 4, 4))
-    np.testing.assert_array_equal(encode(enc, image),
-                                  encode_batch(enc, image[None])[0])
 
 
 def test_build_encoder_deterministic():
@@ -87,7 +79,7 @@ def test_score_value_matches_encode():
     image = rng.uniform(size=(1, 4, 4))
     t = unit(rng.standard_normal(8))
     sg = score_with_gradient(enc, image, t)
-    assert sg.value == pytest.approx(float(t @ encode(enc, image)), abs=1e-12)
+    assert sg.value == pytest.approx(float(t @ encode_batch(enc, image[None])[0]), abs=1e-12)
     assert sg.gradient.shape == (1, 4, 4)
 
 
@@ -107,8 +99,8 @@ def test_input_gradient_accepts_difference_vectors():
     # directional finite difference along a random direction
     d = rng.standard_normal((1, 4, 4))
     h = 1e-6
-    hi = float(u @ encode(enc, image + h * d))
-    lo = float(u @ encode(enc, image - h * d))
+    hi = float(u @ encode_batch(enc, (image + h * d)[None])[0])
+    lo = float(u @ encode_batch(enc, (image - h * d)[None])[0])
     fd = (hi - lo) / (2 * h)
     assert float(np.vdot(sg.gradient, d)) == pytest.approx(fd, rel=1e-4)
 

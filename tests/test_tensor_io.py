@@ -131,6 +131,15 @@ def test_read_verified_rejects_missing_file_and_wrong_hash(tmp_path):
         read_verified(path, hashlib.sha256(b"abd").hexdigest())
 
 
+@pytest.mark.parametrize("name", ["", "a\x00b", "t.bin/x"])
+def test_read_verified_rejects_a_name_that_is_no_file(tmp_path, name):
+    # a manifest can name the directory it sits in, a NUL byte or a path
+    # below a file; each is a missing file, not an I/O failure
+    (tmp_path / "t.bin").write_bytes(b"abc")
+    with pytest.raises(IntegrityError, match="missing file"):
+        read_verified(tmp_path / name, hashlib.sha256(b"abc").hexdigest())
+
+
 def read_blob(tmp_path_factory, blob: bytes):
     """read_tensor on a file holding blob, with blob's own hash."""
     path = tmp_path_factory.mktemp("io") / "t.uapt"
