@@ -15,9 +15,9 @@ from .boundary import (CrossingReport, LinearClassifier, accumulate,
 from .core import (Carrier, apply_patch, clamp_unit, patch_side_for_area,
                    project_l2, project_linf, square_patch_mask)
 from .datagen import Dataset, DatasetParams, build_dataset, generate, load
-from .encoder import (Encoder, build_encoder, default_toy_encoder, encode_batch,
-                      encoder_hash, gradcheck, load_encoder, save_encoder,
-                      score_with_gradient)
+from .encoder import (Encoder, PerturbedBatch, build_encoder, default_toy_encoder,
+                      encode_batch, encoder_hash, gradcheck, load_encoder,
+                      save_encoder, score_with_gradient)
 from .errors import (CorruptDatasetError, DegenerateDatasetError,
                      DegenerateEncodingError, IntegrityError,
                      InvalidArgumentError, PreconditionError, UapkitError)

@@ -12,8 +12,10 @@ run_attack drives all three as a sequence of halves (groups of samples that
 share one r and one commit); boundary.accumulate is the one inner loop.
 
 The carrier (core.Carrier) owns the patch/global rules: where delta sits on
-an image, how a gradient is restricted to it and how a commit is projected.
-All loops are sequential and fully deterministic.
+an image and how a commit is projected. Every forward and backward of the
+inner loops goes through one encoder.PerturbedBatch, which computes the
+encoder's first layer only over the pixels the carrier moves. All loops are
+sequential and fully deterministic.
 """
 
 from __future__ import annotations
@@ -25,8 +27,7 @@ import numpy as np
 from .boundary import accumulate, crossing_step
 from .core import Carrier, as_tensor
 from .datagen import Dataset
-from .encoder import (Encoder, backward_from_cache, encode_batch,
-                      forward_with_cache)
+from .encoder import Encoder, PerturbedBatch, encode_batch
 from .errors import InvalidArgumentError
 from .retrieval import (EmbeddingIndex, indicator, recall_at_k,
                         select_nonmatching_topk, topk_class_accuracy)
@@ -119,43 +120,42 @@ class Perturbation:
 # -- inner loops -------------------------------------------------------------
 
 
-def _tra_inner(enc: Encoder, ds: Dataset, v_idx: int, delta: np.ndarray,
-               r: np.ndarray, cfg: AttackConfig):
+def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
+               cfg: AttackConfig):
     """Image-loop inner body for one image; returns (r, iterations, converged).
 
     r accumulates on top of its incoming value (shared across a combined-run
-    batch). Every step comes from a restricted gradient, so r is exactly zero
-    where the carrier cannot move pixels and needs no masking of its own.
+    batch). Every step is a gradient with respect to the pixels the carrier
+    moves, so r is exactly zero elsewhere and needs no masking of its own.
     """
     match_set = ds.matches_of_image(v_idx)
     y_list = sorted(match_set)
-    v = cfg.carrier.apply(ds.images[v_idx:v_idx + 1], delta)[0]
+    rows = [v_idx]
 
     # candidate non-matching texts are the nearest to the image as it looks
     # under the current perturbation, so the stopping test tracks the metric
-    entry_emb = encode_batch(enc, v[None])[0]
+    entry_emb = batch.forward(rows).embeddings[0]
     y_prime = select_nonmatching_topk(entry_emb, ds.texts, match_set, cfg.k)
 
     def fooled(r_vec):
-        probe = v + (1.0 + cfg.eta) * r_vec
-        emb = encode_batch(enc, probe[None])[0]
+        emb = batch.forward(rows, (1.0 + cfg.eta) * r_vec).embeddings[0]
         return indicator(emb, ds.texts, match_set, cfg.k) == 0
 
     def step_at(r_vec):
-        cache = forward_with_cache(enc, (v + r_vec)[None])
+        cache = batch.forward(rows, r_vec)
         sims = ds.texts.embeddings @ cache.embeddings[0]
         y_max = max(y_list, key=lambda y: (sims[y], -y))
         yp_min = min(y_prime, key=lambda y: (sims[y], y))
         t_diff = ds.texts.embeddings[yp_min] - ds.texts.embeddings[y_max]
         # single backward pass for the difference score (f_{y'} - f_y)
-        diff_grad = cfg.carrier.restrict(backward_from_cache(enc, cache, t_diff[None])[0])
-        return crossing_step(diff_grad, float(sims[y_max] - sims[yp_min]))
+        return crossing_step(batch.backward(cache, t_diff[None]),
+                             float(sims[y_max] - sims[yp_min]))
 
     return accumulate(r, fooled, step_at, cfg.max_inner_iters)
 
 
-def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
-               r: np.ndarray, cfg: AttackConfig, gallery: EmbeddingIndex):
+def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
+               cfg: AttackConfig, gallery: EmbeddingIndex):
     """Text-loop inner body for one text; returns (r, iterations, converged).
 
     gallery holds the embeddings of every image under the current
@@ -166,23 +166,20 @@ def _ira_inner(enc: Encoder, ds: Dataset, t_idx: int, delta: np.ndarray,
     y = ds.image_of_text(t_idx)
     y_prime = select_nonmatching_topk(t_emb, gallery, {y}, cfg.k)
     candidates = [y, *y_prime]  # matched image first
-    base = cfg.carrier.apply(ds.images[candidates], delta)
 
     def fooled(r_vec):
-        probe = base + (1.0 + cfg.eta) * r_vec[None]
-        embs = encode_batch(enc, probe)
+        embs = batch.forward(candidates, (1.0 + cfg.eta) * r_vec).embeddings
         return indicator(t_emb, EmbeddingIndex(embs), {0}, cfg.k) == 0
 
     def step_at(r_vec):
-        cache = forward_with_cache(enc, base + r_vec[None])
+        cache = batch.forward(candidates, r_vec)
         sims = cache.embeddings @ t_emb
         # weakest non-matching candidate; ties toward the smallest image index
         pos = min(range(1, len(candidates)),
                   key=lambda p: (sims[p], candidates[p]))
-        grads = backward_from_cache(enc, cache, np.stack([t_emb, t_emb]),
-                                    rows=[pos, 0])
-        return crossing_step(cfg.carrier.restrict(grads[0] - grads[1]),
-                             float(sims[0] - sims[pos]))
+        # one backward pass for the difference score (f_pos - f_matched)
+        diff_grad = batch.backward(cache, np.stack([t_emb, -t_emb]), rows=[pos, 0])
+        return crossing_step(diff_grad, float(sims[0] - sims[pos]))
 
     return accumulate(r, fooled, step_at, cfg.max_inner_iters)
 
@@ -280,6 +277,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
         raise InvalidArgumentError("tira is defined for patch mode")
     if ds.params.n_images == 0:
         raise InvalidArgumentError("empty dataset")
+    batch = PerturbedBatch(enc, ds.images, cfg.carrier)
     delta = np.zeros(ds.params.image_shape)
     trace = AttackTrace()
     probe = _probe_subset(ds)
@@ -287,14 +285,16 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
     for epoch in range(cfg.epochs):
         for kind, samples in _halves(ds, cfg, strategy, epoch):
             r = np.zeros_like(delta)
+            batch.set_delta(delta)
             if kind == "text":
                 # delta is fixed for the whole half, so one gallery suffices
-                gallery = EmbeddingIndex(encode_batch(enc, cfg.carrier.apply(ds.images, delta)))
+                gallery = EmbeddingIndex(
+                    batch.forward(range(ds.params.n_images)).embeddings)
             for sid in samples:
                 if kind == "image":
-                    r, iters, ok = _tra_inner(enc, ds, sid, delta, r, cfg)
+                    r, iters, ok = _tra_inner(batch, ds, sid, r, cfg)
                 else:
-                    r, iters, ok = _ira_inner(enc, ds, sid, delta, r, cfg, gallery)
+                    r, iters, ok = _ira_inner(batch, ds, sid, r, cfg, gallery)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, ok))
             delta = _commit(delta, r, cfg, trace, epoch)
         adv = evaluate_metrics(enc, ds, Perturbation(delta, cfg.carrier), (10,), probe)

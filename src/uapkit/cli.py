@@ -59,6 +59,14 @@ def _report(command: str, start: float, enc, ds, pert: Perturbation, k_list,
             "library_version": __version__, **fields}
 
 
+def _check_k_list(k_list, ds) -> None:
+    """The report ranks each direction's gallery, so every k must fit the
+    smaller one; checked before any encoding or attack work."""
+    k_max = min(ds.params.n_images, ds.params.n_texts)
+    if any(not 1 <= k <= k_max for k in k_list):
+        raise InvalidArgumentError(f"--k-list {k_list}: each k must be in [1, {k_max}]")
+
+
 def _emit_report(report: dict, out_path: Path | None):
     print(json.dumps(report, indent=2, sort_keys=True))
     if out_path is not None:
@@ -114,10 +122,7 @@ def cmd_attack(args) -> int:
     ds = datagen.load(args.dataset)
     if ds.encoder_hash and ds.encoder_hash != enc_hash:
         raise IntegrityError("dataset was generated against a different encoder")
-    # the report ranks each direction's gallery, so check k before the attack
-    k_max = min(ds.params.n_images, ds.params.n_texts)
-    if any(not 1 <= k <= k_max for k in args.k_list):
-        raise InvalidArgumentError(f"--k-list {args.k_list}: each k must be in [1, {k_max}]")
+    _check_k_list(args.k_list, ds)
     # re-verify the clean-retrieval floor on the loaded pairing
     datagen._floor_check(ds, encode_batch(enc, ds.images))
 
@@ -187,6 +192,7 @@ def cmd_eval(args) -> int:
     enc = _load_encoder_arg(args.encoder)
     enc_hash = encoder_hash(enc)
     ds = datagen.load(args.dataset)
+    _check_k_list(args.k_list, ds)
     pert, sidecar = _load_perturbation(Path(args.perturbation), ds.params.image_shape)
 
     mismatch = {

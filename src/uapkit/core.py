@@ -104,10 +104,6 @@ class Carrier:
             return clamp_unit(images + delta[None])
         return clamp_unit(np.where(self.mask[None] == 1.0, delta[None], images))
 
-    def restrict(self, g: np.ndarray) -> np.ndarray:
-        """A gradient with its off-mask entries zeroed (patch), or g (global)."""
-        return g * self.mask if self.mode == "patch" else g
-
     def commit(self, delta: np.ndarray, step: np.ndarray) -> np.ndarray:
         """delta + step, clamped to [0, 1] (patch) or projected onto the ball."""
         if self.mode == "patch":
@@ -124,8 +120,9 @@ class Carrier:
             if patch_vals.size and (patch_vals.min() < 0.0 or patch_vals.max() > 1.0):
                 raise InvalidArgumentError("delta values under the mask must lie in [0, 1]")
             return
-        size = (np.linalg.norm(delta) if self.norm == "l2"
-                else np.abs(delta).max(initial=0.0))
+        with np.errstate(over="ignore"):  # a huge finite delta has norm inf
+            size = (np.linalg.norm(delta) if self.norm == "l2"
+                    else np.abs(delta).max(initial=0.0))
         if size > self.epsilon * (1.0 + 1e-12):
             raise InvalidArgumentError(
                 f"global delta {self.norm} norm {size} exceeds epsilon {self.epsilon}")

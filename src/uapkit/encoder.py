@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor_io
-from .core import as_tensor
+from .core import Carrier, as_tensor, clamp_unit
 from .errors import (MALFORMED_JSON_ERRORS, DegenerateEncodingError,
                      IntegrityError, InvalidArgumentError)
 from .rng import Lcg
@@ -110,22 +110,6 @@ def _activate_grad(name: str, s: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (s > 0.0).astype(np.float64)
 
 
-def _forward_flat(enc: Encoder, x: np.ndarray):
-    """Run the stack on flattened input(s); returns pre-norm output and caches."""
-    caches = []
-    a = x
-    last = len(enc.weights) - 1
-    for i, (W, b) in enumerate(zip(enc.weights, enc.biases)):
-        s = a @ W.T + b
-        if i < last:
-            out = _activate(enc.activation, s)
-        else:
-            out = s
-        caches.append((s, out))
-        a = out
-    return a, caches
-
-
 @dataclass(frozen=True)
 class ScoreGradient:
     value: float
@@ -140,17 +124,29 @@ class ForwardCache:
     layers: list                    # per layer (s, a_out)
 
 
+def _stack(enc: Encoder, s: np.ndarray) -> ForwardCache:
+    """Run the stack on from layer 1's pre-activations s (B, n1) and normalize
+    each output row."""
+    layers = []
+    for W, b in zip(enc.weights[1:], enc.biases[1:]):
+        a = _activate(enc.activation, s)
+        layers.append((s, a))
+        s = a @ W.T + b
+    layers.append((s, s))
+    norms = np.linalg.norm(s, axis=1)
+    if np.any(norms < _ZERO_NORM):
+        raise DegenerateEncodingError("pre-normalization output is zero")
+    return ForwardCache(embeddings=s / norms[:, None], norms=norms, layers=layers)
+
+
 def _forward(enc: Encoder, images: np.ndarray) -> ForwardCache:
-    """Validate a (B, c, h, w) batch, run the stack and normalize each row."""
+    """Validate a (B, c, h, w) batch and run the whole stack on it."""
     images = as_tensor(images)
     if images.shape[1:] != enc.input_shape:
         raise InvalidArgumentError(
             f"expected images of shape (B,)+{enc.input_shape}, got {images.shape}")
-    z, caches = _forward_flat(enc, images.reshape(images.shape[0], -1))
-    norms = np.linalg.norm(z, axis=1)
-    if np.any(norms < _ZERO_NORM):
-        raise DegenerateEncodingError("pre-normalization output is zero")
-    return ForwardCache(embeddings=z / norms[:, None], norms=norms, layers=caches)
+    x = images.reshape(images.shape[0], -1)
+    return _stack(enc, x @ enc.weights[0].T + enc.biases[0])
 
 
 def encode_batch(enc: Encoder, images: np.ndarray) -> np.ndarray:
@@ -163,13 +159,11 @@ def forward_with_cache(enc: Encoder, images: np.ndarray) -> ForwardCache:
     return _forward(enc, images)
 
 
-def backward_from_cache(enc: Encoder, cache: ForwardCache, us: np.ndarray,
-                        rows=None) -> np.ndarray:
-    """Input-gradients of u_b . normalize(pre_norm(image_b)) per batch row.
-
-    us is (B', d); rows selects which cached batch rows to differentiate
-    (default: all, in which case B' must equal the cached batch size).
-    """
+def _layer1_gradient(enc: Encoder, cache: ForwardCache, us: np.ndarray,
+                     rows=None) -> np.ndarray:
+    """Gradients of u_b . normalize(pre_norm) with respect to layer 1's
+    pre-activations, one row per us row; rows selects the cached batch rows
+    (default: all, in which case us has one row per cached row)."""
     if rows is None:
         e, norms = cache.embeddings, cache.norms
         layers = cache.layers
@@ -180,13 +174,101 @@ def backward_from_cache(enc: Encoder, cache: ForwardCache, us: np.ndarray,
     values = np.sum(us * e, axis=1)
     # normalization Jacobian: d(u.e)/dz = (u - (u.e) e) / ||z||
     g = (us - values[:, None] * e) / norms[:, None]
-    last = len(enc.weights) - 1
-    for i in range(last, -1, -1):
-        s, a_out = layers[i]
-        if i < last:  # hidden layer: undo the activation
-            g = g * _activate_grad(enc.activation, s, a_out)
-        g = g @ enc.weights[i]
+    for i in range(len(enc.weights) - 1, 0, -1):
+        s, a_out = layers[i - 1]
+        g = (g @ enc.weights[i]) * _activate_grad(enc.activation, s, a_out)
+    return g
+
+
+def backward_from_cache(enc: Encoder, cache: ForwardCache, us: np.ndarray,
+                        rows=None) -> np.ndarray:
+    """Input-gradients of u_b . normalize(pre_norm(image_b)) per batch row.
+
+    us is (B', d); rows selects which cached batch rows to differentiate
+    (default: all, in which case B' must equal the cached batch size).
+    """
+    g = _layer1_gradient(enc, cache, us, rows) @ enc.weights[0]
     return g.reshape((g.shape[0],) + enc.input_shape)
+
+
+class PerturbedBatch:
+    """The images of one attack under a carrier, encoded with the first layer
+    factored around the pixels the carrier moves.
+
+    Every point it encodes is carrier.apply(images[row], delta) + step, for
+    the delta of the last set_delta (zero at first) and a step that is zero
+    wherever the carrier moves no pixel (off the mask in patch mode, where
+    those entries are not read). Layer 1's pre-activation W1.x + b1 is cached
+    per image once; in patch mode it leaves out the on-mask pixels, which
+    every image shares. A call then costs one matvec over the pixels the
+    carrier moves, not a pass over every pixel of every row. forward and
+    backward agree with _forward and backward_from_cache at those points up
+    to rounding.
+    """
+
+    def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
+        images = as_tensor(images)
+        if images.ndim != 4 or images.shape[1:] != enc.input_shape:
+            raise InvalidArgumentError(
+                f"expected images of shape (N,)+{enc.input_shape}, got {images.shape}")
+        if carrier.mode == "patch" and carrier.mask.shape != enc.input_shape:
+            raise InvalidArgumentError(
+                f"mask shape {carrier.mask.shape} does not match {enc.input_shape}")
+        self.enc, self.carrier = enc, carrier
+        W1, b1 = enc.weights[0], enc.biases[0]
+        flat = images.reshape(len(images), -1)
+        if carrier.mode == "patch":
+            self._on = np.flatnonzero(carrier.mask)
+            self._w = np.ascontiguousarray(W1[:, self._on])
+            # the patch replaces the on-mask pixels, apply clamps the rest
+            flat = clamp_unit(flat)
+            flat[:, self._on] = 0.0
+        else:
+            self._w = W1
+            self._flat = flat
+            self._lo, self._hi = flat.min(axis=1), flat.max(axis=1)
+        self._base = flat @ W1.T + b1
+        self.set_delta(np.zeros(enc.input_shape))
+
+    def set_delta(self, delta: np.ndarray) -> None:
+        """Fix delta for the calls that follow."""
+        d = as_tensor(delta, shape=self.enc.input_shape).ravel()
+        if self.carrier.mode == "patch":
+            self._p0 = clamp_unit(d[self._on])
+            return
+        self._d, self._shift = d, self._w @ d
+        # x + d cannot leave [0, 1] where even the extreme pixels stay inside;
+        # floating-point addition is monotone, so the bound is exact
+        self._may_clamp = (self._lo + d.min() < 0.0) | (self._hi + d.max() > 1.0)
+
+    def forward(self, rows, step: np.ndarray | None = None) -> ForwardCache:
+        """Encode carrier.apply(images[rows], delta) + step (no step: the
+        perturbed images themselves), keeping state for backward."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if step is not None:
+            step = as_tensor(step, shape=self.enc.input_shape).ravel()
+        if self.carrier.mode == "patch":
+            p = self._p0 if step is None else self._p0 + step[self._on]
+            z = self._base[rows] + self._w @ p
+        else:
+            z = self._base[rows] + self._shift
+            clamps = self._may_clamp[rows]
+            if clamps.any():  # W1 (clamp(v) - v) for the pixels the clamp moved
+                raw = self._flat[rows[clamps]] + self._d
+                z[clamps] += (clamp_unit(raw) - raw) @ self._w.T
+            if step is not None:
+                z = z + self._w @ step
+        return _stack(self.enc, z)
+
+    def backward(self, cache: ForwardCache, us: np.ndarray, rows=None) -> np.ndarray:
+        """Gradient of sum_j us[j] . e[rows[j]] with respect to the step that
+        every row shares; rows selects cached rows as in backward_from_cache.
+        In patch mode it is zero off the mask."""
+        g = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0) @ self._w
+        if self.carrier.mode == "patch":
+            g, on_mask = np.zeros(self.enc.n_inputs), g
+            g[self._on] = on_mask
+        return g.reshape(self.enc.input_shape)
 
 
 def input_gradient(enc: Encoder, image: np.ndarray, u: np.ndarray) -> ScoreGradient:

@@ -28,7 +28,8 @@ class EmbeddingIndex:
         e = as_tensor(self.embeddings)
         if e.ndim != 2 or e.shape[0] < 1:
             raise InvalidArgumentError("embeddings must be a nonempty (M, d) matrix")
-        norms = np.linalg.norm(e, axis=1)
+        with np.errstate(over="ignore"):  # a huge finite row has norm inf
+            norms = np.linalg.norm(e, axis=1)
         if np.any(np.abs(norms - 1.0) > _ROW_NORM_TOL):
             worst = float(np.abs(norms - 1.0).max())
             raise InvalidArgumentError(f"rows must be unit-norm (worst deviation {worst:.2e})")

@@ -130,8 +130,8 @@ def test_trace_accounting(enc, ds):
 
 @pytest.mark.parametrize("strategy", ["tra", "ira", "tira"])
 def test_patch_delta_is_zero_off_mask(enc, ds, strategy):
-    # only gradients are restricted to the mask; r and delta stay exactly 0.0
-    # off it because every step is built from a restricted gradient
+    # steps are gradients with respect to the on-mask pixels, so r and delta
+    # stay exactly 0.0 off the mask
     cfg = patch_cfg(epochs=1, batch_size=8)
     pert, trace = run_attack(enc, ds, cfg, strategy)
     assert trace.summary()["total_inner_iterations"] > 0

@@ -409,6 +409,21 @@ def test_eval_dataset_manifest_with_float_size_exit_5(workspace, zero_epoch_runs
     assert "malformed manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_list", ["0", "1,21"])
+def test_eval_rejects_k_list_before_encoding(workspace, zero_epoch_runs, capsys,
+                                            monkeypatch, k_list):
+    # 20 images and 60 texts: each k must lie in [1, 20]
+    monkeypatch.setattr("uapkit.cli.evaluate_metrics",
+                        lambda *args: pytest.fail("evaluation ran"))
+    capsys.readouterr()
+    assert main(["eval", "--perturbation", str(workspace / "zero_patch" / "delta.json"),
+                 "--dataset", str(workspace / "data" / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json"),
+                 "--k-list", k_list]) == 2
+    err = capsys.readouterr().err
+    assert "--k-list" in err and "[1, 20]" in err
+
+
 # -- fuzzing the dataset and perturbation loaders -----------------------------
 
 JSON_VALUES = st.one_of(st.none(), st.booleans(), st.integers(-3, 30),

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -183,13 +185,6 @@ def test_carrier_apply():
         Carrier("patch", MASK).apply(images, delta[:1])
 
 
-def test_carrier_restrict():
-    g = np.arange(1.0, 33.0).reshape(2, 4, 4)
-    out = Carrier("patch", MASK).restrict(g)
-    assert np.array_equal(out, np.where(MASK == 1.0, g, 0.0))
-    assert np.array_equal(Carrier("global", norm="l2", epsilon=1.0).restrict(g), g)
-
-
 def test_carrier_commit():
     delta = np.full((2, 4, 4), 0.5)
     step = np.full((2, 4, 4), 0.75)
@@ -218,3 +213,11 @@ def test_carrier_check():
     linf.check(np.full((2, 4, 4), -0.25))
     with pytest.raises(InvalidArgumentError):
         linf.check(np.full((2, 4, 4), 0.3))
+
+
+def test_carrier_check_rejects_huge_delta_without_overflow_warning():
+    # squaring 1e300 overflows; the delta is rejected without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError):
+            Carrier("global", norm="l2", epsilon=2.0).check(np.full((2, 4, 4), 1e300))

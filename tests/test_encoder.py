@@ -6,11 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapkit.encoder import (Encoder, build_encoder, default_toy_encoder,
-                            encode_batch, encoder_hash, gradcheck,
-                            input_gradient, load_encoder, save_encoder,
-                            score_with_gradient)
-from uapkit.errors import IntegrityError, InvalidArgumentError
+from uapkit.core import Carrier, square_patch_mask
+from uapkit.encoder import (Encoder, PerturbedBatch, _forward,
+                            backward_from_cache, build_encoder,
+                            default_toy_encoder, encode_batch, encoder_hash,
+                            gradcheck, input_gradient, load_encoder,
+                            save_encoder, score_with_gradient)
+from uapkit.errors import (DegenerateEncodingError, IntegrityError,
+                           InvalidArgumentError)
 
 
 def small_mlp(seed=0):
@@ -130,6 +133,122 @@ def test_default_toy_encoder_regression_hash():
     # frozen after first implementation; guards the LCG-driven init chain
     assert encoder_hash(default_toy_encoder()) == (
         "7d5cbcb193694566b484559763586e5133a2985e06e76decf58a85078e6eb5c8")
+
+
+# -- the factored first layer -------------------------------------------------
+
+SHAPE = (3, 6, 6)
+FACTORED_ENCODERS = [("linear", (), "tanh"), ("mlp", (12,), "tanh"),
+                     ("mlp", (12, 10), "relu")]
+
+
+def factored_case(kind, widths, act, carrier, delta_scale):
+    """An encoder, six images in [0.2, 0.8], a delta and a step the carrier
+    can move, for a PerturbedBatch and its _forward oracle."""
+    enc = build_encoder(kind, SHAPE, 8, widths, act, seed=5)
+    rng = np.random.default_rng(0)
+    images = rng.uniform(0.2, 0.8, size=(6, *SHAPE))
+    if carrier.mode == "patch":
+        delta = rng.uniform(size=SHAPE) * carrier.mask
+        step = 0.3 * rng.standard_normal(SHAPE) * carrier.mask
+    else:
+        delta = delta_scale * rng.standard_normal(SHAPE)
+        step = 0.05 * rng.standard_normal(SHAPE)
+    return enc, images, delta, step
+
+
+def assert_factored_matches_oracle(enc, images, carrier, delta, step):
+    batch = PerturbedBatch(enc, images, carrier)
+    batch.set_delta(delta)
+    rows = [4, 1, 3]
+    applied = carrier.apply(images[rows], delta)
+    for s in (None, step):
+        point = applied if s is None else applied + s[None]
+        cache, oracle = batch.forward(rows, s), _forward(enc, point)
+        np.testing.assert_allclose(cache.embeddings, oracle.embeddings, rtol=0, atol=1e-12)
+        us = np.random.default_rng(1).standard_normal((2, enc.embed_dim))
+        grad = batch.backward(cache, us, rows=[2, 0])
+        full = backward_from_cache(enc, oracle, us, rows=[2, 0]).sum(axis=0)
+        if carrier.mode == "patch":
+            full = full * carrier.mask  # the step moves only the patch
+        np.testing.assert_allclose(grad, full, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind,widths,act", FACTORED_ENCODERS)
+def test_factored_patch_matches_full_forward_and_backward(kind, widths, act):
+    carrier = Carrier("patch", square_patch_mask(SHAPE, 2, (1, 2)))
+    enc, images, delta, step = factored_case(kind, widths, act, carrier, None)
+    images[:3, 0, 0, 0] = [1.5, -0.5, 1.0]  # off-mask pixels apply clamps
+    assert_factored_matches_oracle(enc, images, carrier, delta, step)
+
+
+@pytest.mark.parametrize("kind,widths,act", FACTORED_ENCODERS)
+def test_factored_global_without_clamping(kind, widths, act):
+    carrier = Carrier("global", norm="linf", epsilon=0.1)
+    enc, images, delta, step = factored_case(kind, widths, act, carrier, 0.02)
+    delta = np.clip(delta, -0.1, 0.1)
+    assert np.array_equal(carrier.apply(images, delta), images + delta)
+    assert_factored_matches_oracle(enc, images, carrier, delta, step)
+
+
+@pytest.mark.parametrize("kind,widths,act", FACTORED_ENCODERS)
+def test_factored_global_with_clamping(kind, widths, act):
+    carrier = Carrier("global", norm="l2", epsilon=50.0)
+    enc, images, delta, step = factored_case(kind, widths, act, carrier, 0.6)
+    raw = images + delta
+    assert np.any(raw < 0.0) and np.any(raw > 1.0)  # the clamp is active
+    assert_factored_matches_oracle(enc, images, carrier, delta, step)
+
+
+def test_factored_rows_follow_each_new_delta():
+    carrier = Carrier("global", norm="l2", epsilon=50.0)
+    enc, images, _, step = factored_case("mlp", (12,), "tanh", carrier, 0.6)
+    batch = PerturbedBatch(enc, images, carrier)
+    for scale in (0.6, 0.0, 0.3):
+        delta = scale * np.random.default_rng(7).standard_normal(SHAPE)
+        batch.set_delta(delta)
+        np.testing.assert_allclose(
+            batch.forward([0, 5], step).embeddings,
+            encode_batch(enc, carrier.apply(images[[0, 5]], delta) + step[None]),
+            rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["patch", "global"])
+def test_factored_rejects_non_finite_steps_and_deltas(mode):
+    carrier = (Carrier("patch", square_patch_mask(SHAPE, 2)) if mode == "patch"
+               else Carrier("global", norm="l2", epsilon=1.0))
+    enc, images, delta, step = factored_case("mlp", (12,), "tanh", carrier, 0.01)
+    batch = PerturbedBatch(enc, images, carrier)
+    with pytest.raises(InvalidArgumentError):
+        batch.set_delta(np.full(SHAPE, np.nan))
+    batch.set_delta(delta)
+    for bad in (np.nan, np.inf):
+        step = step.copy()
+        step[0, 5, 5] = bad  # under the patch
+        with pytest.raises(InvalidArgumentError):
+            batch.forward([0], step)
+    with pytest.raises(InvalidArgumentError):
+        batch.forward([0], np.zeros((3, 6, 5)))
+
+
+def test_factored_checks_shapes_at_construction():
+    carrier = Carrier("patch", square_patch_mask(SHAPE, 2))
+    enc = build_encoder("mlp", SHAPE, 8, (12,), "tanh", seed=5)
+    with pytest.raises(InvalidArgumentError):
+        PerturbedBatch(enc, np.zeros((2, 3, 6, 5)), carrier)
+    with pytest.raises(InvalidArgumentError):
+        PerturbedBatch(enc, np.zeros((2, 3, 6, 6)),
+                       Carrier("patch", square_patch_mask((1, 6, 6), 2)))
+
+
+def test_factored_zero_output_is_degenerate():
+    enc = build_encoder("linear", SHAPE, 8, seed=5)
+    enc = dataclasses.replace(enc, weights=(np.zeros_like(enc.weights[0]),))
+    batch = PerturbedBatch(enc, np.full((2, *SHAPE), 0.5),
+                           Carrier("patch", square_patch_mask(SHAPE, 2)))
+    batch.set_delta(np.zeros(SHAPE))
+    with pytest.raises(DegenerateEncodingError):
+        batch.forward([0, 1])
 
 
 # -- serialization -----------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,14 @@ def random_index(rng, m, d):
 def test_index_rejects_non_unit_rows():
     with pytest.raises(InvalidArgumentError):
         EmbeddingIndex(np.ones((2, 3)))
+
+
+def test_index_rejects_huge_rows_without_overflow_warning():
+    # squaring 1e300 overflows; the row is rejected without a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidArgumentError):
+            EmbeddingIndex(np.full((2, 4), 1e300))
 
 
 def test_ranked_indices_full_sort_oracle():
