@@ -9,7 +9,8 @@ Strategies:
           per batch half and committing delta once per half.
 
 run_attack drives all three as a sequence of halves (groups of samples that
-share one r and one commit); boundary.accumulate is the one inner loop.
+share one r and one commit); tra and ira differ only in which side of one
+top-k crossing (_cross) moves, and boundary.accumulate is its loop.
 
 The carrier (core.Carrier) owns the patch/global rules: where delta sits on
 an image and how a commit is projected. Every forward and backward of the
@@ -29,7 +30,7 @@ from .core import Carrier, as_tensor
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch, encode_batch
 from .errors import InvalidArgumentError
-from .retrieval import (EmbeddingIndex, indicator, recall_at_k,
+from .retrieval import (EmbeddingIndex, hits_at_k, recall_at_k,
                         select_nonmatching_topk, topk_class_accuracy)
 from .rng import Lcg
 
@@ -120,68 +121,63 @@ class Perturbation:
 # -- inner loops -------------------------------------------------------------
 
 
+def _cross(batch: PerturbedBatch, rows, sims_of, seeds, matches, candidates,
+           r: np.ndarray, cfg: AttackConfig):
+    """One sample's top-k crossing; returns (r, iterations, converged).
+
+    sims_of maps the embeddings of the batch rows that move to query-gallery
+    similarities. matches and candidates are gallery positions in ascending
+    gallery id, so the first argmax/argmin breaks ties toward the smallest id.
+    seeds(c, m) gives the backward's (us, rows) for f_c - f_m.
+    """
+    def fooled(r_vec):
+        sims = sims_of(batch.forward(rows, (1.0 + cfg.eta) * r_vec).embeddings)
+        return not hits_at_k(sims[None], [matches], cfg.k)[0]
+
+    def step_at(r_vec):
+        cache = batch.forward(rows, r_vec)
+        sims = sims_of(cache.embeddings)
+        m = matches[np.argmax(sims[matches])]
+        c = candidates[np.argmin(sims[candidates])]
+        return crossing_step(batch.backward(cache, *seeds(c, m)),
+                             float(sims[m] - sims[c]))
+
+    return accumulate(r, fooled, step_at, cfg.max_inner_iters)
+
+
 def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
                cfg: AttackConfig):
-    """Image-loop inner body for one image; returns (r, iterations, converged).
+    """Image-loop body for one image: the query moves against the texts.
 
     r accumulates on top of its incoming value (shared across a combined-run
     batch). Every step is a gradient with respect to the pixels the carrier
     moves, so r is exactly zero elsewhere and needs no masking of its own.
     """
+    texts = ds.texts.embeddings
     match_set = ds.matches_of_image(v_idx)
-    y_list = sorted(match_set)
-    rows = [v_idx]
-
     # candidate non-matching texts are the nearest to the image as it looks
     # under the current perturbation, so the stopping test tracks the metric
-    entry_emb = batch.forward(rows).embeddings[0]
+    entry_emb = batch.forward([v_idx]).embeddings[0]
     y_prime = select_nonmatching_topk(entry_emb, ds.texts, match_set, cfg.k)
-
-    def fooled(r_vec):
-        emb = batch.forward(rows, (1.0 + cfg.eta) * r_vec).embeddings[0]
-        return indicator(emb, ds.texts, match_set, cfg.k) == 0
-
-    def step_at(r_vec):
-        cache = batch.forward(rows, r_vec)
-        sims = ds.texts.embeddings @ cache.embeddings[0]
-        y_max = max(y_list, key=lambda y: (sims[y], -y))
-        yp_min = min(y_prime, key=lambda y: (sims[y], y))
-        t_diff = ds.texts.embeddings[yp_min] - ds.texts.embeddings[y_max]
-        # single backward pass for the difference score (f_{y'} - f_y)
-        return crossing_step(batch.backward(cache, t_diff[None]),
-                             float(sims[y_max] - sims[yp_min]))
-
-    return accumulate(r, fooled, step_at, cfg.max_inner_iters)
+    return _cross(batch, [v_idx], lambda e: texts @ e[0],
+                  lambda c, m: ((texts[c] - texts[m])[None], [0]),
+                  sorted(match_set), sorted(y_prime), r, cfg)
 
 
 def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
                cfg: AttackConfig, gallery: EmbeddingIndex):
-    """Text-loop inner body for one text; returns (r, iterations, converged).
+    """Text-loop body for one text: the match (row 0) and k candidates move.
 
     gallery holds the embeddings of every image under the current
     perturbation; ranking candidates against it means the stopping test
     (match outranked by k candidates) certifies a full-gallery retrieval miss.
     """
-    t_emb = ds.texts.embeddings[t_idx]
+    t = ds.texts.embeddings[t_idx]
     y = ds.image_of_text(t_idx)
-    y_prime = select_nonmatching_topk(t_emb, gallery, {y}, cfg.k)
-    candidates = [y, *y_prime]  # matched image first
-
-    def fooled(r_vec):
-        embs = batch.forward(candidates, (1.0 + cfg.eta) * r_vec).embeddings
-        return indicator(t_emb, EmbeddingIndex(embs), {0}, cfg.k) == 0
-
-    def step_at(r_vec):
-        cache = batch.forward(candidates, r_vec)
-        sims = cache.embeddings @ t_emb
-        # weakest non-matching candidate; ties toward the smallest image index
-        pos = min(range(1, len(candidates)),
-                  key=lambda p: (sims[p], candidates[p]))
-        # one backward pass for the difference score (f_pos - f_matched)
-        diff_grad = batch.backward(cache, np.stack([t_emb, -t_emb]), rows=[pos, 0])
-        return crossing_step(diff_grad, float(sims[0] - sims[pos]))
-
-    return accumulate(r, fooled, step_at, cfg.max_inner_iters)
+    y_prime = select_nonmatching_topk(t, gallery, {y}, cfg.k)
+    return _cross(batch, [y, *y_prime], lambda e: e @ t,
+                  lambda c, m: (np.stack([t, -t]), [c, m]),
+                  [0], 1 + np.argsort(y_prime), r, cfg)
 
 
 # -- commit and driver -------------------------------------------------------
@@ -275,8 +271,6 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
     if strategy == "tira" and cfg.carrier.mode != "patch":
         raise InvalidArgumentError("tira is defined for patch mode")
-    if ds.params.n_images == 0:
-        raise InvalidArgumentError("empty dataset")
     batch = PerturbedBatch(enc, ds.images, cfg.carrier)
     delta = np.zeros(ds.params.image_shape)
     trace = AttackTrace()

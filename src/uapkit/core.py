@@ -88,8 +88,8 @@ class Carrier:
                 raise InvalidArgumentError("mask is a patch-mode option")
             if self.norm not in ("l2", "linf"):
                 raise InvalidArgumentError("global mode requires norm in {l2, linf}")
-            if self.epsilon is None or not self.epsilon > 0:
-                raise InvalidArgumentError("global mode requires epsilon > 0")
+            if self.epsilon is None or not 0 < self.epsilon < np.inf:  # False for NaN
+                raise InvalidArgumentError(f"epsilon {self.epsilon} not in (0, inf)")
         else:
             raise InvalidArgumentError(f"unknown mode {self.mode!r}")
 

@@ -51,13 +51,14 @@ class DatasetParams:
         object.__setattr__(self, "image_shape", tuple(map(operator.index, self.image_shape)))
         sizes = (self.n_images, self.texts_per_image, self.embed_dim, self.class_count,
                  self.decoder_rank)
-        if min(map(operator.index, sizes)) < 1 or self.noise_level < 0:
-            raise InvalidArgumentError("invalid dataset parameters")
+        if min(map(operator.index, sizes)) < 1 or self.decoder_rank > self.embed_dim:
+            raise InvalidArgumentError("sizes must be positive and decoder_rank <= embed_dim")
         if len(self.image_shape) != 3 or min(self.image_shape) < 1:
             raise InvalidArgumentError("image_shape must be (c, h, w)")
-        if self.decoder_scale <= 0 or self.decoder_rank > self.embed_dim:
-            raise InvalidArgumentError(
-                "decoder_scale must be positive and decoder_rank in [1, embed_dim]")
+        if not 0 <= self.noise_level < math.inf:  # False for NaN
+            raise InvalidArgumentError(f"noise_level {self.noise_level} not in [0, inf)")
+        if not 0 < self.decoder_scale < math.inf:
+            raise InvalidArgumentError(f"decoder_scale {self.decoder_scale} not in (0, inf)")
 
     @property
     def n_texts(self) -> int:
@@ -131,7 +132,8 @@ def _floor_check(ds: Dataset, image_embeddings: np.ndarray) -> float:
     k = min(FLOOR_K, len(ds.texts))
     matches = [ds.matches_of_image(i) for i in range(ds.params.n_images)]
     r = recall_at_k(EmbeddingIndex(image_embeddings), ds.texts, matches, k)
-    threshold = FLOOR_MULTIPLIER * k / len(ds.texts)
+    # a recall cannot exceed 1, so neither may the floor on a small dataset
+    threshold = min(1.0, FLOOR_MULTIPLIER * k / len(ds.texts))
     if r < threshold:
         raise DegenerateDatasetError(
             f"clean TR R@{k} = {r:.4f} below floor {threshold:.4f}; "

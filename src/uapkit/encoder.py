@@ -260,10 +260,10 @@ class PerturbedBatch:
                 z = z + self._w @ step
         return _stack(self.enc, z)
 
-    def backward(self, cache: ForwardCache, us: np.ndarray, rows=None) -> np.ndarray:
+    def backward(self, cache: ForwardCache, us: np.ndarray, rows) -> np.ndarray:
         """Gradient of sum_j us[j] . e[rows[j]] with respect to the step that
-        every row shares; rows selects cached rows as in backward_from_cache.
-        In patch mode it is zero off the mask."""
+        every row shares; rows names one cached row per row of us. In patch
+        mode it is zero off the mask."""
         g = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0) @ self._w
         if self.carrier.mode == "patch":
             g, on_mask = np.zeros(self.enc.n_inputs), g

@@ -73,7 +73,7 @@ def ranked_indices(query: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     return np.lexsort((np.arange(len(index)), -sims))
 
 
-def _hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
+def hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
     """Per row of a (Q, M) similarity matrix: does a match rank in the top k?
 
     The ranking is the one ranked_indices gives (descending similarity, ties
@@ -98,7 +98,7 @@ def _hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
 
 def indicator(query: np.ndarray, index: EmbeddingIndex, matches, k: int) -> int:
     """1 iff any matched index survives in the top-k retrieval results."""
-    return int(_hits_at_k((index.embeddings @ query)[None], [matches], k)[0])
+    return int(hits_at_k((index.embeddings @ query)[None], [matches], k)[0])
 
 
 def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
@@ -116,7 +116,7 @@ def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,
     """Mean indicator over queries."""
     if len(matches_per_query) != len(queries):
         raise InvalidArgumentError("one match set per query required")
-    hits = _hits_at_k(queries.embeddings @ gallery.embeddings.T, matches_per_query, k)
+    hits = hits_at_k(queries.embeddings @ gallery.embeddings.T, matches_per_query, k)
     return int(hits.sum()) / len(queries)
 
 
@@ -128,4 +128,4 @@ def topk_class_accuracy(image_embeddings: EmbeddingIndex,
     if len(labels) != len(image_embeddings):
         raise InvalidArgumentError("one label per image required")
     sims = image_embeddings.embeddings @ class_prototypes.embeddings.T
-    return int(_hits_at_k(sims, [[y] for y in labels], k).sum()) / len(labels)
+    return int(hits_at_k(sims, [[y] for y in labels], k).sum()) / len(labels)

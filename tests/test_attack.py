@@ -1,13 +1,15 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from uapkit.attack import (AttackConfig, Perturbation, evaluate_metrics,
-                           run_attack)
+from uapkit.attack import (AttackConfig, Perturbation, _ira_inner, _tra_inner,
+                           evaluate_metrics, run_attack)
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import build_encoder, encode_batch
 from uapkit.errors import InvalidArgumentError
-from uapkit.retrieval import indicator
+from uapkit.retrieval import EmbeddingIndex, indicator
 
 SHAPE = (1, 8, 8)
 PARAMS = DatasetParams(n_images=20, texts_per_image=3, image_shape=SHAPE,
@@ -211,3 +213,79 @@ def test_evaluate_metrics_subset(enc, ds):
     full = evaluate_metrics(enc, ds, None, (1,))
     sub = evaluate_metrics(enc, ds, None, (1,), image_subset=[0, 3, 5])
     assert set(full) == set(sub)
+
+
+# -- inner-loop tie-breaks ---------------------------------------------------
+
+class StubBatch:
+    """Stands in for PerturbedBatch: forward returns each row's entry
+    embedding when called without a step and its probe embedding otherwise;
+    backward records what it is asked to differentiate."""
+
+    def __init__(self, entry, probe, shape):
+        self.entry, self.probe, self.shape = entry, probe, shape
+        self.backward_calls = []
+
+    def forward(self, rows, step=None):
+        table = self.entry if step is None else self.probe
+        return SimpleNamespace(embeddings=table[list(rows)])
+
+    def backward(self, cache, us, rows=None):
+        # rows=None differentiates every cached row
+        rows = range(len(cache.embeddings)) if rows is None else rows
+        self.backward_calls.append((np.array(us), [int(j) for j in rows]))
+        return np.ones(self.shape)
+
+
+def unit_rows(dots):
+    """Unit rows whose dot product with the first axis is exactly dots[i]."""
+    n = len(dots)
+    out = np.zeros((n, n + 1))
+    out[:, 0] = dots
+    out[np.arange(n), np.arange(n) + 1] = np.sqrt(1.0 - np.square(dots))
+    return out
+
+
+def tiebreak_cfg():
+    # one step, then stop: the stub never becomes fooled
+    return AttackConfig(k=3, max_inner_iters=1, mode="global", norm="l2", epsilon=1.0)
+
+
+def test_tra_step_seeded_by_smallest_id_candidate_and_match():
+    # texts 2, 5, 6 match image 0; at entry the nearest non-matching texts
+    # are 7, 4, 1 (descending). At the probe, candidates 7 and 1 tie as the
+    # weakest and matches 5 and 6 tie as the strongest.
+    entry_sims = [0.0, 0.4, 0.3, 0.0, 0.5, 0.2, 0.1, 0.6]
+    probe_sims = [0.0, 0.2, 0.3, 0.0, 0.5, 0.6, 0.6, 0.2]
+    texts = np.zeros((8, 10))
+    texts[:, 0], texts[:, 1] = entry_sims, probe_sims
+    texts[np.arange(8), np.arange(8) + 2] = np.sqrt(
+        1.0 - np.square(entry_sims) - np.square(probe_sims))
+    ds = SimpleNamespace(texts=EmbeddingIndex(texts),
+                         matches_of_image=lambda v: frozenset({2, 5, 6}))
+    e0, e1 = np.eye(10)[:2]
+    batch = StubBatch(e0[None], e1[None], (1, 2, 2))
+    r, iters, converged = _tra_inner(batch, ds, 0, np.zeros((1, 2, 2)), tiebreak_cfg())
+    assert (iters, converged) == (1, False)
+    [(us, rows)] = batch.backward_calls
+    np.testing.assert_array_equal(us, (texts[1] - texts[5])[None])
+    assert rows == [0]
+    np.testing.assert_allclose(r, np.full((1, 2, 2), (0.6 - 0.2) / 4))
+
+
+def test_ira_step_seeded_by_smallest_id_candidate():
+    # text 0 matches image 3; the k = 3 nearest other images are 6, 2, 4, not
+    # in id order. At the probe, 6 and 2 tie as the weakest candidate.
+    gallery_sims = [0.1, 0.0, 0.5, 0.3, 0.4, 0.2, 0.6]
+    probe_sims = [0.0, 0.0, 0.2, 0.7, 0.5, 0.0, 0.2]
+    t = np.eye(8)[0]
+    ds = SimpleNamespace(texts=EmbeddingIndex(t[None]), image_of_text=lambda i: 3)
+    gallery = EmbeddingIndex(unit_rows(gallery_sims))
+    batch = StubBatch(None, unit_rows(probe_sims), (1, 2, 2))
+    r, iters, converged = _ira_inner(batch, ds, 0, np.zeros((1, 2, 2)),
+                                     tiebreak_cfg(), gallery)
+    assert (iters, converged) == (1, False)
+    [(us, rows)] = batch.backward_calls
+    np.testing.assert_array_equal(us, np.stack([t, -t]))
+    assert rows == [2, 0]  # rows are [3, 6, 2, 4]: image 2, then the match
+    np.testing.assert_allclose(r, np.full((1, 2, 2), (0.7 - 0.2) / 4))

@@ -117,6 +117,23 @@ def test_attack_invalid_config_exit_2(workspace, capsys):
     assert rc == 2
 
 
+def test_attack_infinite_epsilon_exit_2(workspace, capsys):
+    rc = run_attack(workspace, "inf_eps",
+                    ["--mode", "global", "--norm", "l2", "--epsilon", "inf"])
+    assert rc == 2
+    assert "epsilon" in capsys.readouterr().err
+    assert not (workspace / "inf_eps" / "delta.json").exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--decoder-scale", "inf"),
+                                         ("--noise-level", "nan")])
+def test_gen_non_finite_float_exit_2(tmp_path, capsys, flag, value):
+    rc = main(["gen", "--out", str(tmp_path / "bad"), *GEN_ARGS, flag, value])
+    assert rc == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
 def test_attack_global_linf_bound_in_sidecar(workspace, capsys):
     rc = run_attack(workspace, "linf",
                     ["--mode", "global", "--norm", "linf", "--epsilon", "0.0392"])

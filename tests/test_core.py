@@ -159,6 +159,7 @@ MASK = square_patch_mask((2, 4, 4), 2)
     {"mode": "global", "norm": "l2"},
     {"mode": "global", "norm": "l2", "epsilon": 0.0},
     {"mode": "global", "norm": "linf", "epsilon": float("nan")},
+    {"mode": "global", "norm": "l2", "epsilon": float("inf")},
     {"mode": "global", "norm": "l2", "epsilon": 1.0, "mask": MASK},
     {"mode": "sticker", "mask": MASK},
 ])

@@ -26,6 +26,22 @@ def test_params_validation():
         DatasetParams(image_shape=(3, 32))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_level", -0.1), ("noise_level", float("inf")), ("noise_level", float("nan")),
+    ("decoder_scale", 0.0), ("decoder_scale", float("inf")),
+    ("decoder_scale", float("nan")),
+])
+def test_params_floats_must_be_finite_and_in_range(field, value):
+    with pytest.raises(InvalidArgumentError, match=field):
+        DatasetParams(**{field: value})
+
+
+def test_floor_is_capped_at_perfect_recall():
+    # 40 texts: FLOOR_MULTIPLIER * FLOOR_K / 40 = 1.25, which no recall reaches
+    ds = build_dataset(DatasetParams(n_images=8), default_toy_encoder())
+    assert len(ds.texts) == 40
+
+
 @pytest.mark.parametrize("field, value", [("n_images", 20.0), ("texts_per_image", 3.0),
                                           ("decoder_rank", 8.0), ("image_shape", (3, 32.0, 32))])
 def test_params_sizes_must_be_integers(field, value):
