@@ -10,7 +10,10 @@ Strategies:
 
 run_attack drives all three as a sequence of halves (groups of samples that
 share one r and one commit); tra and ira differ only in which side of one
-top-k crossing (_cross) moves, and boundary.accumulate is its loop.
+top-k crossing (_cross) moves, and boundary.accumulate is its loop. Each
+visited r costs one forward of both points the crossing needs and, only for
+a step that is taken, one backward. The inner loop checks nothing per call:
+check_attack checks the sizes once, at entry, and set_delta every delta.
 
 The carrier (core.Carrier) owns the patch/global rules: where delta sits on
 an image and how a commit is projected. Every forward and backward of the
@@ -30,13 +33,15 @@ from .core import Carrier, as_tensor
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch, encode_batch
 from .errors import InvalidArgumentError
-from .retrieval import (EmbeddingIndex, hits_at_k, recall_at_k,
-                        select_nonmatching_topk, topk_class_accuracy)
+from .retrieval import (EmbeddingIndex, mask_hits_at_k, match_mask,
+                        recall_at_k, select_nonmatching_topk,
+                        topk_class_accuracy)
 from .rng import Lcg
 
 EPS_L2_DEFAULT = 2000.0 / 255.0
 EPS_LINF_DEFAULT = 10.0 / 255.0
 PATCH_AREA_DEFAULT = 0.03
+PROBE_K = 10  # the R@k of the epoch metrics, taken over _probe_subset
 
 
 @dataclass(frozen=True)
@@ -121,28 +126,38 @@ class Perturbation:
 # -- inner loops -------------------------------------------------------------
 
 
-def _cross(batch: PerturbedBatch, rows, sims_of, seeds, matches, candidates,
+def _cross(batch: PerturbedBatch, rows, sims_of, seeds, is_match, candidates,
            r: np.ndarray, cfg: AttackConfig):
     """One sample's top-k crossing; returns (r, iterations, converged).
 
     sims_of maps the embeddings of the batch rows that move to query-gallery
-    similarities. matches and candidates are gallery positions in ascending
-    gallery id, so the first argmax/argmin breaks ties toward the smallest id.
-    seeds(c, m) gives the backward's (us, rows) for f_c - f_m.
+    similarities, and is_match is the gallery's (1, M) match_mask. The
+    matches and candidates are gallery positions in ascending gallery id, so
+    the first argmax/argmin breaks ties toward the smallest id. seeds(c, m)
+    gives the backward's (us, rows) for f_c - f_m.
+
+    Each visited r is encoded once at both of its points: r itself, where the
+    step linearises (the cache's first len(rows) rows, so seeds' rows index
+    them), and the probe (1 + eta) r.
     """
-    def fooled(r_vec):
-        sims = sims_of(batch.forward(rows, (1.0 + cfg.eta) * r_vec).embeddings)
-        return not hits_at_k(sims[None], [matches], cfg.k)[0]
+    n = len(rows)
+    matches = np.flatnonzero(is_match[0])
 
-    def step_at(r_vec):
-        cache = batch.forward(rows, r_vec)
-        sims = sims_of(cache.embeddings)
-        m = matches[np.argmax(sims[matches])]
-        c = candidates[np.argmin(sims[candidates])]
-        return crossing_step(batch.backward(cache, *seeds(c, m)),
-                             float(sims[m] - sims[c]))
+    def probe(r_vec):
+        cache = batch.forward_points(rows, (r_vec, (1.0 + cfg.eta) * r_vec))
+        if not mask_hits_at_k(sims_of(cache.embeddings[n:])[None], is_match, cfg.k)[0]:
+            return True, None
 
-    return accumulate(r, fooled, step_at, cfg.max_inner_iters)
+        def step_at():
+            sims = sims_of(cache.embeddings[:n])
+            m = matches[np.argmax(sims[matches])]
+            c = candidates[np.argmin(sims[candidates])]
+            return crossing_step(batch.backward(cache, *seeds(c, m)),
+                                 float(sims[m] - sims[c]))
+
+        return False, step_at
+
+    return accumulate(r, probe, cfg.max_inner_iters)
 
 
 def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
@@ -161,7 +176,7 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
     y_prime = select_nonmatching_topk(entry_emb, ds.texts, match_set, cfg.k)
     return _cross(batch, [v_idx], lambda e: texts @ e[0],
                   lambda c, m: ((texts[c] - texts[m])[None], [0]),
-                  sorted(match_set), sorted(y_prime), r, cfg)
+                  match_mask([match_set], len(texts)), sorted(y_prime), r, cfg)
 
 
 def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
@@ -177,7 +192,7 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
     y_prime = select_nonmatching_topk(t, gallery, {y}, cfg.k)
     return _cross(batch, [y, *y_prime], lambda e: e @ t,
                   lambda c, m: (np.stack([t, -t]), [c, m]),
-                  [0], 1 + np.argsort(y_prime), r, cfg)
+                  match_mask([[0]], 1 + cfg.k), 1 + np.argsort(y_prime), r, cfg)
 
 
 # -- commit and driver -------------------------------------------------------
@@ -261,29 +276,51 @@ def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, epoch: int):
         yield "text", sorted(t for v in batch for t in ds.matches_of_image(v))
 
 
+def check_attack(ds: Dataset, cfg: AttackConfig, strategy: str) -> None:
+    """Raise InvalidArgumentError unless run_attack can run strategy on ds:
+    the strategy suits the carrier, the per-epoch R@PROBE_K probe fits its
+    image subset, and k fits every candidate gallery a half ranks."""
+    if strategy not in ("tra", "ira", "tira"):
+        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
+    if strategy == "tira" and cfg.carrier.mode != "patch":
+        raise InvalidArgumentError("tira is defined for patch mode")
+    n_probe = len(_probe_subset(ds))
+    if n_probe < PROBE_K:
+        raise InvalidArgumentError(
+            f"the per-epoch R@{PROBE_K} probe ranks {n_probe} images; "
+            f"it needs n_images >= {PROBE_K}")
+    galleries = {}  # the non-matching candidates of an image or a text
+    if strategy != "ira":
+        most = max(map(len, ds.annotation.image_to_texts.values()))
+        galleries["n_texts - texts of one image"] = ds.params.n_texts - most
+    if strategy != "tra":
+        galleries["n_images - 1"] = ds.params.n_images - 1
+    for name, size in galleries.items():
+        if cfg.k > size:
+            raise InvalidArgumentError(
+                f"k={cfg.k} exceeds the {size} non-matching candidates of "
+                f"{strategy} ({name})")
+
+
 def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
     """Run strategy tra, ira or tira; returns (Perturbation, AttackTrace).
 
     Each half accumulates one r over its samples on top of the current delta,
     then commits it once.
     """
-    if strategy not in ("tra", "ira", "tira"):
-        raise InvalidArgumentError(f"unknown strategy {strategy!r}")
-    if strategy == "tira" and cfg.carrier.mode != "patch":
-        raise InvalidArgumentError("tira is defined for patch mode")
+    check_attack(ds, cfg, strategy)
     batch = PerturbedBatch(enc, ds.images, cfg.carrier)
     delta = np.zeros(ds.params.image_shape)
     trace = AttackTrace()
     probe = _probe_subset(ds)
-    clean = evaluate_metrics(enc, ds, None, (10,), probe)
+    clean = evaluate_metrics(enc, ds, None, (PROBE_K,), probe)
     for epoch in range(cfg.epochs):
         for kind, samples in _halves(ds, cfg, strategy, epoch):
             r = np.zeros_like(delta)
             batch.set_delta(delta)
             if kind == "text":
                 # delta is fixed for the whole half, so one gallery suffices
-                gallery = EmbeddingIndex(
-                    batch.forward(range(ds.params.n_images)).embeddings)
+                gallery = EmbeddingIndex(batch.gallery())
             for sid in samples:
                 if kind == "image":
                     r, iters, ok = _tra_inner(batch, ds, sid, r, cfg)
@@ -291,7 +328,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
                     r, iters, ok = _ira_inner(batch, ds, sid, r, cfg, gallery)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, ok))
             delta = _commit(delta, r, cfg, trace, epoch)
-        adv = evaluate_metrics(enc, ds, Perturbation(delta, cfg.carrier), (10,), probe)
+        adv = evaluate_metrics(enc, ds, Perturbation(delta, cfg.carrier), (PROBE_K,), probe)
         trace.epoch_metrics.append({
             "epoch": epoch,
             "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],

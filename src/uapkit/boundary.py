@@ -91,23 +91,27 @@ def crossing_step(diff: np.ndarray, gap: float) -> np.ndarray | None:
     return (gap / sq) * diff
 
 
-def accumulate(r: np.ndarray, fooled, step_at, max_iters: int):
-    """Sum crossing steps onto r until fooled(r); returns (r, iterations, converged).
+def accumulate(r: np.ndarray, probe, max_iters: int):
+    """Sum crossing steps onto r until it is fooled; returns (r, iterations,
+    converged).
 
-    fooled is probed once per visited r. The loop stops unconverged after
-    max_iters steps, or at once when step_at(r) returns None (a degenerate
-    boundary).
+    probe(r) is called once per visited r and returns (fooled, step): step()
+    gives the crossing step from r, or None at a degenerate boundary, and is
+    called only for a step the loop takes, so never once r is fooled or
+    max_iters steps are spent. The loop stops unconverged at either limit.
     """
     iterations = 0
-    while not fooled(r):
+    while True:
+        fooled, step_at = probe(r)
+        if fooled:
+            return r, iterations, True
         if iterations >= max_iters:
             return r, iterations, False
-        step = step_at(r)
+        step = step_at()
         if step is None:
             return r, iterations, False
         r = r + step
         iterations += 1
-    return r, iterations, True
 
 
 def _check_correctly_classified(clf: LinearClassifier, x: np.ndarray, y: int) -> np.ndarray:
@@ -184,18 +188,22 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
         s = clf.scores(x + (1.0 + eta) * r_vec)
         return [l for l in targets if s[y] > s[l]]
 
-    def step_at(r_vec):
-        # step toward the uncrossed target with the smallest crossing ratio at
-        # x + r; degenerate boundaries are skipped for this step
-        ratios = _boundary_ratios(clf, x + r_vec, y)
-        best = min(uncrossed(r_vec), key=lambda l: ratios[l])
-        if ratios[best] == np.inf:
-            return None  # every remaining boundary degenerate
-        s = clf.scores(x + r_vec)
-        return crossing_step(clf.weights[best] - clf.weights[y], float(s[y] - s[best]))
+    def probe(r_vec):
+        left = uncrossed(r_vec)
 
-    r, iterations, converged = accumulate(
-        np.zeros_like(x), lambda r_vec: not uncrossed(r_vec), step_at, max_iters)
+        def step_at():
+            # step toward the uncrossed target with the smallest crossing ratio
+            # at x + r; degenerate boundaries are skipped for this step
+            ratios = _boundary_ratios(clf, x + r_vec, y)
+            best = min(left, key=lambda l: ratios[l])
+            if ratios[best] == np.inf:
+                return None  # every remaining boundary degenerate
+            s = clf.scores(x + r_vec)
+            return crossing_step(clf.weights[best] - clf.weights[y], float(s[y] - s[best]))
+
+        return not left, step_at
+
+    r, iterations, converged = accumulate(np.zeros_like(x), probe, max_iters)
 
     s_final = clf.scores(x + (1.0 + eta) * r)
     crossed = {l for l in targets if s_final[y] < s_final[l]}

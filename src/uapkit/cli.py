@@ -23,7 +23,8 @@ import numpy as np
 
 from . import __version__, datagen, tensor_io
 from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
-                     AttackConfig, Perturbation, evaluate_metrics, run_attack)
+                     AttackConfig, Perturbation, check_attack, evaluate_metrics,
+                     run_attack)
 from .core import Carrier, as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
 from .encoder import (default_toy_encoder, encode_batch, encoder_hash, gradcheck,
@@ -133,6 +134,7 @@ def cmd_attack(args) -> int:
         seed=args.seed, shuffle=args.shuffle, **carrier_kw)
     config = cfg.to_json_dict()
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
+    check_attack(ds, cfg, args.strategy)  # before anything is written
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -221,6 +223,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.trials < 1:  # an audit of nothing passes nothing
+        raise InvalidArgumentError(f"--trials {args.trials}: must be at least 1")
     enc = _load_encoder_arg(args.encoder)
     rng = Lcg(args.seed)
     worst = 0.0

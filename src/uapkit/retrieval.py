@@ -73,10 +73,24 @@ def ranked_indices(query: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
     return np.lexsort((np.arange(len(index)), -sims))
 
 
-def hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
+def match_mask(matches_per_query, n: int) -> np.ndarray:
+    """(Q, n) boolean mask of each query's matches; every match set must be
+    nonempty indices in [0, n)."""
+    is_match = np.zeros((len(matches_per_query), n), dtype=bool)
+    for row, matches in zip(is_match, matches_per_query):
+        cols = [int(j) for j in matches]
+        if not cols or not all(0 <= j < n for j in cols):
+            raise InvalidArgumentError(f"matches must be nonempty indices in [0, {n})")
+        row[cols] = True
+    return is_match
+
+
+def mask_hits_at_k(sims: np.ndarray, is_match: np.ndarray, k: int) -> np.ndarray:
     """Per row of a (Q, M) similarity matrix: does a match rank in the top k?
 
-    The ranking is the one ranked_indices gives (descending similarity, ties
+    is_match is the (Q, M) match_mask of the rows, so a caller that ranks
+    many similarity rows against the same matches builds it once. The
+    ranking is the one ranked_indices gives (descending similarity, ties
     toward the smallest index), so the best-ranked match is the first argmax
     among the matches, and it is in the top k iff fewer than k indices rank
     ahead of it.
@@ -84,16 +98,17 @@ def hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
     n = sims.shape[1]
     if not 1 <= k <= n:
         raise InvalidArgumentError(f"k={k} outside [1, {n}]")
-    is_match = np.zeros(sims.shape, dtype=bool)
-    for row, matches in zip(is_match, matches_per_query):
-        cols = [int(j) for j in matches]
-        if not cols or not all(0 <= j < n for j in cols):
-            raise InvalidArgumentError(f"matches must be nonempty indices in [0, {n})")
-        row[cols] = True
+    if is_match.shape != sims.shape:
+        raise InvalidArgumentError(f"match mask {is_match.shape} does not fit {sims.shape}")
     best = np.argmax(np.where(is_match, sims, -np.inf), axis=1)
     best_sim = sims[np.arange(len(sims)), best][:, None]
     ahead = (sims > best_sim) | ((sims == best_sim) & (np.arange(n) < best[:, None]))
     return ahead.sum(axis=1) < k
+
+
+def hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
+    """mask_hits_at_k with each row's matches given as a set of indices."""
+    return mask_hits_at_k(sims, match_mask(matches_per_query, sims.shape[1]), k)
 
 
 def indicator(query: np.ndarray, index: EmbeddingIndex, matches, k: int) -> int:

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from uapkit.attack import (AttackConfig, Perturbation, _ira_inner, _tra_inner,
-                           evaluate_metrics, run_attack)
+                           check_attack, evaluate_metrics, run_attack)
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
-from uapkit.encoder import build_encoder, encode_batch
+from uapkit.encoder import PerturbedBatch, build_encoder, encode_batch
 from uapkit.errors import InvalidArgumentError
 from uapkit.retrieval import EmbeddingIndex, indicator
 
@@ -65,6 +65,25 @@ def test_unknown_mode_and_strategy(enc, ds):
         AttackConfig(mode="sticker", mask=square_patch_mask(SHAPE, 2))
     with pytest.raises(InvalidArgumentError):
         run_attack(enc, ds, patch_cfg(epochs=0), "pgd")
+
+
+def test_check_attack_names_each_size_it_needs(enc):
+    small = build_dataset(DatasetParams(n_images=8, texts_per_image=2, image_shape=SHAPE,
+                                        embed_dim=16, class_count=4, noise_level=0.1,
+                                        seed=7), enc)
+    with pytest.raises(InvalidArgumentError, match="R@10 probe .* n_images >= 10"):
+        check_attack(small, patch_cfg(), "tra")
+    ds = build_dataset(PARAMS, enc)  # 20 images, 60 texts
+    check_attack(ds, patch_cfg(k=19), "ira")
+    check_attack(ds, patch_cfg(k=57), "tra")
+    with pytest.raises(InvalidArgumentError, match=r"k=20 .*\(n_images - 1\)"):
+        check_attack(ds, patch_cfg(k=20), "ira")
+    with pytest.raises(InvalidArgumentError, match=r"k=58 .*\(n_texts - texts of one image\)"):
+        check_attack(ds, patch_cfg(k=58), "tra")
+    with pytest.raises(InvalidArgumentError, match="k=20"):
+        check_attack(ds, patch_cfg(k=20), "tira")
+    with pytest.raises(InvalidArgumentError, match="patch mode"):
+        check_attack(ds, AttackConfig(mode="global", norm="l2", epsilon=1.0), "tira")
 
 
 # -- trivial cases -----------------------------------------------------------
@@ -219,8 +238,9 @@ def test_evaluate_metrics_subset(enc, ds):
 
 class StubBatch:
     """Stands in for PerturbedBatch: forward returns each row's entry
-    embedding when called without a step and its probe embedding otherwise;
-    backward records what it is asked to differentiate."""
+    embedding when called without a step and its probe embedding otherwise,
+    and forward_points the probe embeddings at every point; backward records
+    what it is asked to differentiate."""
 
     def __init__(self, entry, probe, shape):
         self.entry, self.probe, self.shape = entry, probe, shape
@@ -229,6 +249,9 @@ class StubBatch:
     def forward(self, rows, step=None):
         table = self.entry if step is None else self.probe
         return SimpleNamespace(embeddings=table[list(rows)])
+
+    def forward_points(self, rows, steps):
+        return SimpleNamespace(embeddings=np.concatenate([self.probe[list(rows)]] * len(steps)))
 
     def backward(self, cache, us, rows=None):
         # rows=None differentiates every cached row
@@ -289,3 +312,26 @@ def test_ira_step_seeded_by_smallest_id_candidate():
     np.testing.assert_array_equal(us, np.stack([t, -t]))
     assert rows == [2, 0]  # rows are [3, 6, 2, 4]: image 2, then the match
     np.testing.assert_allclose(r, np.full((1, 2, 2), (0.7 - 0.2) / 4))
+
+
+def test_ira_encodes_the_gallery_once_per_distinct_delta(enc, ds, monkeypatch):
+    deltas, galleries = [], []
+    set_delta, forward_points = PerturbedBatch.set_delta, PerturbedBatch.forward_points
+
+    def counting_set_delta(self, delta):
+        deltas.append(np.asarray(delta).tobytes())
+        return set_delta(self, delta)
+
+    def counting_forward_points(self, rows, steps):
+        if len(rows) == PARAMS.n_images:
+            galleries.append(deltas[-1])
+        return forward_points(self, rows, steps)
+
+    monkeypatch.setattr(PerturbedBatch, "set_delta", counting_set_delta)
+    monkeypatch.setattr(PerturbedBatch, "forward_points", counting_forward_points)
+    cfg = AttackConfig(k=3, epochs=2, mode="global", norm="l2", epsilon=2.0)
+    _, trace = run_attack(enc, ds, cfg, "ira")
+    distinct = [d for i, d in enumerate(deltas) if i == 0 or d != deltas[i - 1]]
+    assert galleries == distinct
+    # some halves commit the delta they started from and encode nothing
+    assert len(distinct) < len(trace.commits) + 1

@@ -202,18 +202,27 @@ def test_cross_k_invalid_args():
 # -- accumulate --------------------------------------------------------------
 
 class Counting:
-    """Fake fooled/step_at pair: r counts unit steps, fooled once r >= n."""
+    """Fake crossing probe: r counts unit steps, fooled once r >= n; it
+    records every r probed and every r a step is asked from."""
 
     def __init__(self, n_to_fool, none_from=None):
         self.n_to_fool, self.none_from = n_to_fool, none_from
-        self.probes = self.steps = 0
+        self.probed, self.stepped = [], []
 
-    def fooled(self, r):
-        self.probes += 1
-        return r[0] >= self.n_to_fool
+    @property
+    def probes(self):
+        return len(self.probed)
+
+    @property
+    def steps(self):
+        return len(self.stepped)
+
+    def probe(self, r):
+        self.probed.append(float(r[0]))
+        return r[0] >= self.n_to_fool, lambda: self.step_at(r)
 
     def step_at(self, r):
-        self.steps += 1
+        self.stepped.append(float(r[0]))
         if self.none_from is not None and r[0] >= self.none_from:
             return None
         return np.ones(1)
@@ -221,27 +230,37 @@ class Counting:
 
 def test_accumulate_fooled_at_entry():
     fake = Counting(0)
-    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 5)
+    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 5)
     assert (r[0], iterations, converged) == (0.0, 0, True)
     assert (fake.probes, fake.steps) == (1, 0)
 
 
 def test_accumulate_fooled_after_n_steps():
     fake = Counting(3)
-    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 5)
+    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 5)
     assert (r[0], iterations, converged) == (3.0, 3, True)
     assert (fake.probes, fake.steps) == (4, 3)
 
 
 def test_accumulate_stops_at_max_iters():
     fake = Counting(10)
-    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 4)
+    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 4)
     assert (r[0], iterations, converged) == (4.0, 4, False)
     assert (fake.probes, fake.steps) == (5, 4)
 
 
 def test_accumulate_stops_at_degenerate_step():
     fake = Counting(10, none_from=2)
-    r, iterations, converged = accumulate(np.zeros(1), fake.fooled, fake.step_at, 5)
+    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 5)
     assert (r[0], iterations, converged) == (2.0, 2, False)
     assert (fake.probes, fake.steps) == (3, 3)
+
+
+@pytest.mark.parametrize("n_to_fool,max_iters", [(3, 5), (10, 4), (0, 2)])
+def test_accumulate_probes_each_visited_r_once(n_to_fool, max_iters):
+    # one probe per visited r; a step only from an r that is not fooled and
+    # is not the last one max_iters allows
+    fake = Counting(n_to_fool)
+    r, iterations, _ = accumulate(np.zeros(1), fake.probe, max_iters)
+    assert fake.probed == [float(i) for i in range(iterations + 1)]
+    assert fake.stepped == fake.probed[:-1]

@@ -392,6 +392,42 @@ def test_gradcheck_large_step_still_reports(workspace, capsys):
     assert rc in (0, 4)
 
 
+@pytest.mark.parametrize("flags, name", [(["--trials", "0"], "--trials"),
+                                         (["--trials", "-3"], "--trials"),
+                                         (["--trials", "1", "--step", "nan"], "step"),
+                                         (["--trials", "1", "--step", "inf"], "step"),
+                                         (["--trials", "1", "--step", "0"], "step")])
+def test_gradcheck_empty_or_invalid_audit_exit_2(workspace, capsys, flags, name):
+    rc = main(["gradcheck", "--encoder", str(workspace / "encoder.json"), *flags])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert name in err and "passed" not in out
+
+
+def test_attack_checks_the_probe_size_before_creating_out(workspace, tmp_path, capsys):
+    gen_args = [*GEN_ARGS]
+    gen_args[gen_args.index("--n-images") + 1] = "8"
+    assert main(["gen", "--out", str(tmp_path / "data"),
+                 "--encoder", str(workspace / "encoder.json"), *gen_args]) == 0
+    capsys.readouterr()
+    rc = main(["attack", "--strategy", "tra", "--mode", "global", "--norm", "l2",
+               "--epsilon", "1", "--k", "3", "--k-list", "1,5", "--epochs", "0",
+               "--encoder", str(workspace / "encoder.json"),
+               "--dataset", str(tmp_path / "data" / "manifest.json"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "R@10 probe" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_attack_checks_k_before_creating_out(workspace, capsys):
+    # 20 images: a text has 19 non-matching candidate images
+    rc = run_attack(workspace, "k_too_big", ["--strategy", "ira", "--k", "20"])
+    assert rc == 2
+    assert "n_images - 1" in capsys.readouterr().err
+    assert not (workspace / "k_too_big").exists()
+
+
 @pytest.mark.parametrize("k_list", ["0", "1,21"])
 def test_attack_rejects_k_list_before_the_attack(workspace, capsys, monkeypatch, k_list):
     # the dataset has 20 images, so each k must lie in [1, 20]
@@ -424,6 +460,42 @@ def test_eval_dataset_manifest_with_float_size_exit_5(workspace, zero_epoch_runs
                  "--encoder", str(workspace / "encoder.json"),
                  "--allow-mismatch"]) == 5
     assert "malformed manifest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, name", [(["--trials", "0"], "--trials"),
+                                         (["--trials", "-3"], "--trials"),
+                                         (["--trials", "1", "--step", "nan"], "step"),
+                                         (["--trials", "1", "--step", "inf"], "step"),
+                                         (["--trials", "1", "--step", "0"], "step")])
+def test_gradcheck_empty_or_invalid_audit_exit_2(workspace, capsys, flags, name):
+    rc = main(["gradcheck", "--encoder", str(workspace / "encoder.json"), *flags])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert name in err and "passed" not in out
+
+
+def test_attack_checks_the_probe_size_before_creating_out(workspace, tmp_path, capsys):
+    gen_args = [*GEN_ARGS]
+    gen_args[gen_args.index("--n-images") + 1] = "8"
+    assert main(["gen", "--out", str(tmp_path / "data"),
+                 "--encoder", str(workspace / "encoder.json"), *gen_args]) == 0
+    capsys.readouterr()
+    rc = main(["attack", "--strategy", "tra", "--mode", "global", "--norm", "l2",
+               "--epsilon", "1", "--k", "3", "--k-list", "1,5", "--epochs", "0",
+               "--encoder", str(workspace / "encoder.json"),
+               "--dataset", str(tmp_path / "data" / "manifest.json"),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "R@10 probe" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_attack_checks_k_before_creating_out(workspace, capsys):
+    # 20 images: a text has 19 non-matching candidate images
+    rc = run_attack(workspace, "k_too_big", ["--strategy", "ira", "--k", "20"])
+    assert rc == 2
+    assert "n_images - 1" in capsys.readouterr().err
+    assert not (workspace / "k_too_big").exists()
 
 
 @pytest.mark.parametrize("k_list", ["0", "1,21"])

@@ -251,6 +251,87 @@ def test_factored_zero_output_is_degenerate():
         batch.forward([0, 1])
 
 
+FACTORED_CARRIERS = {
+    "patch": (Carrier("patch", square_patch_mask(SHAPE, 2, (1, 2))), None),
+    "global": (Carrier("global", norm="linf", epsilon=0.1), 0.02),
+    "global_clamped": (Carrier("global", norm="l2", epsilon=50.0), 0.6),
+}
+
+
+def points_case(name):
+    carrier, scale = FACTORED_CARRIERS[name]
+    enc, images, delta, step = factored_case("mlp", (12, 10), "tanh", carrier, scale)
+    if name == "patch":
+        images[:3, 0, 0, 0] = [1.5, -0.5, 1.0]  # off-mask pixels apply clamps
+    if name == "global_clamped":
+        raw = images + delta
+        assert np.any(raw < 0.0) and np.any(raw > 1.0)
+    batch = PerturbedBatch(enc, images, carrier)
+    batch.set_delta(delta)
+    return enc, images, carrier, delta, step, batch
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
+def test_forward_points_match_single_points_and_oracle(name):
+    enc, images, carrier, delta, step, batch = points_case(name)
+    rows = [4, 1, 3]
+    steps = [step, None, np.zeros(SHAPE), 1.02 * step]
+    cache = batch.forward_points(rows, steps)
+    applied = carrier.apply(images[rows], delta)
+    for i, s in enumerate(steps):
+        got = cache.embeddings[3 * i:3 * i + 3]
+        single = batch.forward(rows, s).embeddings
+        oracle = _forward(enc, applied if s is None else applied + s[None]).embeddings
+        np.testing.assert_allclose(got, single, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
+    # the backward differentiates the cache rows it names, at any point
+    us = np.random.default_rng(1).standard_normal((2, enc.embed_dim))
+    single = batch.forward(rows, 1.02 * step)
+    np.testing.assert_allclose(batch.backward(cache, us, [11, 9]),
+                               batch.backward(single, us, [2, 0]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
+def test_zero_step_is_the_no_step_forward_bitwise(name):
+    *_, batch = points_case(name)
+    rows = [0, 5, 2]
+    plain = batch.forward(rows).embeddings
+    assert np.array_equal(batch.forward(rows, np.zeros(SHAPE)).embeddings, plain)
+    both = batch.forward_points(rows, [np.zeros(SHAPE), None]).embeddings
+    assert np.array_equal(both, np.concatenate([plain, plain]))
+
+
+def test_gallery_is_encoded_once_per_delta():
+    carrier, scale = FACTORED_CARRIERS["global_clamped"]
+    enc, images, delta, _ = factored_case("mlp", (12,), "tanh", carrier, scale)
+    batch = PerturbedBatch(enc, images, carrier)
+    batch.set_delta(delta)
+    first = batch.gallery()
+    np.testing.assert_allclose(first, encode_batch(enc, carrier.apply(images, delta)),
+                               rtol=0, atol=1e-12)
+    assert not first.flags.writeable
+    batch.set_delta(delta.copy())  # the same bytes: nothing moves
+    assert batch.gallery() is first
+    batch.set_delta(0.5 * delta)
+    moved = batch.gallery()
+    assert moved is not first
+    np.testing.assert_allclose(moved, encode_batch(enc, carrier.apply(images, 0.5 * delta)),
+                               rtol=0, atol=1e-12)
+    with pytest.raises(InvalidArgumentError):  # the same check, even unchanged
+        batch.set_delta(np.full(SHAPE, np.nan))
+
+
+@pytest.mark.parametrize("kwargs", [{"n_probes": 0}, {"n_probes": -3},
+                                    {"step": 0.0}, {"step": -1e-5},
+                                    {"step": float("nan")}, {"step": float("inf")}])
+def test_gradcheck_rejects_empty_or_invalid_audits(kwargs):
+    enc = small_mlp()
+    image = np.full((1, 4, 4), 0.5)
+    t = unit(np.arange(1.0, 9.0))
+    with pytest.raises(InvalidArgumentError, match=next(iter(kwargs))):
+        gradcheck(enc, image, t, **kwargs)
+
+
 # -- serialization -----------------------------------------------------------
 
 def test_save_load_roundtrip(tmp_path):
