@@ -33,9 +33,8 @@ from .core import Carrier, as_tensor
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch, encode_batch
 from .errors import InvalidArgumentError
-from .retrieval import (EmbeddingIndex, mask_hits_at_k, match_mask,
-                        recall_at_k, select_nonmatching_topk,
-                        topk_class_accuracy)
+from .retrieval import (EmbeddingIndex, hit_rate, match_mask, match_ranks,
+                        select_nonmatching_topk)
 from .rng import Lcg
 
 EPS_L2_DEFAULT = 2000.0 / 255.0
@@ -145,7 +144,7 @@ def _cross(batch: PerturbedBatch, rows, sims_of, seeds, is_match, candidates,
 
     def probe(r_vec):
         cache = batch.forward_points(rows, (r_vec, (1.0 + cfg.eta) * r_vec))
-        if not mask_hits_at_k(sims_of(cache.embeddings[n:])[None], is_match, cfg.k)[0]:
+        if match_ranks(sims_of(cache.embeddings[n:])[None], is_match)[0] >= cfg.k:
             return True, None
 
         def step_at():
@@ -221,31 +220,35 @@ def _order(n: int, cfg: AttackConfig, epoch: int) -> list[int]:
 
 def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | None,
                      k_list=(1, 5, 10), image_subset=None) -> dict:
-    """TR/IR R@k and Top-1/Top-5 metrics, optionally over an image subset."""
+    """TR/IR R@k and Top-1/Top-5 metrics, optionally over an image subset.
+
+    Each direction is ranked once, with one match_ranks vector, and every k
+    is read off it; the texts are those of the subset's images.
+    """
     if image_subset is None:
         image_subset = list(range(ds.params.n_images))
     images = ds.images[image_subset]
     if perturbation is not None:
         images = perturbation.apply_batch(images)
-    embs = encode_batch(enc, images)
-    img_index = EmbeddingIndex(embs)
+    img = EmbeddingIndex(encode_batch(enc, images)).embeddings
 
-    text_ids = sorted(t for v in image_subset for t in ds.matches_of_image(v))
-    text_pos = {t: i for i, t in enumerate(text_ids)}
     img_pos = {v: i for i, v in enumerate(image_subset)}
-    texts = EmbeddingIndex(ds.texts.embeddings[text_ids])
-
-    tr_matches = [{text_pos[t] for t in ds.matches_of_image(v)} for v in image_subset]
-    ir_matches = [{img_pos[ds.image_of_text(t)]} for t in text_ids]
+    text_ids = sorted(t for v in image_subset for t in ds.matches_of_image(v))
+    owner = np.array([img_pos[ds.image_of_text(t)] for t in text_ids])
+    texts = ds.texts.embeddings[text_ids]
+    tr_match = owner == np.arange(len(img))[:, None]  # (images, texts)
+    tr = match_ranks(img @ texts.T, tr_match)
+    ir = match_ranks(texts @ img.T, tr_match.T)
 
     out = {}
     for k in k_list:
-        out[f"tr_r{k}"] = recall_at_k(img_index, texts, tr_matches, k)
-        out[f"ir_r{k}"] = recall_at_k(texts, img_index, ir_matches, k)
-    labels = [ds.labels[v] for v in image_subset]
-    n_protos = len(ds.prototypes)
-    out["top1"] = topk_class_accuracy(img_index, ds.prototypes, labels, 1)
-    out["top5"] = topk_class_accuracy(img_index, ds.prototypes, labels, min(5, n_protos))
+        out[f"tr_r{k}"] = hit_rate(tr, k, len(texts))
+        out[f"ir_r{k}"] = hit_rate(ir, k, len(img))
+    protos = ds.prototypes.embeddings
+    labels = np.array([ds.labels[v] for v in image_subset])
+    cls = match_ranks(img @ protos.T, labels[:, None] == np.arange(len(protos)))
+    out["top1"] = hit_rate(cls, 1, len(protos))
+    out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
     return out
 
 
@@ -314,13 +317,17 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
     trace = AttackTrace()
     probe = _probe_subset(ds)
     clean = evaluate_metrics(enc, ds, None, (PROBE_K,), probe)
+    gallery_embs = None
     for epoch in range(cfg.epochs):
         for kind, samples in _halves(ds, cfg, strategy, epoch):
             r = np.zeros_like(delta)
             batch.set_delta(delta)
             if kind == "text":
-                # delta is fixed for the whole half, so one gallery suffices
-                gallery = EmbeddingIndex(batch.gallery())
+                # gallery() encodes again only after delta moved, and only a
+                # new gallery needs a new index
+                embs = batch.gallery()
+                if embs is not gallery_embs:
+                    gallery_embs, gallery = embs, EmbeddingIndex(embs)
             for sid in samples:
                 if kind == "image":
                     r, iters, ok = _tra_inner(batch, ds, sid, r, cfg)

@@ -61,11 +61,13 @@ def _report(command: str, start: float, enc, ds, pert: Perturbation, k_list,
 
 
 def _check_k_list(k_list, ds) -> None:
-    """The report ranks each direction's gallery, so every k must fit the
-    smaller one; checked before any encoding or attack work."""
+    """The report ranks each direction's gallery, so it needs a k, and every
+    k must fit the smaller gallery; checked before any encoding or attack
+    work."""
     k_max = min(ds.params.n_images, ds.params.n_texts)
-    if any(not 1 <= k <= k_max for k in k_list):
-        raise InvalidArgumentError(f"--k-list {k_list}: each k must be in [1, {k_max}]")
+    if not k_list or any(not 1 <= k <= k_max for k in k_list):
+        raise InvalidArgumentError(
+            f"--k-list {k_list}: needs at least one k, each in [1, {k_max}]")
 
 
 def _emit_report(report: dict, out_path: Path | None):

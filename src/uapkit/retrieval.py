@@ -85,45 +85,64 @@ def match_mask(matches_per_query, n: int) -> np.ndarray:
     return is_match
 
 
-def mask_hits_at_k(sims: np.ndarray, is_match: np.ndarray, k: int) -> np.ndarray:
-    """Per row of a (Q, M) similarity matrix: does a match rank in the top k?
+def match_ranks(sims: np.ndarray, is_match: np.ndarray) -> np.ndarray:
+    """Per row of a (Q, M) similarity matrix: how many gallery entries rank
+    ahead of the row's best-ranked match.
 
-    is_match is the (Q, M) match_mask of the rows, so a caller that ranks
-    many similarity rows against the same matches builds it once. The
-    ranking is the one ranked_indices gives (descending similarity, ties
+    is_match is the rows' (Q, M) match mask, with at least one match per row.
+    The ranking is the one ranked_indices gives (descending similarity, ties
     toward the smallest index), so the best-ranked match is the first argmax
-    among the matches, and it is in the top k iff fewer than k indices rank
-    ahead of it.
+    among the matches, and a match survives in the top k iff its rank is
+    below k. This is the one rank rule: every R@k, top-k accuracy and
+    stopping test compares its result with k.
     """
-    n = sims.shape[1]
-    if not 1 <= k <= n:
-        raise InvalidArgumentError(f"k={k} outside [1, {n}]")
     if is_match.shape != sims.shape:
         raise InvalidArgumentError(f"match mask {is_match.shape} does not fit {sims.shape}")
     best = np.argmax(np.where(is_match, sims, -np.inf), axis=1)
     best_sim = sims[np.arange(len(sims)), best][:, None]
-    ahead = (sims > best_sim) | ((sims == best_sim) & (np.arange(n) < best[:, None]))
-    return ahead.sum(axis=1) < k
+    ahead = (sims > best_sim) | ((sims == best_sim) & (np.arange(sims.shape[1]) < best[:, None]))
+    return ahead.sum(axis=1)
 
 
-def hits_at_k(sims: np.ndarray, matches_per_query, k: int) -> np.ndarray:
-    """mask_hits_at_k with each row's matches given as a set of indices."""
-    return mask_hits_at_k(sims, match_mask(matches_per_query, sims.shape[1]), k)
+def hit_rate(ranks: np.ndarray, k: int, n: int) -> float:
+    """R@k of match_ranks over a gallery of n entries: the share of ranks
+    below k, for k in [1, n]."""
+    if not 1 <= k <= n:
+        raise InvalidArgumentError(f"k={k} outside [1, {n}]")
+    return int(np.count_nonzero(ranks < k)) / len(ranks)
 
 
 def indicator(query: np.ndarray, index: EmbeddingIndex, matches, k: int) -> int:
     """1 iff any matched index survives in the top-k retrieval results."""
-    return int(hits_at_k((index.embeddings @ query)[None], [matches], k)[0])
+    ranks = match_ranks((index.embeddings @ query)[None], match_mask([matches], len(index)))
+    return int(hit_rate(ranks, k, len(index)))
 
 
 def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
                             matches, k: int) -> list[int]:
-    """The k most-similar gallery indices excluding matches, descending."""
+    """The k most-similar gallery indices excluding matches, descending.
+
+    Only the head of the ranking is sorted: the first k + |matches| ranked
+    indices hold the answer, and so do the indices scoring at least the
+    lowest of them, which are a prefix of the ranking even when that score
+    is tied.
+    """
+    n = len(index)
     matches = set(matches)
-    if k > len(index) - len(matches):
-        raise InvalidArgumentError("not enough non-matching candidates")
-    order = ranked_indices(query, index)
-    return order[~np.isin(order, list(matches))][:k].tolist()
+    if not all(0 <= j < n for j in matches):
+        raise InvalidArgumentError(f"matches must be indices in [0, {n})")
+    if not 0 <= k <= n - len(matches):
+        raise InvalidArgumentError(
+            f"k={k} outside [0, {n - len(matches)}], the non-matching candidates")
+    sims = index.embeddings @ query
+    head = np.arange(n)
+    size = k + len(matches)
+    if 0 < size < n:
+        head = np.flatnonzero(sims >= np.partition(sims, n - size)[n - size])
+    head = head[np.lexsort((head, -sims[head]))]
+    is_match = np.zeros(n, dtype=bool)
+    is_match[list(matches)] = True
+    return head[~is_match[head]][:k].tolist()
 
 
 def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,
@@ -131,8 +150,9 @@ def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,
     """Mean indicator over queries."""
     if len(matches_per_query) != len(queries):
         raise InvalidArgumentError("one match set per query required")
-    hits = hits_at_k(queries.embeddings @ gallery.embeddings.T, matches_per_query, k)
-    return int(hits.sum()) / len(queries)
+    ranks = match_ranks(queries.embeddings @ gallery.embeddings.T,
+                        match_mask(matches_per_query, len(gallery)))
+    return hit_rate(ranks, k, len(gallery))
 
 
 def topk_class_accuracy(image_embeddings: EmbeddingIndex,
@@ -143,4 +163,5 @@ def topk_class_accuracy(image_embeddings: EmbeddingIndex,
     if len(labels) != len(image_embeddings):
         raise InvalidArgumentError("one label per image required")
     sims = image_embeddings.embeddings @ class_prototypes.embeddings.T
-    return int(hits_at_k(sims, [[y] for y in labels], k).sum()) / len(labels)
+    ranks = match_ranks(sims, match_mask([[y] for y in labels], len(class_prototypes)))
+    return hit_rate(ranks, k, len(class_prototypes))

@@ -3,13 +3,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uapkit.attack import (AttackConfig, Perturbation, _ira_inner, _tra_inner,
-                           check_attack, evaluate_metrics, run_attack)
+from uapkit.attack import (AttackConfig, Perturbation, _ira_inner, _probe_subset,
+                           _tra_inner, check_attack, evaluate_metrics, run_attack)
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import PerturbedBatch, build_encoder, encode_batch
 from uapkit.errors import InvalidArgumentError
-from uapkit.retrieval import EmbeddingIndex, indicator
+from uapkit.retrieval import (EmbeddingIndex, indicator, recall_at_k,
+                              topk_class_accuracy)
 
 SHAPE = (1, 8, 8)
 PARAMS = DatasetParams(n_images=20, texts_per_image=3, image_shape=SHAPE,
@@ -234,6 +235,53 @@ def test_evaluate_metrics_subset(enc, ds):
     assert set(full) == set(sub)
 
 
+def per_k_metrics(enc, ds, perturbation, k_list, image_subset):
+    """evaluate_metrics as it ranked before: one recall_at_k per direction and
+    k, one topk_class_accuracy per k, on match sets."""
+    images = ds.images[image_subset]
+    if perturbation is not None:
+        images = perturbation.apply_batch(images)
+    img = EmbeddingIndex(encode_batch(enc, images))
+    text_ids = sorted(t for v in image_subset for t in ds.matches_of_image(v))
+    text_pos = {t: i for i, t in enumerate(text_ids)}
+    img_pos = {v: i for i, v in enumerate(image_subset)}
+    texts = EmbeddingIndex(ds.texts.embeddings[text_ids])
+    tr_matches = [{text_pos[t] for t in ds.matches_of_image(v)} for v in image_subset]
+    ir_matches = [{img_pos[ds.image_of_text(t)]} for t in text_ids]
+    out = {}
+    for k in k_list:
+        out[f"tr_r{k}"] = recall_at_k(img, texts, tr_matches, k)
+        out[f"ir_r{k}"] = recall_at_k(texts, img, ir_matches, k)
+    labels = [ds.labels[v] for v in image_subset]
+    out["top1"] = topk_class_accuracy(img, ds.prototypes, labels, 1)
+    out["top5"] = topk_class_accuracy(img, ds.prototypes, labels, min(5, len(ds.prototypes)))
+    return out
+
+
+@pytest.mark.parametrize("subset", [None, [0, 3, 5], "probe"],
+                         ids=["full", "images-0-3-5", "probe"])
+def test_evaluate_metrics_equals_the_per_k_oracle(enc, ds, subset):
+    subset = _probe_subset(ds) if subset == "probe" else subset
+    images = list(range(PARAMS.n_images)) if subset is None else subset
+    smaller = min(len(images), PARAMS.texts_per_image * len(images))
+    rng = np.random.default_rng(11)
+    pert = Perturbation(rng.uniform(0.0, 1.0, SHAPE), patch_cfg().carrier)
+    for k_list in [(1, 5, 10), (smaller,), (2, 1, smaller, 2), ()]:
+        k_list = tuple(k for k in k_list if k <= smaller)
+        for p in (None, pert):
+            out = evaluate_metrics(enc, ds, p, k_list, subset)
+            expected = per_k_metrics(enc, ds, p, k_list, images)
+            assert out == expected and list(out) == list(expected)
+            assert all(type(v) is float for v in out.values())
+
+
+@pytest.mark.parametrize("k", [0, 4, 10])
+def test_evaluate_metrics_k_beyond_a_subset_gallery(enc, ds, k):
+    # three images and nine texts: the image gallery holds three
+    with pytest.raises(InvalidArgumentError):
+        evaluate_metrics(enc, ds, None, (1, k), image_subset=[0, 3, 5])
+
+
 # -- inner-loop tie-breaks ---------------------------------------------------
 
 class StubBatch:
@@ -335,3 +383,31 @@ def test_ira_encodes_the_gallery_once_per_distinct_delta(enc, ds, monkeypatch):
     assert galleries == distinct
     # some halves commit the delta they started from and encode nothing
     assert len(distinct) < len(trace.commits) + 1
+
+
+def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
+    # the index checks that every row is unit-norm; an unchanged gallery keeps
+    # the index it already has
+    encoded, indexed = [], []
+    gallery = PerturbedBatch.gallery
+
+    def recording_gallery(self):
+        embs = gallery(self)
+        if not any(embs is e for e in encoded):
+            encoded.append(embs)
+        return embs
+
+    class CountingIndex(EmbeddingIndex):
+        def __post_init__(self):
+            indexed.append(self.embeddings)
+            super().__post_init__()
+
+    monkeypatch.setattr(PerturbedBatch, "gallery", recording_gallery)
+    monkeypatch.setattr("uapkit.attack.EmbeddingIndex", CountingIndex)
+    cfg = AttackConfig(k=3, epochs=2, mode="global", norm="linf", epsilon=0.5)
+    _, trace = run_attack(enc, ds, cfg, "ira")
+    built = [e for e in indexed if any(e is g for g in encoded)]
+    assert len(built) == len(encoded)
+    assert all(sum(e is g for e in built) == 1 for g in encoded)
+    # some text halves commit the delta they started from
+    assert 1 < len(encoded) < len(trace.commits)

@@ -428,9 +428,10 @@ def test_attack_checks_k_before_creating_out(workspace, capsys):
     assert not (workspace / "k_too_big").exists()
 
 
-@pytest.mark.parametrize("k_list", ["0", "1,21"])
+@pytest.mark.parametrize("k_list", ["0", "1,21", ",", ""])
 def test_attack_rejects_k_list_before_the_attack(workspace, capsys, monkeypatch, k_list):
-    # the dataset has 20 images, so each k must lie in [1, 20]
+    # the dataset has 20 images, so each k must lie in [1, 20]; an empty list
+    # would give a report with no recall at all
     monkeypatch.setattr("uapkit.cli.run_attack", lambda *args: pytest.fail("attack ran"))
     assert run_attack(workspace, "bad_k_list", ["--k-list", k_list]) == 2
     assert "--k-list" in capsys.readouterr().err
@@ -498,10 +499,10 @@ def test_attack_checks_k_before_creating_out(workspace, capsys):
     assert not (workspace / "k_too_big").exists()
 
 
-@pytest.mark.parametrize("k_list", ["0", "1,21"])
+@pytest.mark.parametrize("k_list", ["0", "1,21", ",", ""])
 def test_eval_rejects_k_list_before_encoding(workspace, zero_epoch_runs, capsys,
                                             monkeypatch, k_list):
-    # 20 images and 60 texts: each k must lie in [1, 20]
+    # 20 images and 60 texts: each k must lie in [1, 20], and there must be one
     monkeypatch.setattr("uapkit.cli.evaluate_metrics",
                         lambda *args: pytest.fail("evaluation ran"))
     capsys.readouterr()

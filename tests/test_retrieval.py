@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from uapkit.errors import CorruptDatasetError, InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, MatchAnnotation, indicator,
-                              ranked_indices, recall_at_k,
-                              select_nonmatching_topk, topk_class_accuracy)
+                              match_mask, match_ranks, ranked_indices,
+                              recall_at_k, select_nonmatching_topk,
+                              topk_class_accuracy)
 
 
 def unit_rows(m):
@@ -82,6 +83,41 @@ def test_select_nonmatching_topk_excludes_matches():
     assert out == full[:10]
 
 
+def test_select_nonmatching_topk_validates_args():
+    rng = np.random.default_rng(5)
+    index = random_index(rng, 6, 4)
+    q = index.embeddings[0]
+    for matches, k in (({0, 6}, 1), ({-1}, 1), ({0, 1}, 5), ({0}, -1)):
+        with pytest.raises(InvalidArgumentError):
+            select_nonmatching_topk(q, index, matches, k)
+
+
+def test_match_ranks_hand_case():
+    sims = np.array([[0.5, 0.9, 0.5, 0.1],
+                     [0.5, 0.9, 0.5, 0.1],
+                     [0.2, 0.2, 0.2, 0.2]])
+    is_match = np.array([[False, False, True, True],   # best match: 2, tied with 0
+                         [True, False, True, False],   # best match: 0
+                         [False, True, False, True]])  # best match: 1, tied with 0
+    assert match_ranks(sims, is_match).tolist() == [2, 1, 1]
+    with pytest.raises(InvalidArgumentError):
+        match_ranks(sims, is_match[:, :3])
+
+
+@pytest.mark.parametrize("rank_at", [
+    lambda index, k: indicator(index.embeddings[0], index, {0}, k),
+    lambda index, k: recall_at_k(index, index, [{i} for i in range(len(index))], k),
+    lambda index, k: topk_class_accuracy(index, index, range(len(index)), k),
+], ids=["indicator", "recall_at_k", "topk_class_accuracy"])
+def test_k_must_fit_the_gallery(rank_at):
+    index = random_index(np.random.default_rng(6), 5, 4)
+    assert rank_at(index, 1) == 1
+    assert rank_at(index, 5) == 1
+    for k in (0, -1, 6):
+        with pytest.raises(InvalidArgumentError):
+            rank_at(index, k)
+
+
 def test_recall_at_k_hand_case():
     gallery = EmbeddingIndex(np.eye(3))
     queries = EmbeddingIndex(unit_rows(np.array([
@@ -146,6 +182,37 @@ def test_rank_routines_match_ranked_indices_loop(data):
     expected = [loop_indicator(q, gallery, {y}, k)
                 for q, y in zip(queries.embeddings, labels)]
     assert topk_class_accuracy(queries, gallery, labels, k) == sum(expected) / len(expected)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_match_ranks_is_the_first_match_in_ranked_indices(data):
+    rows = st.integers(0, len(DYADIC_UNITS) - 1)
+    m = data.draw(st.integers(1, 12), label="gallery size")
+    gallery = EmbeddingIndex(DYADIC_UNITS[data.draw(st.lists(rows, min_size=m, max_size=m))])
+    queries = DYADIC_UNITS[data.draw(st.lists(rows, min_size=1, max_size=8))]
+    matches = [set(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=3)))
+               for _ in range(len(queries))]
+
+    ranks = match_ranks(queries @ gallery.embeddings.T, match_mask(matches, m))
+    expected = [next(i for i, j in enumerate(ranked_indices(q, gallery)) if j in ms)
+                for q, ms in zip(queries, matches)]
+    assert ranks.tolist() == expected
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_select_nonmatching_topk_matches_ranked_indices(data):
+    # dyadic galleries tie exactly, also at the cut of the sorted head
+    rows = st.integers(0, len(DYADIC_UNITS) - 1)
+    m = data.draw(st.integers(1, 16), label="gallery size")
+    gallery = EmbeddingIndex(DYADIC_UNITS[data.draw(st.lists(rows, min_size=m, max_size=m))])
+    query = DYADIC_UNITS[data.draw(rows, label="query")]
+    matches = set(data.draw(st.lists(st.integers(0, m - 1), max_size=4), label="matches"))
+    k = data.draw(st.integers(0, m - len(matches)), label="k")
+
+    expected = [int(j) for j in ranked_indices(query, gallery) if j not in matches][:k]
+    assert select_nonmatching_topk(query, gallery, matches, k) == expected
 
 
 def test_annotation_rejects_shared_text():
