@@ -59,8 +59,9 @@ class AttackConfig:
     carrier: Carrier = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 1 or self.epochs < 0 or self.max_inner_iters < 1 or self.batch_size < 1:
-            raise InvalidArgumentError("k, max_inner_iters, batch_size must be positive")
+        for name, low in {"k": 1, "epochs": 0, "max_inner_iters": 1, "batch_size": 1}.items():
+            if (value := getattr(self, name)) < low:
+                raise InvalidArgumentError(f"{name} must be >= {low}, got {value}")
         if not 0 < self.eta < np.inf:  # False for NaN
             raise InvalidArgumentError(f"eta must be positive and finite, got {self.eta}")
         object.__setattr__(self, "carrier",
@@ -171,7 +172,7 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
     match_set = ds.matches_of_image(v_idx)
     # candidate non-matching texts are the nearest to the image as it looks
     # under the current perturbation, so the stopping test tracks the metric
-    entry_emb = batch.forward([v_idx]).embeddings[0]
+    entry_emb = batch.forward_points([v_idx], [None]).embeddings[0]
     y_prime = select_nonmatching_topk(entry_emb, ds.texts, match_set, cfg.k)
     return _cross(batch, [v_idx], lambda e: texts @ e[0],
                   lambda c, m: ((texts[c] - texts[m])[None], [0]),

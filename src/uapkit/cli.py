@@ -185,7 +185,8 @@ def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, d
             carrier = Carrier("patch", square_patch_mask(
                 image_shape, geometry["side"], tuple(geometry["offset"])))
         else:
-            carrier = Carrier("global", norm=sidecar["norm"], epsilon=sidecar["epsilon"])
+            carrier = Carrier(sidecar["mode"], norm=sidecar["norm"],
+                              epsilon=sidecar["epsilon"])
         pert = Perturbation(delta, carrier)
     except MALFORMED_JSON_ERRORS as exc:
         raise IntegrityError(f"{sidecar_path}: malformed sidecar ({exc!r})") from exc

@@ -157,11 +157,6 @@ def encode_batch(enc: Encoder, images: np.ndarray) -> np.ndarray:
     return _forward(enc, images).embeddings
 
 
-def forward_with_cache(enc: Encoder, images: np.ndarray) -> ForwardCache:
-    """Encode a (B, c, h, w) batch and keep activations for backward passes."""
-    return _forward(enc, images)
-
-
 def _layer1_gradient(enc: Encoder, cache: ForwardCache, us: np.ndarray,
                      rows=None) -> np.ndarray:
     """Gradients of u_b . normalize(pre_norm) with respect to layer 1's
@@ -207,8 +202,8 @@ class PerturbedBatch:
     then costs one product over the pixels the carrier moves for all its
     steps together, and none for a zero step. Layers 2 on multiply by
     contiguous copies of W.T, which on a few rows is several times faster
-    than the transposed views of _forward. forward and backward agree with
-    _forward and backward_from_cache at those points up to rounding.
+    than the transposed views of _forward. forward_points and backward agree
+    with _forward and backward_from_cache at those points up to rounding.
     """
 
     def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
@@ -262,15 +257,9 @@ class PerturbedBatch:
             self._gallery.flags.writeable = False
         return self._gallery
 
-    def forward(self, rows, step: np.ndarray | None = None) -> ForwardCache:
-        """Encode carrier.apply(images[rows], delta) + step (no step: the
-        perturbed images themselves), keeping state for backward."""
-        if step is not None:
-            step = as_tensor(step, shape=self.enc.input_shape)
-        return self.forward_points(rows, [step])
-
     def forward_points(self, rows, steps) -> ForwardCache:
-        """forward at several steps in one pass: the cache holds the rows of
+        """Encode carrier.apply(images[rows], delta) + step for each step, in
+        one pass, keeping state for backward: the cache holds the rows of
         steps[0] first, then those of steps[1], and so on.
 
         The steps are trusted, not checked: finite float64 arrays of
@@ -302,26 +291,15 @@ class PerturbedBatch:
         return g.reshape(self.enc.input_shape)
 
 
-def input_gradient(enc: Encoder, image: np.ndarray, u: np.ndarray) -> ScoreGradient:
-    """Value and input-gradient of u . normalize(pre_norm(image)).
-
-    u need not be unit-norm; callers use it for single text embeddings and
-    for embedding-space difference vectors alike.
-    """
-    image = as_tensor(image, shape=enc.input_shape)
-    cache = forward_with_cache(enc, image[None])
-    value = float(u @ cache.embeddings[0])
-    grad = backward_from_cache(enc, cache, np.asarray(u)[None])[0]
-    return ScoreGradient(value=value, gradient=grad)
-
-
 def score_with_gradient(enc: Encoder, image: np.ndarray,
                         text_embedding: np.ndarray) -> ScoreGradient:
     """Cosine score f(v) = t . E(v) and its exact gradient w.r.t. the pixels."""
     t = as_tensor(text_embedding, shape=(enc.embed_dim,))
     if abs(np.linalg.norm(t) - 1.0) > 1e-6:
         raise InvalidArgumentError("text embedding must be unit-norm")
-    return input_gradient(enc, image, t)
+    cache = _forward(enc, as_tensor(image, shape=enc.input_shape)[None])
+    return ScoreGradient(value=float(t @ cache.embeddings[0]),
+                         gradient=backward_from_cache(enc, cache, t[None])[0])
 
 
 def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
@@ -331,6 +309,8 @@ def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
         raise InvalidArgumentError(f"n_probes must be at least 1, got {n_probes}")
     if not 0 < step < np.inf:  # False for NaN
         raise InvalidArgumentError(f"step must be positive and finite, got {step}")
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     sg = score_with_gradient(enc, image, text_embedding)
     flat_grad = sg.gradient.ravel()
     rng = np.random.default_rng(seed)
@@ -352,8 +332,8 @@ def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
 
 # -- serialization ----------------------------------------------------------
 
-def save_encoder(enc: Encoder, manifest_path) -> str:
-    """Write manifest JSON plus per-layer UAPT weight files; returns the hash."""
+def save_encoder(enc: Encoder, manifest_path) -> None:
+    """Write manifest JSON plus per-layer UAPT weight files."""
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     layers = []
@@ -366,7 +346,6 @@ def save_encoder(enc: Encoder, manifest_path) -> str:
             "bias_sha256": tensor_io.write_tensor(manifest_path.parent / b_name, b),
         })
     tensor_io.write_json(manifest_path, enc.manifest_dict() | {"layers": layers})
-    return encoder_hash(enc)
 
 
 def load_encoder(manifest_path) -> Encoder:

@@ -67,12 +67,6 @@ class MatchAnnotation:
         return cls(i2t, t2i)
 
 
-def ranked_indices(query: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
-    """All gallery indices by descending similarity, ties toward smaller index."""
-    sims = index.embeddings @ query
-    return np.lexsort((np.arange(len(index)), -sims))
-
-
 def match_mask(matches_per_query, n: int) -> np.ndarray:
     """(Q, n) boolean mask of each query's matches; every match set must be
     nonempty indices in [0, n)."""
@@ -90,11 +84,11 @@ def match_ranks(sims: np.ndarray, is_match: np.ndarray) -> np.ndarray:
     ahead of the row's best-ranked match.
 
     is_match is the rows' (Q, M) match mask, with at least one match per row.
-    The ranking is the one ranked_indices gives (descending similarity, ties
-    toward the smallest index), so the best-ranked match is the first argmax
-    among the matches, and a match survives in the top k iff its rank is
-    below k. This is the one rank rule: every R@k, top-k accuracy and
-    stopping test compares its result with k.
+    The ranking is by descending similarity, ties toward the smallest
+    index, so the best-ranked match is the first argmax among the matches,
+    and a match survives in the top k iff its rank is below k. This is the
+    one rank rule: every R@k, top-k accuracy and stopping test compares its
+    result with k.
     """
     if is_match.shape != sims.shape:
         raise InvalidArgumentError(f"match mask {is_match.shape} does not fit {sims.shape}")

@@ -90,11 +90,3 @@ def read_tensor(path, sha256: str) -> np.ndarray:
         return values.reshape(dims).astype(np.float64, copy=True)
     except ValueError as exc:  # an empty array whose other dims overflow
         raise IntegrityError(f"{path}: dims {dims} too large") from exc
-
-
-def sha256_file(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()

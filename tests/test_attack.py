@@ -61,6 +61,14 @@ def test_eta_must_be_positive_and_finite(eta):
         patch_cfg(eta=eta)
 
 
+@pytest.mark.parametrize("field, value, bound", [("k", 0, ">= 1"), ("epochs", -1, ">= 0"),
+                                                 ("max_inner_iters", 0, ">= 1"),
+                                                 ("batch_size", -2, ">= 1")])
+def test_config_names_each_bound_it_checks(field, value, bound):
+    with pytest.raises(InvalidArgumentError, match=f"^{field} must be {bound}, got {value}$"):
+        patch_cfg(**{field: value})
+
+
 def test_unknown_mode_and_strategy(enc, ds):
     with pytest.raises(InvalidArgumentError):
         AttackConfig(mode="sticker", mask=square_patch_mask(SHAPE, 2))
@@ -285,21 +293,17 @@ def test_evaluate_metrics_k_beyond_a_subset_gallery(enc, ds, k):
 # -- inner-loop tie-breaks ---------------------------------------------------
 
 class StubBatch:
-    """Stands in for PerturbedBatch: forward returns each row's entry
-    embedding when called without a step and its probe embedding otherwise,
-    and forward_points the probe embeddings at every point; backward records
-    what it is asked to differentiate."""
+    """Stands in for PerturbedBatch: forward_points returns each row's entry
+    embedding when its only step is None and its probe embedding at every
+    point otherwise; backward records what it is asked to differentiate."""
 
     def __init__(self, entry, probe, shape):
         self.entry, self.probe, self.shape = entry, probe, shape
         self.backward_calls = []
 
-    def forward(self, rows, step=None):
-        table = self.entry if step is None else self.probe
-        return SimpleNamespace(embeddings=table[list(rows)])
-
     def forward_points(self, rows, steps):
-        return SimpleNamespace(embeddings=np.concatenate([self.probe[list(rows)]] * len(steps)))
+        table = self.entry if len(steps) == 1 and steps[0] is None else self.probe
+        return SimpleNamespace(embeddings=np.concatenate([table[list(rows)]] * len(steps)))
 
     def backward(self, cache, us, rows=None):
         # rows=None differentiates every cached row

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapkit import datagen
+from uapkit import datagen, encoder
 from uapkit.cli import _load_perturbation, main
 from uapkit.encoder import build_encoder, save_encoder
 from uapkit.errors import CorruptDatasetError, IntegrityError, InvalidArgumentError
-from uapkit.tensor_io import read_tensor, sha256_file, write_tensor
+from uapkit.tensor_io import read_tensor, write_tensor
 
 GEN_ARGS = ["--n-images", "20", "--texts-per-image", "3",
             "--image-shape", "1", "8", "8", "--embed-dim", "16",
@@ -52,6 +52,23 @@ def test_gen_invalid_args_exit_2(tmp_path):
     assert rc == 2
 
 
+def test_gen_hashes_the_encoder_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(name, original):
+        def wrapper(enc):
+            calls.append(name)
+            return original(enc)
+        return wrapper
+
+    for module in (encoder, datagen):
+        monkeypatch.setattr(module, "encoder_hash",
+                            counting(module.__name__, module.encoder_hash))
+    assert main(["gen", "--out", str(tmp_path / "toy"), "--n-images", "40",
+                 "--texts-per-image", "3", "--seed", "7"]) == 0
+    assert calls == ["uapkit.datagen"]
+
+
 def test_gen_builds_default_encoder_when_absent(tmp_path):
     # default toy encoder has shape (3, 32, 32); use a tiny matching dataset
     rc = main(["gen", "--out", str(tmp_path / "toy"), "--n-images", "40",
@@ -68,10 +85,10 @@ def test_attack_writes_artifacts_and_report(workspace, capsys):
     assert report["schema"] == "uapkit-report-v1"
     assert report == json.loads((out / "report.json").read_text())
     sidecar = json.loads((out / "delta.json").read_text())
-    delta = read_tensor(out / "delta.uapt", sha256_file(out / "delta.uapt"))
+    digest = hashlib.sha256((out / "delta.uapt").read_bytes()).hexdigest()
+    delta = read_tensor(out / "delta.uapt", digest)
     assert delta.shape == (1, 8, 8)
-    assert sidecar["delta_sha256"] == hashlib.sha256(
-        (out / "delta.uapt").read_bytes()).hexdigest()
+    assert sidecar["delta_sha256"] == digest
     assert sidecar["mode"] == "patch" and "mask" in sidecar
     trace = json.loads((out / "trace.json").read_text())
     assert trace["summary"]["epochs"] == 1
@@ -107,7 +124,7 @@ def test_attack_zero_epochs_clean_equals_adv(workspace, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["clean"] == report["adversarial"]
     path = workspace / "zero" / "delta.uapt"
-    delta = read_tensor(path, sha256_file(path))
+    delta = read_tensor(path, hashlib.sha256(path.read_bytes()).hexdigest())
     assert np.array_equal(delta, np.zeros((1, 8, 8)))
 
 
@@ -142,7 +159,7 @@ def test_attack_global_linf_bound_in_sidecar(workspace, capsys):
     sidecar = json.loads((workspace / "linf" / "delta.json").read_text())
     assert sidecar["norm"] == "linf" and sidecar["epsilon"] == 0.0392
     path = workspace / "linf" / "delta.uapt"
-    delta = read_tensor(path, sha256_file(path))
+    delta = read_tensor(path, hashlib.sha256(path.read_bytes()).hexdigest())
     assert np.abs(delta).max() <= 0.0392
 
 
@@ -217,7 +234,8 @@ def test_eval_rejects_invalid_delta_exit_2(workspace, capsys, name, extra, forge
     assert run_attack(workspace, f"forged_{name}", extra) == 0
     out = workspace / f"forged_{name}"
     path = out / "delta.uapt"
-    write_tensor(path, forge(read_tensor(path, sha256_file(path))))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    write_tensor(path, forge(read_tensor(path, digest)))
     sidecar = json.loads((out / "delta.json").read_text())
     sidecar["delta_sha256"] = hashlib.sha256((out / "delta.uapt").read_bytes()).hexdigest()
     (out / "delta.json").write_text(json.dumps(sidecar))
@@ -396,7 +414,8 @@ def test_gradcheck_large_step_still_reports(workspace, capsys):
                                          (["--trials", "-3"], "--trials"),
                                          (["--trials", "1", "--step", "nan"], "step"),
                                          (["--trials", "1", "--step", "inf"], "step"),
-                                         (["--trials", "1", "--step", "0"], "step")])
+                                         (["--trials", "1", "--step", "0"], "step"),
+                                         (["--trials", "1", "--seed", "-1"], "seed")])
 def test_gradcheck_empty_or_invalid_audit_exit_2(workspace, capsys, flags, name):
     rc = main(["gradcheck", "--encoder", str(workspace / "encoder.json"), *flags])
     out, err = capsys.readouterr()
@@ -447,6 +466,19 @@ def zero_epoch_runs(workspace):
     return list(runs)
 
 
+def test_eval_sidecar_with_unknown_mode_exit_2(workspace, zero_epoch_runs, tmp_path, capsys):
+    # a mode other than "patch" once read as global and gave a full report
+    shutil.copytree(workspace / "zero_global", tmp_path / "run")
+    path = tmp_path / "run" / "delta.json"
+    path.write_text(json.dumps(json.loads(path.read_text()) | {"mode": "bogus"}))
+    capsys.readouterr()
+    assert main(["eval", "--perturbation", str(path),
+                 "--dataset", str(workspace / "data" / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unknown mode 'bogus'" in err
+
+
 @pytest.mark.parametrize("field", ["n_images", "texts_per_image"])
 def test_eval_dataset_manifest_with_float_size_exit_5(workspace, zero_epoch_runs, tmp_path,
                                                       capsys, field):
@@ -461,42 +493,6 @@ def test_eval_dataset_manifest_with_float_size_exit_5(workspace, zero_epoch_runs
                  "--encoder", str(workspace / "encoder.json"),
                  "--allow-mismatch"]) == 5
     assert "malformed manifest" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, name", [(["--trials", "0"], "--trials"),
-                                         (["--trials", "-3"], "--trials"),
-                                         (["--trials", "1", "--step", "nan"], "step"),
-                                         (["--trials", "1", "--step", "inf"], "step"),
-                                         (["--trials", "1", "--step", "0"], "step")])
-def test_gradcheck_empty_or_invalid_audit_exit_2(workspace, capsys, flags, name):
-    rc = main(["gradcheck", "--encoder", str(workspace / "encoder.json"), *flags])
-    out, err = capsys.readouterr()
-    assert rc == 2
-    assert name in err and "passed" not in out
-
-
-def test_attack_checks_the_probe_size_before_creating_out(workspace, tmp_path, capsys):
-    gen_args = [*GEN_ARGS]
-    gen_args[gen_args.index("--n-images") + 1] = "8"
-    assert main(["gen", "--out", str(tmp_path / "data"),
-                 "--encoder", str(workspace / "encoder.json"), *gen_args]) == 0
-    capsys.readouterr()
-    rc = main(["attack", "--strategy", "tra", "--mode", "global", "--norm", "l2",
-               "--epsilon", "1", "--k", "3", "--k-list", "1,5", "--epochs", "0",
-               "--encoder", str(workspace / "encoder.json"),
-               "--dataset", str(tmp_path / "data" / "manifest.json"),
-               "--out", str(tmp_path / "run")])
-    assert rc == 2
-    assert "R@10 probe" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-
-
-def test_attack_checks_k_before_creating_out(workspace, capsys):
-    # 20 images: a text has 19 non-matching candidate images
-    rc = run_attack(workspace, "k_too_big", ["--strategy", "ira", "--k", "20"])
-    assert rc == 2
-    assert "n_images - 1" in capsys.readouterr().err
-    assert not (workspace / "k_too_big").exists()
 
 
 @pytest.mark.parametrize("k_list", ["0", "1,21", ",", ""])
@@ -568,7 +564,8 @@ def test_load_dataset_on_fuzzed_files(workspace, data):
     fuzz_file(data, root / name)
     if name != "manifest.json":
         manifest = json.loads((root / "manifest.json").read_text())
-        manifest["sha256"][name.split(".")[0]] = sha256_file(root / name)
+        manifest["sha256"][name.split(".")[0]] = hashlib.sha256(
+            (root / name).read_bytes()).hexdigest()
         (root / "manifest.json").write_text(json.dumps(manifest))
     try:
         ds = datagen.load(root / "manifest.json")
@@ -589,7 +586,7 @@ def test_load_perturbation_on_fuzzed_files(workspace, zero_epoch_runs, data):
     fuzz_file(data, root / name)
     if name == "delta.uapt":
         sidecar = json.loads((root / "delta.json").read_text())
-        sidecar["delta_sha256"] = sha256_file(root / name)
+        sidecar["delta_sha256"] = hashlib.sha256((root / name).read_bytes()).hexdigest()
         (root / "delta.json").write_text(json.dumps(sidecar))
     try:
         pert, _ = _load_perturbation(root / "delta.json", (1, 8, 8))

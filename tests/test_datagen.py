@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -7,7 +8,6 @@ from uapkit.datagen import Dataset, DatasetParams, build_dataset, generate, load
 from uapkit.encoder import build_encoder, default_toy_encoder
 from uapkit.errors import (CorruptDatasetError, IntegrityError,
                            InvalidArgumentError)
-from uapkit.tensor_io import sha256_file
 
 SMALL = DatasetParams(n_images=20, texts_per_image=3, image_shape=(1, 8, 8),
                       embed_dim=16, class_count=4, noise_level=0.1, seed=7)
@@ -102,7 +102,8 @@ def test_generate_load_roundtrip(tmp_path):
 def test_generate_returns_the_manifest_and_its_hash(tmp_path):
     path, manifest, digest = generate(SMALL, small_encoder(), tmp_path)
     assert json.dumps(manifest, indent=2, sort_keys=True).encode() == path.read_bytes()
-    assert digest == sha256_file(path) == load(path).dataset_hash
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == load(path).dataset_hash
 
 
 def test_load_rejects_truncated_tensor(tmp_path):
@@ -128,7 +129,6 @@ def test_load_rejects_corrupt_annotation(tmp_path):
     ann_path.write_text(json.dumps(ann, sort_keys=True))
     # refresh the manifest hash so corruption reaches the invariant check
     m = json.loads(manifest.read_text())
-    import hashlib
     m["sha256"]["annotations"] = hashlib.sha256(ann_path.read_bytes()).hexdigest()
     manifest.write_text(json.dumps(m, indent=2, sort_keys=True))
     with pytest.raises(CorruptDatasetError):

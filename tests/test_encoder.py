@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uapkit.attack import Perturbation
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.encoder import (Encoder, PerturbedBatch, _forward,
                             backward_from_cache, build_encoder,
                             default_toy_encoder, encode_batch, encoder_hash,
-                            gradcheck, input_gradient, load_encoder,
-                            save_encoder, score_with_gradient)
+                            gradcheck, load_encoder, save_encoder,
+                            score_with_gradient)
 from uapkit.errors import (DegenerateEncodingError, IntegrityError,
                            InvalidArgumentError)
 
@@ -92,20 +93,25 @@ def test_score_requires_unit_text():
         score_with_gradient(enc, np.zeros((1, 4, 4)) + 0.5, np.full(8, 2.0))
 
 
+def input_gradient(enc, image, u):
+    """Input-gradient of u . E(image) for any embedding-space vector u."""
+    return backward_from_cache(enc, _forward(enc, image[None]), u[None])[0]
+
+
 def test_input_gradient_accepts_difference_vectors():
     # u is an arbitrary (non-unit) embedding-space vector
     enc = small_mlp()
     rng = np.random.default_rng(4)
     image = rng.uniform(size=(1, 4, 4))
     u = rng.standard_normal(8) * 3.0
-    sg = input_gradient(enc, image, u)
+    gradient = input_gradient(enc, image, u)
     # directional finite difference along a random direction
     d = rng.standard_normal((1, 4, 4))
     h = 1e-6
     hi = float(u @ encode_batch(enc, (image + h * d)[None])[0])
     lo = float(u @ encode_batch(enc, (image - h * d)[None])[0])
     fd = (hi - lo) / (2 * h)
-    assert float(np.vdot(sg.gradient, d)) == pytest.approx(fd, rel=1e-4)
+    assert float(np.vdot(gradient, d)) == pytest.approx(fd, rel=1e-4)
 
 
 def test_gradient_linearity_in_u():
@@ -113,9 +119,9 @@ def test_gradient_linearity_in_u():
     rng = np.random.default_rng(5)
     image = rng.uniform(size=(1, 4, 4))
     u1, u2 = rng.standard_normal(8), rng.standard_normal(8)
-    g1 = input_gradient(enc, image, u1).gradient
-    g2 = input_gradient(enc, image, u2).gradient
-    g12 = input_gradient(enc, image, u1 + u2).gradient
+    g1 = input_gradient(enc, image, u1)
+    g2 = input_gradient(enc, image, u2)
+    g12 = input_gradient(enc, image, u1 + u2)
     np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
 
 
@@ -164,7 +170,7 @@ def assert_factored_matches_oracle(enc, images, carrier, delta, step):
     applied = carrier.apply(images[rows], delta)
     for s in (None, step):
         point = applied if s is None else applied + s[None]
-        cache, oracle = batch.forward(rows, s), _forward(enc, point)
+        cache, oracle = batch.forward_points(rows, [s]), _forward(enc, point)
         np.testing.assert_allclose(cache.embeddings, oracle.embeddings, rtol=0, atol=1e-12)
         us = np.random.default_rng(1).standard_normal((2, enc.embed_dim))
         grad = batch.backward(cache, us, rows=[2, 0])
@@ -208,7 +214,7 @@ def test_factored_rows_follow_each_new_delta():
         delta = scale * np.random.default_rng(7).standard_normal(SHAPE)
         batch.set_delta(delta)
         np.testing.assert_allclose(
-            batch.forward([0, 5], step).embeddings,
+            batch.forward_points([0, 5], [step]).embeddings,
             encode_batch(enc, carrier.apply(images[[0, 5]], delta) + step[None]),
             rtol=0, atol=1e-12)
 
@@ -222,13 +228,14 @@ def test_factored_rejects_non_finite_steps_and_deltas(mode):
     with pytest.raises(InvalidArgumentError):
         batch.set_delta(np.full(SHAPE, np.nan))
     batch.set_delta(delta)
+    # forward_points trusts its steps; a non-finite step cannot reach a delta
     for bad in (np.nan, np.inf):
         step = step.copy()
         step[0, 5, 5] = bad  # under the patch
         with pytest.raises(InvalidArgumentError):
-            batch.forward([0], step)
-    with pytest.raises(InvalidArgumentError):
-        batch.forward([0], np.zeros((3, 6, 5)))
+            batch.set_delta(delta + step)
+        with pytest.raises(InvalidArgumentError):
+            Perturbation(delta + step, carrier)
 
 
 def test_factored_checks_shapes_at_construction():
@@ -248,7 +255,7 @@ def test_factored_zero_output_is_degenerate():
                            Carrier("patch", square_patch_mask(SHAPE, 2)))
     batch.set_delta(np.zeros(SHAPE))
     with pytest.raises(DegenerateEncodingError):
-        batch.forward([0, 1])
+        batch.forward_points([0, 1], [None])
 
 
 FACTORED_CARRIERS = {
@@ -280,13 +287,13 @@ def test_forward_points_match_single_points_and_oracle(name):
     applied = carrier.apply(images[rows], delta)
     for i, s in enumerate(steps):
         got = cache.embeddings[3 * i:3 * i + 3]
-        single = batch.forward(rows, s).embeddings
+        single = batch.forward_points(rows, [s]).embeddings
         oracle = _forward(enc, applied if s is None else applied + s[None]).embeddings
         np.testing.assert_allclose(got, single, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
     # the backward differentiates the cache rows it names, at any point
     us = np.random.default_rng(1).standard_normal((2, enc.embed_dim))
-    single = batch.forward(rows, 1.02 * step)
+    single = batch.forward_points(rows, [1.02 * step])
     np.testing.assert_allclose(batch.backward(cache, us, [11, 9]),
                                batch.backward(single, us, [2, 0]), rtol=0, atol=1e-12)
 
@@ -295,8 +302,8 @@ def test_forward_points_match_single_points_and_oracle(name):
 def test_zero_step_is_the_no_step_forward_bitwise(name):
     *_, batch = points_case(name)
     rows = [0, 5, 2]
-    plain = batch.forward(rows).embeddings
-    assert np.array_equal(batch.forward(rows, np.zeros(SHAPE)).embeddings, plain)
+    plain = batch.forward_points(rows, [None]).embeddings
+    assert np.array_equal(batch.forward_points(rows, [np.zeros(SHAPE)]).embeddings, plain)
     both = batch.forward_points(rows, [np.zeros(SHAPE), None]).embeddings
     assert np.array_equal(both, np.concatenate([plain, plain]))
 
@@ -323,7 +330,8 @@ def test_gallery_is_encoded_once_per_delta():
 
 @pytest.mark.parametrize("kwargs", [{"n_probes": 0}, {"n_probes": -3},
                                     {"step": 0.0}, {"step": -1e-5},
-                                    {"step": float("nan")}, {"step": float("inf")}])
+                                    {"step": float("nan")}, {"step": float("inf")},
+                                    {"seed": -1}])
 def test_gradcheck_rejects_empty_or_invalid_audits(kwargs):
     enc = small_mlp()
     image = np.full((1, 4, 4), 0.5)

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 
 from uapkit.errors import CorruptDatasetError, InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, MatchAnnotation, indicator,
-                              match_mask, match_ranks, ranked_indices,
-                              recall_at_k, select_nonmatching_topk,
-                              topk_class_accuracy)
+                              match_mask, match_ranks, recall_at_k,
+                              select_nonmatching_topk, topk_class_accuracy)
 
 
 def unit_rows(m):
@@ -19,6 +18,12 @@ def unit_rows(m):
 
 def random_index(rng, m, d):
     return EmbeddingIndex(unit_rows(rng.standard_normal((m, d))))
+
+
+def ranked_indices(query: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
+    """All gallery indices by descending similarity, ties toward smaller index."""
+    sims = index.embeddings @ query
+    return np.lexsort((np.arange(len(index)), -sims))
 
 
 def test_index_rejects_non_unit_rows():

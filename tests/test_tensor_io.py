@@ -11,8 +11,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from uapkit.errors import IntegrityError
 from uapkit.rng import Lcg
 from uapkit import tensor_io
-from uapkit.tensor_io import (MAGIC, read_tensor, read_verified, sha256_file,
-                              write_atomic, write_json, write_tensor)
+from uapkit.tensor_io import (MAGIC, read_tensor, read_verified, write_atomic,
+                              write_json, write_tensor)
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=5),
@@ -21,7 +21,7 @@ from uapkit.tensor_io import (MAGIC, read_tensor, read_verified, sha256_file,
 def test_roundtrip_bitwise(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("io") / "t.uapt"
     write_tensor(path, data)
-    out = read_tensor(path, sha256_file(path))
+    out = read_tensor(path, hashlib.sha256(path.read_bytes()).hexdigest())
     assert out.shape == data.shape
     assert np.array_equal(out, data)
 
@@ -44,7 +44,7 @@ def test_bad_magic_rejected(tmp_path):
     blob[0] = ord(b"X")
     path.write_bytes(bytes(blob))
     with pytest.raises(IntegrityError):
-        read_tensor(path, sha256_file(path))
+        read_tensor(path, hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def test_truncation_rejected(tmp_path):
@@ -52,7 +52,7 @@ def test_truncation_rejected(tmp_path):
     write_tensor(path, np.arange(10.0))
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(IntegrityError):
-        read_tensor(path, sha256_file(path))
+        read_tensor(path, hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 def test_trailing_garbage_rejected(tmp_path):
@@ -60,7 +60,7 @@ def test_trailing_garbage_rejected(tmp_path):
     write_tensor(path, np.arange(4.0))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(IntegrityError):
-        read_tensor(path, sha256_file(path))
+        read_tensor(path, hashlib.sha256(path.read_bytes()).hexdigest())
 
 
 # -- seeded generator --------------------------------------------------------
@@ -108,15 +108,16 @@ def test_write_tensor_failing_to_replace_keeps_previous_file(tmp_path, monkeypat
     monkeypatch.setattr(tensor_io.os, "replace", fail)
     with pytest.raises(OSError):
         write_tensor(path, np.ones(7))
-    assert np.array_equal(read_tensor(path, sha256_file(path)), np.arange(4.0))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert np.array_equal(read_tensor(path, digest), np.arange(4.0))
     assert [p.name for p in tmp_path.iterdir()] == ["t.uapt"]
 
 
 def test_writers_return_the_hash_of_the_bytes_written(tmp_path):
-    assert write_tensor(tmp_path / "t.uapt", np.arange(6.0).reshape(2, 3)) == sha256_file(
-        tmp_path / "t.uapt")
-    assert write_json(tmp_path / "t.json", {"b": [1, 2], "a": 0.5}) == sha256_file(
-        tmp_path / "t.json")
+    assert write_tensor(tmp_path / "t.uapt", np.arange(6.0).reshape(2, 3)) == hashlib.sha256(
+        (tmp_path / "t.uapt").read_bytes()).hexdigest()
+    assert write_json(tmp_path / "t.json", {"b": [1, 2], "a": 0.5}) == hashlib.sha256(
+        (tmp_path / "t.json").read_bytes()).hexdigest()
     assert (tmp_path / "t.json").read_text() == '{\n  "a": 0.5,\n  "b": [\n    1,\n    2\n  ]\n}'
     assert write_atomic(tmp_path / "t.bin", b"ab", b"c") == hashlib.sha256(b"abc").hexdigest()
 
