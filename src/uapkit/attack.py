@@ -64,6 +64,8 @@ class AttackConfig:
                 raise InvalidArgumentError(f"{name} must be >= {low}, got {value}")
         if not 0 < self.eta < np.inf:  # False for NaN
             raise InvalidArgumentError(f"eta must be positive and finite, got {self.eta}")
+        if not 0 <= self.seed < 2 ** 63:  # _order seeds Lcg((seed << 1) ^ epoch) mod 2^64
+            raise InvalidArgumentError(f"seed {self.seed} not in [0, 2^63)")
         object.__setattr__(self, "carrier",
                            Carrier(self.mode, self.mask, self.norm, self.epsilon))
 

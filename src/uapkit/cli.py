@@ -232,8 +232,8 @@ def cmd_gradcheck(args) -> int:
     rng = Lcg(args.seed)
     worst = 0.0
     for trial in range(args.trials):
-        image = np.array(rng.fill_uniform(enc.n_inputs, 0.0, 1.0)).reshape(enc.input_shape)
-        t = np.array(rng.fill_gaussian(enc.embed_dim))
+        image = rng.fill_uniform(enc.n_inputs, 0.0, 1.0).reshape(enc.input_shape)
+        t = rng.fill_gaussian(enc.embed_dim)
         t = t / np.linalg.norm(t)
         err = gradcheck(enc, image, t, step=args.step, seed=args.seed + trial)
         worst = max(worst, err)

@@ -59,6 +59,8 @@ class DatasetParams:
             raise InvalidArgumentError(f"noise_level {self.noise_level} not in [0, inf)")
         if not 0 < self.decoder_scale < math.inf:
             raise InvalidArgumentError(f"decoder_scale {self.decoder_scale} not in (0, inf)")
+        if not 0 <= self.seed < 2 ** 64:  # Lcg reads the seed mod 2^64
+            raise InvalidArgumentError(f"seed {self.seed} not in [0, 2^64)")
 
     @property
     def n_texts(self) -> int:
@@ -102,22 +104,22 @@ def build_dataset(params: DatasetParams, enc: Encoder) -> Dataset:
     d = params.embed_dim
     rng = Lcg(params.seed)
 
-    latents = _unit_rows(np.array(rng.fill_gaussian(params.n_images * d)).reshape(-1, d))
+    latents = _unit_rows(rng.fill_gaussian(params.n_images * d).reshape(-1, d))
     rank = params.decoder_rank
-    left = np.array(rng.fill_gaussian(n_pix * rank)).reshape(n_pix, rank)
-    right = np.array(rng.fill_gaussian(rank * d)).reshape(rank, d)
+    left = rng.fill_gaussian(n_pix * rank).reshape(n_pix, rank)
+    right = rng.fill_gaussian(rank * d).reshape(rank, d)
     decoder = left @ right / math.sqrt(rank)
     logits = latents @ decoder.T
     images = (1.0 / (1.0 + np.exp(-params.decoder_scale * logits))).reshape(
         params.n_images, c, h, w)
 
     anchors = encode_batch(enc, images)  # (N, d) unit rows
-    noise = np.array(rng.fill_gaussian(params.n_texts * d)).reshape(-1, d)
+    noise = rng.fill_gaussian(params.n_texts * d).reshape(-1, d)
     noise = _unit_rows(noise)  # unit direction so noise_level is the offset radius
     texts = np.repeat(anchors, params.texts_per_image, axis=0)
     texts = _unit_rows(texts + params.noise_level * noise)
 
-    protos = _unit_rows(np.array(rng.fill_gaussian(params.class_count * d)).reshape(-1, d))
+    protos = _unit_rows(rng.fill_gaussian(params.class_count * d).reshape(-1, d))
     labels = [int(i) for i in np.argmax(anchors @ protos.T, axis=1)]
 
     annotation = _annotation_for(params)

@@ -86,7 +86,7 @@ def build_encoder(kind: str, input_shape, embed_dim: int, layer_widths=(),
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         a = math.sqrt(6.0 / (fan_in + fan_out))
-        flat = np.array(rng.fill_uniform(fan_out * fan_in, -a, a))
+        flat = rng.fill_uniform(fan_out * fan_in, -a, a)
         weights.append(flat.reshape(fan_out, fan_in))
         biases.append(np.zeros(fan_out))
     return Encoder(kind, input_shape, embed_dim, layer_widths, activation,

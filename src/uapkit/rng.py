@@ -4,11 +4,19 @@ state <- state * 6364136223846793005 + 1442695040888963407 (mod 2^64)
 
 Every language binding of the file formats can replay the exact stream, so
 encoder weights and generated datasets are reproducible from the seed alone.
+
+The scalar methods (next_u64, uniform, uniform_in, gaussian) are the
+specification. The bulk fills return the same bits: they build the states by
+LCG jump-ahead (n steps map s to A_n*s + C_n mod 2^64, and (A, C) doubles to
+(A^2, A*C + C); F. Brown, "Random Number Generation with Arbitrary Strides",
+1994) and apply the same IEEE operations elementwise.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 MASK64 = (1 << 64) - 1
 MULTIPLIER = 6364136223846793005
@@ -38,8 +46,34 @@ class Lcg:
         u2 = self.uniform()
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
-    def fill_uniform(self, n: int, low: float, high: float) -> list[float]:
-        return [self.uniform_in(low, high) for _ in range(n)]
+    def _uniforms(self, n: int) -> np.ndarray:
+        """The next n uniform() values; the states are built by doubling."""
+        states = np.empty(n, dtype=np.uint64)
+        if n:
+            states[0] = self.next_u64()
+            a, c, m = MULTIPLIER, INCREMENT, 1  # (a, c) steps a state m places
+            with np.errstate(over="ignore"):  # uint64 products wrap mod 2^64
+                while m < n:
+                    k = min(m, n - m)
+                    states[m:m + k] = states[:k] * np.uint64(a) + np.uint64(c)
+                    a, c, m = (a * a) & MASK64, (a * c + c) & MASK64, 2 * m
+            self.state = int(states[-1])
+        return (states >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
-    def fill_gaussian(self, n: int) -> list[float]:
-        return [self.gaussian() for _ in range(n)]
+    def fill_uniform(self, n: int, low: float, high: float) -> np.ndarray:
+        """n values of uniform_in(low, high), bit for bit."""
+        return low + (high - low) * self._uniforms(n)
+
+    def fill_gaussian(self, n: int) -> np.ndarray:
+        """n values of gaussian(), bit for bit. log and cos stay libm's
+        per value (numpy's may differ in the last bit); sqrt and the
+        products are correctly rounded either way."""
+        start = self.state
+        u = self._uniforms(2 * n)
+        u1, u2 = u[0::2], u[1::2]
+        if not u1.all():  # gaussian() redraws a zero u1, which shifts the pairs
+            self.state = start
+            return np.array([self.gaussian() for _ in range(n)], dtype=np.float64)
+        logs = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
+        cosines = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
+        return np.sqrt(-2.0 * logs) * cosines

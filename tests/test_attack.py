@@ -69,6 +69,15 @@ def test_config_names_each_bound_it_checks(field, value, bound):
         patch_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64])
+def test_config_seed_must_not_alias_in_the_shuffle_stream(seed):
+    # the shuffle draws from Lcg((seed << 1) ^ epoch), read mod 2^64, so
+    # seeds 0 and 2^63 would visit the images in the same order
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        patch_cfg(seed=seed)
+    assert patch_cfg(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
+
+
 def test_unknown_mode_and_strategy(enc, ds):
     with pytest.raises(InvalidArgumentError):
         AttackConfig(mode="sticker", mask=square_patch_mask(SHAPE, 2))

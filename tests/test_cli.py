@@ -142,6 +142,22 @@ def test_attack_infinite_epsilon_exit_2(workspace, capsys):
     assert not (workspace / "inf_eps" / "delta.json").exists()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64 + 1)])
+def test_gen_seed_outside_the_lcg_state_exit_2(tmp_path, capsys, seed):
+    rc = main(["gen", "--out", str(tmp_path / "bad"), *GEN_ARGS, "--seed", seed])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 63)])
+def test_attack_seed_outside_the_shuffle_range_exit_2(workspace, capsys, seed):
+    rc = run_attack(workspace, "bad_seed", ["--shuffle", "--seed", seed])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not (workspace / "bad_seed").exists()
+
+
 @pytest.mark.parametrize("flag, value", [("--decoder-scale", "inf"),
                                          ("--noise-level", "nan")])
 def test_gen_non_finite_float_exit_2(tmp_path, capsys, flag, value):

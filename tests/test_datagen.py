@@ -42,6 +42,14 @@ def test_floor_is_capped_at_perfect_recall():
     assert len(ds.texts) == 40
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 7])
+def test_params_seed_must_fit_the_lcg_state(seed):
+    # Lcg reads its seed mod 2^64: 2^64 + 7 would draw seed 7's dataset
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        DatasetParams(seed=seed)
+    assert DatasetParams(seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
 @pytest.mark.parametrize("field, value", [("n_images", 20.0), ("texts_per_image", 3.0),
                                           ("decoder_rank", 8.0), ("image_shape", (3, 32.0, 32))])
 def test_params_sizes_must_be_integers(field, value):
