@@ -11,8 +11,9 @@ Strategies:
 run_attack drives all three as a sequence of halves (groups of samples that
 share one r and one commit); tra and ira differ only in which side of one
 top-k crossing (_cross) moves, and boundary.accumulate is its loop. Each
-visited r costs one forward of both points the crossing needs and, only for
-a step that is taken, one backward. The inner loop checks nothing per call:
+visited r costs one forward of both points the crossing needs (none at
+r = 0, where both are delta and a forward at delta exists) and, only for a
+step that is taken, one backward. The inner loop checks nothing per call:
 check_attack checks the sizes once, at entry, and set_delta every delta.
 
 The carrier (core.Carrier) owns the patch/global rules: where delta sits on
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import accumulate, crossing_step
+from .boundary import FOOLED, STOP_REASONS, accumulate, crossing_step
 from .core import Carrier, as_tensor
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch, encode_batch
@@ -64,7 +65,9 @@ class AttackConfig:
                 raise InvalidArgumentError(f"{name} must be >= {low}, got {value}")
         if not 0 < self.eta < np.inf:  # False for NaN
             raise InvalidArgumentError(f"eta must be positive and finite, got {self.eta}")
-        if not 0 <= self.seed < 2 ** 63:  # _order seeds Lcg((seed << 1) ^ epoch) mod 2^64
+        # the shuffle draws from Lcg(seed), which reads the seed mod 2^64;
+        # [0, 2^63) is attack's documented seed range, so no seed aliases
+        if not 0 <= self.seed < 2 ** 63:
             raise InvalidArgumentError(f"seed {self.seed} not in [0, 2^63)")
         object.__setattr__(self, "carrier",
                            Carrier(self.mode, self.mask, self.norm, self.epsilon))
@@ -83,7 +86,11 @@ class SampleRecord:
     sample_id: int
     epoch: int
     inner_iterations: int
-    converged: bool
+    reason: str        # why the crossing stopped; see boundary.accumulate
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in FOOLED
 
 
 @dataclass
@@ -108,6 +115,8 @@ class AttackTrace:
             "convergence_rate": conv / n if n else 1.0,
             "total_inner_iterations": sum(r.inner_iterations for r in self.records),
             "epochs": len(self.epoch_metrics),
+            "stop_reasons": {why: sum(r.reason == why for r in self.records)
+                             for why in STOP_REASONS},
         }
 
 
@@ -128,33 +137,42 @@ class Perturbation:
 # -- inner loops -------------------------------------------------------------
 
 
-def _cross(batch: PerturbedBatch, rows, sims_of, seeds, is_match, candidates,
+def _cross(batch: PerturbedBatch, rows, entry, sims_of, seeds, is_match, candidates,
            r: np.ndarray, cfg: AttackConfig):
-    """One sample's top-k crossing; returns (r, iterations, converged).
+    """One sample's top-k crossing; returns (r, iterations, reason).
 
     sims_of maps the embeddings of the batch rows that move to query-gallery
     similarities, and is_match is the gallery's (1, M) match_mask. The
     matches and candidates are gallery positions in ascending gallery id, so
     the first argmax/argmin breaks ties toward the smallest id. seeds(c, m)
-    gives the backward's (us, rows) for f_c - f_m.
+    gives the backward's (us, positions) for f_c - f_m, positions indexing
+    rows.
 
     Each visited r is encoded once at both of its points: r itself, where the
-    step linearises (the cache's first len(rows) rows, so seeds' rows index
-    them), and the probe (1 + eta) r.
+    step linearises (the cache's first len(rows) rows), and the probe
+    (1 + eta) r. At r = 0 both points are delta, and entry = (cache, at)
+    already holds them: cache row at[j] is rows[j] at delta.
     """
     n = len(rows)
     matches = np.flatnonzero(is_match[0])
+    at_step = np.arange(n)
 
     def probe(r_vec):
-        cache = batch.forward_points(rows, (r_vec, (1.0 + cfg.eta) * r_vec))
-        if match_ranks(sims_of(cache.embeddings[n:])[None], is_match)[0] >= cfg.k:
+        if r_vec.any():
+            cache = batch.forward_points(rows, r_vec, (1.0, 1.0 + cfg.eta))
+            at_r, at_probe = at_step, at_step + n
+        else:
+            cache, at_r = entry
+            at_probe = at_r
+        if match_ranks(sims_of(cache.embeddings[at_probe])[None], is_match)[0] >= cfg.k:
             return True, None
 
         def step_at():
-            sims = sims_of(cache.embeddings[:n])
+            sims = sims_of(cache.embeddings[at_r])
             m = matches[np.argmax(sims[matches])]
             c = candidates[np.argmin(sims[candidates])]
-            return crossing_step(batch.backward(cache, *seeds(c, m)),
+            us, positions = seeds(c, m)
+            return crossing_step(batch.backward(cache, us, at_r[positions]),
                                  float(sims[m] - sims[c]))
 
         return False, step_at
@@ -173,10 +191,11 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
     texts = ds.texts.embeddings
     match_set = ds.matches_of_image(v_idx)
     # candidate non-matching texts are the nearest to the image as it looks
-    # under the current perturbation, so the stopping test tracks the metric
-    entry_emb = batch.forward_points([v_idx], [None]).embeddings[0]
-    y_prime = select_nonmatching_topk(entry_emb, ds.texts, match_set, cfg.k)
-    return _cross(batch, [v_idx], lambda e: texts @ e[0],
+    # under the current perturbation, so the stopping test tracks the metric;
+    # that forward is also the crossing's point at r = 0
+    entry = batch.forward_points([v_idx])
+    y_prime = select_nonmatching_topk(entry.embeddings[0], ds.texts, match_set, cfg.k)
+    return _cross(batch, [v_idx], (entry, np.array([0])), lambda e: texts @ e[0],
                   lambda c, m: ((texts[c] - texts[m])[None], [0]),
                   match_mask([match_set], len(texts)), sorted(y_prime), r, cfg)
 
@@ -185,16 +204,17 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
                cfg: AttackConfig, gallery: EmbeddingIndex):
     """Text-loop body for one text: the match (row 0) and k candidates move.
 
-    gallery holds the embeddings of every image under the current
+    gallery indexes batch.gallery(), every image under the current
     perturbation; ranking candidates against it means the stopping test
-    (match outranked by k candidates) certifies a full-gallery retrieval miss.
+    (match outranked by k candidates) certifies a full-gallery retrieval
+    miss, and its rows are the crossing's points at r = 0.
     """
     t = ds.texts.embeddings[t_idx]
     y = ds.image_of_text(t_idx)
-    y_prime = select_nonmatching_topk(t, gallery, {y}, cfg.k)
-    return _cross(batch, [y, *y_prime], lambda e: e @ t,
+    rows = np.array([y, *select_nonmatching_topk(t, gallery, {y}, cfg.k)])
+    return _cross(batch, rows, (batch.gallery(), rows), lambda e: e @ t,
                   lambda c, m: (np.stack([t, -t]), [c, m]),
-                  match_mask([[0]], 1 + cfg.k), 1 + np.argsort(y_prime), r, cfg)
+                  match_mask([[0]], 1 + cfg.k), 1 + np.argsort(rows[1:]), r, cfg)
 
 
 # -- commit and driver -------------------------------------------------------
@@ -211,14 +231,18 @@ def _commit(delta: np.ndarray, r: np.ndarray, cfg: AttackConfig,
     return new
 
 
-def _order(n: int, cfg: AttackConfig, epoch: int) -> list[int]:
-    idx = list(range(n))
-    if cfg.shuffle:
-        rng = Lcg((cfg.seed << 1) ^ epoch)
-        for i in range(n - 1, 0, -1):  # Fisher-Yates on the LCG stream
-            j = rng.next_u64() % (i + 1)
-            idx[i], idx[j] = idx[j], idx[i]
-    return idx
+def _orders(n: int, cfg: AttackConfig):
+    """Each epoch's visit order of range(n), in turn. With shuffle, each is
+    a Fisher-Yates shuffle on one Lcg(seed) stream that runs on across
+    epochs, so no (seed, epoch) replays another's order."""
+    rng = Lcg(cfg.seed)
+    while True:
+        idx = list(range(n))
+        if cfg.shuffle:
+            for i in range(n - 1, 0, -1):
+                j = rng.next_u64() % (i + 1)
+                idx[i], idx[j] = idx[j], idx[i]
+        yield idx
 
 
 def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | None,
@@ -261,17 +285,16 @@ def _probe_subset(ds: Dataset, limit: int = 32) -> list[int]:
     return list(range(0, n, stride))[:limit]
 
 
-def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, epoch: int):
+def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, order: list[int]):
     """One epoch's (kind, sample ids) groups, each sharing one r and one commit.
 
-    tra visits one image per half and ira one text per half; tira takes a
-    batch of images, then that batch's matching texts.
+    tra visits one image per half and ira one text per half, in order; tira
+    takes a batch of images, then that batch's matching texts.
     """
     if strategy == "ira":
-        for t in _order(ds.params.n_texts, cfg, epoch):
+        for t in order:
             yield "text", [t]
         return
-    order = _order(ds.params.n_images, cfg, epoch)
     if strategy == "tra":
         for v in order:
             yield "image", [v]
@@ -320,23 +343,24 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
     trace = AttackTrace()
     probe = _probe_subset(ds)
     clean = evaluate_metrics(enc, ds, None, (PROBE_K,), probe)
-    gallery_embs = None
-    for epoch in range(cfg.epochs):
-        for kind, samples in _halves(ds, cfg, strategy, epoch):
+    gallery_cache = None
+    orders = _orders(ds.params.n_texts if strategy == "ira" else ds.params.n_images, cfg)
+    for epoch, order in zip(range(cfg.epochs), orders):
+        for kind, samples in _halves(ds, cfg, strategy, order):
             r = np.zeros_like(delta)
             batch.set_delta(delta)
             if kind == "text":
                 # gallery() encodes again only after delta moved, and only a
                 # new gallery needs a new index
-                embs = batch.gallery()
-                if embs is not gallery_embs:
-                    gallery_embs, gallery = embs, EmbeddingIndex(embs)
+                cache = batch.gallery()
+                if cache is not gallery_cache:
+                    gallery_cache, gallery = cache, EmbeddingIndex(cache.embeddings)
             for sid in samples:
                 if kind == "image":
-                    r, iters, ok = _tra_inner(batch, ds, sid, r, cfg)
+                    r, iters, reason = _tra_inner(batch, ds, sid, r, cfg)
                 else:
-                    r, iters, ok = _ira_inner(batch, ds, sid, r, cfg, gallery)
-                trace.records.append(SampleRecord(kind, sid, epoch, iters, ok))
+                    r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery)
+                trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
             delta = _commit(delta, r, cfg, trace, epoch)
         adv = evaluate_metrics(enc, ds, Perturbation(delta, cfg.carrier), (PROBE_K,), probe)
         trace.epoch_metrics.append({

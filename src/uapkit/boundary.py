@@ -15,6 +15,9 @@ from .core import as_tensor
 from .errors import InvalidArgumentError, PreconditionError
 
 DEGENERATE_DENOM = 1e-12
+# why accumulate stops; the first two are the converged ones
+STOP_REASONS = ("fooled_at_entry", "fooled", "max_iters", "degenerate")
+FOOLED = STOP_REASONS[:2]
 
 
 @dataclass(frozen=True)
@@ -93,23 +96,24 @@ def crossing_step(diff: np.ndarray, gap: float) -> np.ndarray | None:
 
 def accumulate(r: np.ndarray, probe, max_iters: int):
     """Sum crossing steps onto r until it is fooled; returns (r, iterations,
-    converged).
+    reason), reason being why the loop stopped: "fooled_at_entry" (at the
+    incoming r), "fooled", "max_iters" or "degenerate".
 
     probe(r) is called once per visited r and returns (fooled, step): step()
     gives the crossing step from r, or None at a degenerate boundary, and is
     called only for a step the loop takes, so never once r is fooled or
-    max_iters steps are spent. The loop stops unconverged at either limit.
+    max_iters steps are spent.
     """
     iterations = 0
     while True:
         fooled, step_at = probe(r)
         if fooled:
-            return r, iterations, True
+            return r, iterations, "fooled" if iterations else "fooled_at_entry"
         if iterations >= max_iters:
-            return r, iterations, False
+            return r, iterations, "max_iters"
         step = step_at()
         if step is None:
-            return r, iterations, False
+            return r, iterations, "degenerate"
         r = r + step
         iterations += 1
 
@@ -203,7 +207,7 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
 
         return not left, step_at
 
-    r, iterations, converged = accumulate(np.zeros_like(x), probe, max_iters)
+    r, iterations, reason = accumulate(np.zeros_like(x), probe, max_iters)
 
     s_final = clf.scores(x + (1.0 + eta) * r)
     crossed = {l for l in targets if s_final[y] < s_final[l]}
@@ -211,5 +215,5 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
         perturbation=(1.0 + eta) * r,
         iterations=iterations,
         crossed_indices=crossed,
-        converged=converged,
+        converged=reason in FOOLED,
     )

@@ -199,11 +199,12 @@ class PerturbedBatch:
     those entries are not read). Layer 1's pre-activation W1.x + b1 is cached
     per image once; in patch mode it leaves out the on-mask pixels, which
     every image shares, and W1 times the delta is cached per delta. A call
-    then costs one product over the pixels the carrier moves for all its
-    steps together, and none for a zero step. Layers 2 on multiply by
-    contiguous copies of W.T, which on a few rows is several times faster
-    than the transposed views of _forward. forward_points and backward agree
-    with _forward and backward_from_cache at those points up to rounding.
+    then costs one product over the pixels the carrier moves, W1 times its
+    one step, which every scale of the step shares, and none for a zero
+    step. Layers 2 on multiply by contiguous copies of W.T, which on a few
+    rows is several times faster than the transposed views of _forward.
+    forward_points and backward agree with _forward and backward_from_cache
+    at those points up to rounding.
     """
 
     def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
@@ -249,22 +250,25 @@ class PerturbedBatch:
         # floating-point addition is monotone, so the bound is exact
         self._may_clamp = (self._lo + d.min() < 0.0) | (self._hi + d.max() > 1.0)
 
-    def gallery(self) -> np.ndarray:
-        """The read-only embeddings of every image under delta, encoded once
-        per delta."""
+    def gallery(self) -> ForwardCache:
+        """Every image under delta, encoded once per delta with its backward
+        state; the embeddings are read-only. Its rows at delta stand in for
+        the rows of any point at a zero step."""
         if self._gallery is None:
-            self._gallery = self.forward_points(self._all_rows, [None]).embeddings
-            self._gallery.flags.writeable = False
+            self._gallery = self.forward_points(self._all_rows)
+            self._gallery.embeddings.flags.writeable = False
         return self._gallery
 
-    def forward_points(self, rows, steps) -> ForwardCache:
-        """Encode carrier.apply(images[rows], delta) + step for each step, in
-        one pass, keeping state for backward: the cache holds the rows of
-        steps[0] first, then those of steps[1], and so on.
+    def forward_points(self, rows, step=None, scales=(1.0,)) -> ForwardCache:
+        """Encode carrier.apply(images[rows], delta) + s * step for each
+        scale s in one pass, keeping state for backward: the cache holds the
+        rows of scales[0] first, then those of scales[1], and so on.
 
-        The steps are trusted, not checked: finite float64 arrays of
-        n_inputs values (None: no step), as an attack builds them from this
-        batch's own backward; set_delta checks whatever they add up to.
+        The points share one product W1 . step over the pixels the carrier
+        moves, and a step that is None or zero costs none. The step is
+        trusted, not checked: a finite float64 array of n_inputs values, as
+        an attack builds it from this batch's own backward; set_delta checks
+        whatever the steps add up to.
         """
         rows = np.asarray(rows, dtype=np.intp)
         z = self._base[rows] + self._shift
@@ -273,14 +277,14 @@ class PerturbedBatch:
             if clamps.any():  # W1 (clamp(v) - v) for the pixels the clamp moved
                 raw = self._flat[rows[clamps]] + self._d
                 z[clamps] += (clamp_unit(raw) - raw) @ self._w.T
-        steps = [None if s is None else s.reshape(-1)[self._on] for s in steps]
-        moved = [i for i, s in enumerate(steps) if s is not None and s.any()]
-        shifts = {}
-        if moved:
-            products = self._w @ np.stack([steps[i] for i in moved], axis=1)
-            shifts = dict(zip(moved, products.T))
-        z = np.concatenate([z + shifts[i] if i in shifts else z for i in range(len(steps))])
-        return _stack(self.enc, z, self._weights_t)
+        if step is not None:
+            step = step.reshape(-1)[self._on]
+        if step is None or not step.any():
+            points = [z] * len(scales)
+        else:
+            shift = self._w @ step
+            points = [z + s * shift for s in scales]
+        return _stack(self.enc, np.concatenate(points), self._weights_t)
 
     def backward(self, cache: ForwardCache, us: np.ndarray, rows) -> np.ndarray:
         """Gradient of sum_j us[j] . e[rows[j]] with respect to the step that

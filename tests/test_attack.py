@@ -3,11 +3,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uapkit.attack import (AttackConfig, Perturbation, _ira_inner, _probe_subset,
-                           _tra_inner, check_attack, evaluate_metrics, run_attack)
+from uapkit.attack import (EPS_LINF_DEFAULT, AttackConfig, Perturbation, _ira_inner,
+                           _orders, _probe_subset, _tra_inner, check_attack,
+                           evaluate_metrics, run_attack)
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
-from uapkit.encoder import PerturbedBatch, build_encoder, encode_batch
+from uapkit.encoder import (PerturbedBatch, build_encoder, default_toy_encoder,
+                            encode_batch)
 from uapkit.errors import InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, indicator, recall_at_k,
                               topk_class_accuracy)
@@ -71,8 +73,8 @@ def test_config_names_each_bound_it_checks(field, value, bound):
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 63, 2 ** 64])
 def test_config_seed_must_not_alias_in_the_shuffle_stream(seed):
-    # the shuffle draws from Lcg((seed << 1) ^ epoch), read mod 2^64, so
-    # seeds 0 and 2^63 would visit the images in the same order
+    # the shuffle draws from Lcg(seed), which reads the seed mod 2^64;
+    # [0, 2^63) is attack's documented seed range
     with pytest.raises(InvalidArgumentError, match="seed"):
         patch_cfg(seed=seed)
     assert patch_cfg(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
@@ -149,6 +151,19 @@ def test_shuffle_changes_visit_order(enc, ds):
     assert sorted(ids1) == sorted(ids2) == list(range(20))
     assert ids1 != ids2
     assert ids2 == list(range(20))
+
+
+def test_shuffle_orders_differ_for_every_seed_and_epoch():
+    # each run shuffles on one stream, so no (seed, epoch) replays another's
+    # order; seeding each epoch with (seed << 1) ^ epoch would make seed 0 at
+    # epoch 2 replay seed 1 at epoch 0
+    seen = set()
+    for seed in range(16):
+        orders = _orders(20, patch_cfg(seed=seed, shuffle=True))
+        seen.update(tuple(next(orders)) for _ in range(6))
+    assert len(seen) == 16 * 6
+    plain = _orders(20, patch_cfg(seed=5))
+    assert [next(plain) for _ in range(3)] == [list(range(20))] * 3
 
 
 def test_trace_accounting(enc, ds):
@@ -302,17 +317,21 @@ def test_evaluate_metrics_k_beyond_a_subset_gallery(enc, ds, k):
 # -- inner-loop tie-breaks ---------------------------------------------------
 
 class StubBatch:
-    """Stands in for PerturbedBatch: forward_points returns each row's entry
-    embedding when its only step is None and its probe embedding at every
-    point otherwise; backward records what it is asked to differentiate."""
+    """Stands in for PerturbedBatch: the rows at delta (forward_points
+    without a step, and gallery()) are the entry embeddings, and every point
+    of a step the probe embeddings; backward records what it is asked to
+    differentiate."""
 
     def __init__(self, entry, probe, shape):
         self.entry, self.probe, self.shape = entry, probe, shape
         self.backward_calls = []
 
-    def forward_points(self, rows, steps):
-        table = self.entry if len(steps) == 1 and steps[0] is None else self.probe
-        return SimpleNamespace(embeddings=np.concatenate([table[list(rows)]] * len(steps)))
+    def forward_points(self, rows, step=None, scales=(1.0,)):
+        table = self.entry if step is None else self.probe
+        return SimpleNamespace(embeddings=np.concatenate([table[list(rows)]] * len(scales)))
+
+    def gallery(self):
+        return SimpleNamespace(embeddings=self.entry)
 
     def backward(self, cache, us, rows=None):
         # rows=None differentiates every cached row
@@ -335,6 +354,11 @@ def tiebreak_cfg():
     return AttackConfig(k=3, max_inner_iters=1, mode="global", norm="l2", epsilon=1.0)
 
 
+# a nonzero incoming r, as a tira half passes on: the probe is then a new
+# point, whose similarities may order the candidates unlike the entry's
+R0 = np.full((1, 2, 2), 0.5)
+
+
 def test_tra_step_seeded_by_smallest_id_candidate_and_match():
     # texts 2, 5, 6 match image 0; at entry the nearest non-matching texts
     # are 7, 4, 1 (descending). At the probe, candidates 7 and 1 tie as the
@@ -349,12 +373,12 @@ def test_tra_step_seeded_by_smallest_id_candidate_and_match():
                          matches_of_image=lambda v: frozenset({2, 5, 6}))
     e0, e1 = np.eye(10)[:2]
     batch = StubBatch(e0[None], e1[None], (1, 2, 2))
-    r, iters, converged = _tra_inner(batch, ds, 0, np.zeros((1, 2, 2)), tiebreak_cfg())
-    assert (iters, converged) == (1, False)
+    r, iters, reason = _tra_inner(batch, ds, 0, R0, tiebreak_cfg())
+    assert (iters, reason) == (1, "max_iters")
     [(us, rows)] = batch.backward_calls
     np.testing.assert_array_equal(us, (texts[1] - texts[5])[None])
     assert rows == [0]
-    np.testing.assert_allclose(r, np.full((1, 2, 2), (0.6 - 0.2) / 4))
+    np.testing.assert_allclose(r - R0, np.full((1, 2, 2), (0.6 - 0.2) / 4))
 
 
 def test_ira_step_seeded_by_smallest_id_candidate():
@@ -365,14 +389,13 @@ def test_ira_step_seeded_by_smallest_id_candidate():
     t = np.eye(8)[0]
     ds = SimpleNamespace(texts=EmbeddingIndex(t[None]), image_of_text=lambda i: 3)
     gallery = EmbeddingIndex(unit_rows(gallery_sims))
-    batch = StubBatch(None, unit_rows(probe_sims), (1, 2, 2))
-    r, iters, converged = _ira_inner(batch, ds, 0, np.zeros((1, 2, 2)),
-                                     tiebreak_cfg(), gallery)
-    assert (iters, converged) == (1, False)
+    batch = StubBatch(gallery.embeddings, unit_rows(probe_sims), (1, 2, 2))
+    r, iters, reason = _ira_inner(batch, ds, 0, R0, tiebreak_cfg(), gallery)
+    assert (iters, reason) == (1, "max_iters")
     [(us, rows)] = batch.backward_calls
     np.testing.assert_array_equal(us, np.stack([t, -t]))
     assert rows == [2, 0]  # rows are [3, 6, 2, 4]: image 2, then the match
-    np.testing.assert_allclose(r, np.full((1, 2, 2), (0.7 - 0.2) / 4))
+    np.testing.assert_allclose(r - R0, np.full((1, 2, 2), (0.7 - 0.2) / 4))
 
 
 def test_ira_encodes_the_gallery_once_per_distinct_delta(enc, ds, monkeypatch):
@@ -383,10 +406,10 @@ def test_ira_encodes_the_gallery_once_per_distinct_delta(enc, ds, monkeypatch):
         deltas.append(np.asarray(delta).tobytes())
         return set_delta(self, delta)
 
-    def counting_forward_points(self, rows, steps):
+    def counting_forward_points(self, rows, *args):
         if len(rows) == PARAMS.n_images:
             galleries.append(deltas[-1])
-        return forward_points(self, rows, steps)
+        return forward_points(self, rows, *args)
 
     monkeypatch.setattr(PerturbedBatch, "set_delta", counting_set_delta)
     monkeypatch.setattr(PerturbedBatch, "forward_points", counting_forward_points)
@@ -405,10 +428,10 @@ def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
     gallery = PerturbedBatch.gallery
 
     def recording_gallery(self):
-        embs = gallery(self)
-        if not any(embs is e for e in encoded):
-            encoded.append(embs)
-        return embs
+        cache = gallery(self)
+        if not any(cache.embeddings is e for e in encoded):
+            encoded.append(cache.embeddings)
+        return cache
 
     class CountingIndex(EmbeddingIndex):
         def __post_init__(self):
@@ -424,3 +447,60 @@ def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
     assert all(sum(e is g for e in built) == 1 for g in encoded)
     # some text halves commit the delta they started from
     assert 1 < len(encoded) < len(trace.commits)
+
+
+# -- work on the standard benchmark ------------------------------------------
+
+@pytest.fixture(scope="module")
+def linf_epochs():
+    """One global linf epoch of ira and of tra on the standard benchmark (the
+    default gen dataset and encoder), with each PerturbedBatch forward and
+    backward counted: (trace, counts) per strategy."""
+    enc = default_toy_encoder()
+    ds = build_dataset(DatasetParams(), enc)
+    forward_points, backward = PerturbedBatch.forward_points, PerturbedBatch.backward
+    counts = {}
+
+    def counting_forward_points(self, rows, step=None, scales=(1.0,)):
+        kind = ("gallery" if len(rows) == ds.params.n_images
+                else "at_delta" if step is None or not step.any() else "step")
+        counts[kind] += 1
+        return forward_points(self, rows, step, scales)
+
+    def counting_backward(self, *args):
+        counts["backward"] += 1
+        return backward(self, *args)
+
+    out = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PerturbedBatch, "forward_points", counting_forward_points)
+        mp.setattr(PerturbedBatch, "backward", counting_backward)
+        for strategy in ("ira", "tra"):
+            counts = dict.fromkeys(("gallery", "at_delta", "step", "backward"), 0)
+            cfg = AttackConfig(epochs=1, mode="global", norm="linf",
+                               epsilon=EPS_LINF_DEFAULT)
+            out[strategy] = run_attack(enc, ds, cfg, strategy)[1], counts
+    return out
+
+
+@pytest.mark.parametrize("strategy, forwards, work", [
+    # ira: one gallery per distinct delta, and each text's rows at r = 0 are
+    # gallery rows, so every other forward is a probe of a step taken
+    ("ira", 698, {"gallery": 119, "at_delta": 0, "step": 579, "backward": 579}),
+    # tra: each image's entry forward is also its probe at r = 0
+    ("tra", 660, {"gallery": 0, "at_delta": 200, "step": 460, "backward": 460}),
+])
+def test_global_linf_epoch_work_is_pinned(linf_epochs, strategy, forwards, work):
+    trace, counts = linf_epochs[strategy]
+    assert counts == work
+    assert counts["gallery"] + counts["at_delta"] + counts["step"] == forwards
+    assert trace.summary()["total_inner_iterations"] == work["backward"]
+
+
+def test_stop_reasons_of_an_ira_epoch(linf_epochs):
+    trace, _ = linf_epochs["ira"]
+    reasons = trace.summary()["stop_reasons"]
+    assert reasons == {"fooled_at_entry": 882, "fooled": 114, "max_iters": 4,
+                       "degenerate": 0}
+    assert sum(reasons.values()) == trace.summary()["samples_visited"]
+    assert reasons["fooled_at_entry"] + reasons["fooled"] == trace.summary()["converged"]

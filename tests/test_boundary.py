@@ -230,29 +230,29 @@ class Counting:
 
 def test_accumulate_fooled_at_entry():
     fake = Counting(0)
-    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 5)
-    assert (r[0], iterations, converged) == (0.0, 0, True)
+    r, iterations, reason = accumulate(np.zeros(1), fake.probe, 5)
+    assert (r[0], iterations, reason) == (0.0, 0, "fooled_at_entry")
     assert (fake.probes, fake.steps) == (1, 0)
 
 
 def test_accumulate_fooled_after_n_steps():
     fake = Counting(3)
-    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 5)
-    assert (r[0], iterations, converged) == (3.0, 3, True)
+    r, iterations, reason = accumulate(np.zeros(1), fake.probe, 5)
+    assert (r[0], iterations, reason) == (3.0, 3, "fooled")
     assert (fake.probes, fake.steps) == (4, 3)
 
 
 def test_accumulate_stops_at_max_iters():
     fake = Counting(10)
-    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 4)
-    assert (r[0], iterations, converged) == (4.0, 4, False)
+    r, iterations, reason = accumulate(np.zeros(1), fake.probe, 4)
+    assert (r[0], iterations, reason) == (4.0, 4, "max_iters")
     assert (fake.probes, fake.steps) == (5, 4)
 
 
 def test_accumulate_stops_at_degenerate_step():
     fake = Counting(10, none_from=2)
-    r, iterations, converged = accumulate(np.zeros(1), fake.probe, 5)
-    assert (r[0], iterations, converged) == (2.0, 2, False)
+    r, iterations, reason = accumulate(np.zeros(1), fake.probe, 5)
+    assert (r[0], iterations, reason) == (2.0, 2, "degenerate")
     assert (fake.probes, fake.steps) == (3, 3)
 
 

@@ -170,7 +170,7 @@ def assert_factored_matches_oracle(enc, images, carrier, delta, step):
     applied = carrier.apply(images[rows], delta)
     for s in (None, step):
         point = applied if s is None else applied + s[None]
-        cache, oracle = batch.forward_points(rows, [s]), _forward(enc, point)
+        cache, oracle = batch.forward_points(rows, s), _forward(enc, point)
         np.testing.assert_allclose(cache.embeddings, oracle.embeddings, rtol=0, atol=1e-12)
         us = np.random.default_rng(1).standard_normal((2, enc.embed_dim))
         grad = batch.backward(cache, us, rows=[2, 0])
@@ -214,7 +214,7 @@ def test_factored_rows_follow_each_new_delta():
         delta = scale * np.random.default_rng(7).standard_normal(SHAPE)
         batch.set_delta(delta)
         np.testing.assert_allclose(
-            batch.forward_points([0, 5], [step]).embeddings,
+            batch.forward_points([0, 5], step).embeddings,
             encode_batch(enc, carrier.apply(images[[0, 5]], delta) + step[None]),
             rtol=0, atol=1e-12)
 
@@ -255,7 +255,7 @@ def test_factored_zero_output_is_degenerate():
                            Carrier("patch", square_patch_mask(SHAPE, 2)))
     batch.set_delta(np.zeros(SHAPE))
     with pytest.raises(DegenerateEncodingError):
-        batch.forward_points([0, 1], [None])
+        batch.forward_points([0, 1])
 
 
 FACTORED_CARRIERS = {
@@ -282,19 +282,19 @@ def points_case(name):
 def test_forward_points_match_single_points_and_oracle(name):
     enc, images, carrier, delta, step, batch = points_case(name)
     rows = [4, 1, 3]
-    steps = [step, None, np.zeros(SHAPE), 1.02 * step]
-    cache = batch.forward_points(rows, steps)
+    scales = (1.0, 0.0, 1.02, -0.5)
+    cache = batch.forward_points(rows, step, scales)
     applied = carrier.apply(images[rows], delta)
-    for i, s in enumerate(steps):
+    for i, s in enumerate(scales):
         got = cache.embeddings[3 * i:3 * i + 3]
-        single = batch.forward_points(rows, [s]).embeddings
-        oracle = _forward(enc, applied if s is None else applied + s[None]).embeddings
+        single = batch.forward_points(rows, s * step).embeddings
+        oracle = _forward(enc, applied + s * step[None]).embeddings
         np.testing.assert_allclose(got, single, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
     # the backward differentiates the cache rows it names, at any point
     us = np.random.default_rng(1).standard_normal((2, enc.embed_dim))
-    single = batch.forward_points(rows, [1.02 * step])
-    np.testing.assert_allclose(batch.backward(cache, us, [11, 9]),
+    single = batch.forward_points(rows, 1.02 * step)
+    np.testing.assert_allclose(batch.backward(cache, us, [8, 6]),
                                batch.backward(single, us, [2, 0]), rtol=0, atol=1e-12)
 
 
@@ -302,10 +302,25 @@ def test_forward_points_match_single_points_and_oracle(name):
 def test_zero_step_is_the_no_step_forward_bitwise(name):
     *_, batch = points_case(name)
     rows = [0, 5, 2]
-    plain = batch.forward_points(rows, [None]).embeddings
-    assert np.array_equal(batch.forward_points(rows, [np.zeros(SHAPE)]).embeddings, plain)
-    both = batch.forward_points(rows, [np.zeros(SHAPE), None]).embeddings
-    assert np.array_equal(both, np.concatenate([plain, plain]))
+    plain = batch.forward_points(rows).embeddings
+    assert np.array_equal(batch.forward_points(rows, np.zeros(SHAPE)).embeddings, plain)
+    for step in (np.zeros(SHAPE), None):
+        both = batch.forward_points(rows, step, (1.0, 1.02)).embeddings
+        assert np.array_equal(both, np.concatenate([plain, plain]))
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
+def test_gallery_rows_stand_in_for_a_forward_at_delta(name):
+    # an attack reads a sample's rows at r = 0 from the gallery's cache; they
+    # come from a larger product than the sample's own forward, so they
+    # agree up to rounding
+    enc, *_, batch = points_case(name)
+    rows = np.array([4, 1, 3])
+    gallery, own = batch.gallery(), batch.forward_points(rows)
+    np.testing.assert_allclose(gallery.embeddings[rows], own.embeddings, rtol=0, atol=1e-12)
+    us = np.random.default_rng(2).standard_normal((2, enc.embed_dim))
+    np.testing.assert_allclose(batch.backward(gallery, us, rows[[2, 0]]),
+                               batch.backward(own, us, [2, 0]), rtol=0, atol=1e-12)
 
 
 def test_gallery_is_encoded_once_per_delta():
@@ -314,15 +329,17 @@ def test_gallery_is_encoded_once_per_delta():
     batch = PerturbedBatch(enc, images, carrier)
     batch.set_delta(delta)
     first = batch.gallery()
-    np.testing.assert_allclose(first, encode_batch(enc, carrier.apply(images, delta)),
+    np.testing.assert_allclose(first.embeddings,
+                               encode_batch(enc, carrier.apply(images, delta)),
                                rtol=0, atol=1e-12)
-    assert not first.flags.writeable
+    assert not first.embeddings.flags.writeable
     batch.set_delta(delta.copy())  # the same bytes: nothing moves
     assert batch.gallery() is first
     batch.set_delta(0.5 * delta)
     moved = batch.gallery()
     assert moved is not first
-    np.testing.assert_allclose(moved, encode_batch(enc, carrier.apply(images, 0.5 * delta)),
+    np.testing.assert_allclose(moved.embeddings,
+                               encode_batch(enc, carrier.apply(images, 0.5 * delta)),
                                rtol=0, atol=1e-12)
     with pytest.raises(InvalidArgumentError):  # the same check, even unchanged
         batch.set_delta(np.full(SHAPE, np.nan))
