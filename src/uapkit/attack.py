@@ -18,9 +18,10 @@ check_attack checks the sizes once, at entry, and set_delta every delta.
 
 The carrier (core.Carrier) owns the patch/global rules: where delta sits on
 an image and how a commit is projected. Every forward and backward of the
-inner loops goes through one encoder.PerturbedBatch, which computes the
-encoder's first layer only over the pixels the carrier moves. All loops are
-sequential and fully deterministic.
+inner loops, and every metric report_metrics reports, goes through one
+encoder.PerturbedBatch, which computes the encoder's first layer only over
+the pixels the carrier moves. All loops are sequential and fully
+deterministic.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .boundary import FOOLED, STOP_REASONS, accumulate, crossing_step
 from .core import Carrier, as_tensor
 from .datagen import Dataset
-from .encoder import Encoder, PerturbedBatch, encode_batch
+from .encoder import Encoder, PerturbedBatch
 from .errors import InvalidArgumentError
 from .retrieval import (EmbeddingIndex, hit_rate, match_mask, match_ranks,
                         select_nonmatching_topk)
@@ -130,9 +131,6 @@ class Perturbation:
         object.__setattr__(self, "delta", as_tensor(self.delta))
         self.carrier.check(self.delta)
 
-    def apply_batch(self, images: np.ndarray) -> np.ndarray:
-        return self.carrier.apply(images, self.delta)
-
 
 # -- inner loops -------------------------------------------------------------
 
@@ -220,15 +218,20 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
 # -- commit and driver -------------------------------------------------------
 
 
-def _commit(delta: np.ndarray, r: np.ndarray, cfg: AttackConfig,
-            trace: AttackTrace, epoch: int) -> np.ndarray:
-    new = cfg.carrier.commit(delta, (1.0 + cfg.eta) * r)
+def _commit(batch: PerturbedBatch, delta: np.ndarray, r: np.ndarray,
+            cfg: AttackConfig, trace: AttackTrace, epoch: int) -> np.ndarray:
+    """delta after one half's r, fixed on batch. A zero r leaves delta as
+    it is: every delta here is a projection's output (or zero), which the
+    projection maps to itself bit for bit, so neither it nor set_delta runs."""
+    if r.any():
+        delta = cfg.carrier.commit(delta, (1.0 + cfg.eta) * r)
+        batch.set_delta(delta)
     trace.commits.append(CommitRecord(
         epoch=epoch,
-        norm_l2=float(np.linalg.norm(new)),
-        norm_linf=float(np.abs(new).max()) if new.size else 0.0,
+        norm_l2=float(np.linalg.norm(delta)),
+        norm_linf=float(np.abs(delta).max()) if delta.size else 0.0,
     ))
-    return new
+    return delta
 
 
 def _orders(n: int, cfg: AttackConfig):
@@ -245,38 +248,54 @@ def _orders(n: int, cfg: AttackConfig):
         yield idx
 
 
-def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | None,
-                     k_list=(1, 5, 10), image_subset=None) -> dict:
-    """TR/IR R@k and Top-1/Top-5 metrics, optionally over an image subset.
+def report_metrics(batch: PerturbedBatch, ds: Dataset, delta: np.ndarray,
+                   k_list=(1, 5, 10), image_subset=None) -> dict:
+    """{"clean": ..., "adversarial": ...}: TR/IR R@k for each k and
+    Top-1/Top-5 of the images image_subset (default: all) of ds, as given
+    and under delta, against the texts of those images.
 
-    Each direction is ranked once, with one match_ranks vector, and every k
-    is read off it; the texts are those of the subset's images.
+    batch is a PerturbedBatch of ds.images. The adversarial rows are its
+    gallery at delta, the rows the attack ranks against, and the clean rows
+    its clean(), off the same cached first layer. Both are ranked on one set
+    of text ids and match masks: each direction once, with one match_ranks
+    vector, and every k read off it.
     """
-    if image_subset is None:
-        image_subset = list(range(ds.params.n_images))
-    images = ds.images[image_subset]
-    if perturbation is not None:
-        images = perturbation.apply_batch(images)
-    img = EmbeddingIndex(encode_batch(enc, images)).embeddings
-
-    img_pos = {v: i for i, v in enumerate(image_subset)}
-    text_ids = sorted(t for v in image_subset for t in ds.matches_of_image(v))
+    rows = range(ds.params.n_images) if image_subset is None else list(image_subset)
+    img_pos = {v: i for i, v in enumerate(rows)}
+    text_ids = sorted(t for v in rows for t in ds.matches_of_image(v))
     owner = np.array([img_pos[ds.image_of_text(t)] for t in text_ids])
     texts = ds.texts.embeddings[text_ids]
-    tr_match = owner == np.arange(len(img))[:, None]  # (images, texts)
-    tr = match_ranks(img @ texts.T, tr_match)
-    ir = match_ranks(texts @ img.T, tr_match.T)
-
-    out = {}
-    for k in k_list:
-        out[f"tr_r{k}"] = hit_rate(tr, k, len(texts))
-        out[f"ir_r{k}"] = hit_rate(ir, k, len(img))
+    tr_match = owner == np.arange(len(rows))[:, None]  # (images, texts)
     protos = ds.prototypes.embeddings
-    labels = np.array([ds.labels[v] for v in image_subset])
-    cls = match_ranks(img @ protos.T, labels[:, None] == np.arange(len(protos)))
-    out["top1"] = hit_rate(cls, 1, len(protos))
-    out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
-    return out
+    cls_match = np.array([ds.labels[v] for v in rows])[:, None] == np.arange(len(protos))
+
+    def metrics(img: np.ndarray) -> dict:
+        tr = match_ranks(img @ texts.T, tr_match)
+        ir = match_ranks(texts @ img.T, tr_match.T)
+        out = {}
+        for k in k_list:
+            out[f"tr_r{k}"] = hit_rate(tr, k, len(texts))
+            out[f"ir_r{k}"] = hit_rate(ir, k, len(img))
+        cls = match_ranks(img @ protos.T, cls_match)
+        out["top1"] = hit_rate(cls, 1, len(protos))
+        out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
+        return out
+
+    batch.set_delta(delta)
+    return {"clean": metrics(batch.clean().embeddings[rows]),
+            "adversarial": metrics(batch.gallery().embeddings[rows])}
+
+
+def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | None,
+                     k_list=(1, 5, 10), image_subset=None) -> dict:
+    """report_metrics' block of the images under perturbation, or its clean
+    block when that is None, optionally over an image subset."""
+    # clean rows are the same under any carrier
+    p = perturbation or Perturbation(np.zeros(ds.params.image_shape),
+                                     Carrier("global", norm="linf", epsilon=1.0))
+    report = report_metrics(PerturbedBatch(enc, ds.images, p.carrier), ds, p.delta,
+                            k_list, image_subset)
+    return report["clean" if perturbation is None else "adversarial"]
 
 
 def _probe_subset(ds: Dataset, limit: int = 32) -> list[int]:
@@ -331,24 +350,26 @@ def check_attack(ds: Dataset, cfg: AttackConfig, strategy: str) -> None:
                 f"{strategy} ({name})")
 
 
-def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
+def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
+               batch: PerturbedBatch | None = None):
     """Run strategy tra, ira or tira; returns (Perturbation, AttackTrace).
 
     Each half accumulates one r over its samples on top of the current delta,
-    then commits it once.
+    then commits it once. batch, a PerturbedBatch of enc over ds.images
+    under cfg.carrier, is built here when None.
     """
     check_attack(ds, cfg, strategy)
-    batch = PerturbedBatch(enc, ds.images, cfg.carrier)
+    if batch is None:
+        batch = PerturbedBatch(enc, ds.images, cfg.carrier)
     delta = np.zeros(ds.params.image_shape)
+    batch.set_delta(delta)
     trace = AttackTrace()
     probe = _probe_subset(ds)
-    clean = evaluate_metrics(enc, ds, None, (PROBE_K,), probe)
     gallery_cache = None
     orders = _orders(ds.params.n_texts if strategy == "ira" else ds.params.n_images, cfg)
     for epoch, order in zip(range(cfg.epochs), orders):
         for kind, samples in _halves(ds, cfg, strategy, order):
             r = np.zeros_like(delta)
-            batch.set_delta(delta)
             if kind == "text":
                 # gallery() encodes again only after delta moved, and only a
                 # new gallery needs a new index
@@ -361,8 +382,8 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str):
                 else:
                     r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
-            delta = _commit(delta, r, cfg, trace, epoch)
-        adv = evaluate_metrics(enc, ds, Perturbation(delta, cfg.carrier), (PROBE_K,), probe)
+            delta = _commit(batch, delta, r, cfg, trace, epoch)
+        clean, adv = report_metrics(batch, ds, delta, (PROBE_K,), probe).values()
         trace.epoch_metrics.append({
             "epoch": epoch,
             "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],

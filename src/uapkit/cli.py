@@ -23,11 +23,11 @@ import numpy as np
 
 from . import __version__, datagen, tensor_io
 from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
-                     AttackConfig, Perturbation, check_attack, evaluate_metrics,
+                     AttackConfig, Perturbation, check_attack, report_metrics,
                      run_attack)
 from .core import Carrier, as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
-from .encoder import (default_toy_encoder, encode_batch, encoder_hash, gradcheck,
+from .encoder import (PerturbedBatch, default_toy_encoder, encoder_hash, gradcheck,
                       load_encoder, save_encoder)
 from .errors import (MALFORMED_JSON_ERRORS, DegenerateDatasetError,
                      IntegrityError, InvalidArgumentError, UapkitError)
@@ -48,14 +48,13 @@ def _load_encoder_arg(path: str | None):
     return load_encoder(path)
 
 
-def _report(command: str, start: float, enc, ds, pert: Perturbation, k_list,
-            **fields) -> dict:
-    """Clean and adversarial metrics, the wall clock since start and the
-    fields every report has, plus the command's own fields."""
-    k_list = tuple(k_list)
+def _report(command: str, start: float, batch: PerturbedBatch, ds,
+            delta: np.ndarray, k_list, **fields) -> dict:
+    """Clean and adversarial metrics from batch's one first layer, the wall
+    clock since start and the fields every report has, plus the command's
+    own fields."""
     return {"schema": "uapkit-report-v1", "command": command,
-            "clean": evaluate_metrics(enc, ds, None, k_list),
-            "adversarial": evaluate_metrics(enc, ds, pert, k_list),
+            **report_metrics(batch, ds, delta, tuple(k_list)),
             "wall_clock_seconds": time.monotonic() - start,
             "library_version": __version__, **fields}
 
@@ -126,9 +125,6 @@ def cmd_attack(args) -> int:
     if ds.encoder_hash and ds.encoder_hash != enc_hash:
         raise IntegrityError("dataset was generated against a different encoder")
     _check_k_list(args.k_list, ds)
-    # re-verify the clean-retrieval floor on the loaded pairing
-    datagen._floor_check(ds, encode_batch(enc, ds.images))
-
     carrier_kw, geometry = _carrier_args(args, ds.params.image_shape)
     cfg = AttackConfig(
         k=args.k, eta=args.eta, epochs=args.epochs,
@@ -137,13 +133,17 @@ def cmd_attack(args) -> int:
     config = cfg.to_json_dict()
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     check_attack(ds, cfg, args.strategy)  # before anything is written
+    # one first layer for the attack and the report, whose clean rows also
+    # re-verify the clean-retrieval floor on the loaded pairing
+    batch = PerturbedBatch(enc, ds.images, cfg.carrier)
+    datagen.floor_check(ds, batch.clean().embeddings)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     start = time.monotonic()
-    pert, trace = run_attack(enc, ds, cfg, args.strategy)
+    pert, trace = run_attack(enc, ds, cfg, args.strategy, batch)
     report = _report(
-        "attack", start, enc, ds, pert, args.k_list,
+        "attack", start, batch, ds, pert.delta, args.k_list,
         strategy=args.strategy, config=config,
         seeds={"attack": cfg.seed, "dataset": ds.params.seed, "encoder": enc.seed},
         hashes={"encoder": enc_hash, "dataset": ds.dataset_hash, "config": config_hash},
@@ -212,7 +212,8 @@ def cmd_eval(args) -> int:
         return EXIT_HASH_MISMATCH
 
     report = _report(
-        "eval", time.monotonic(), enc, ds, pert, args.k_list,
+        "eval", time.monotonic(), PerturbedBatch(enc, ds.images, pert.carrier), ds,
+        pert.delta, args.k_list,
         strategy=sidecar.get("strategy", ""), config=sidecar.get("config", {}),
         seeds={"dataset": ds.params.seed, "encoder": enc.seed},
         hashes={"encoder": enc_hash, "dataset": ds.dataset_hash,

@@ -126,11 +126,13 @@ def build_dataset(params: DatasetParams, enc: Encoder) -> Dataset:
     ds = Dataset(params=params, images=images, texts=EmbeddingIndex(texts),
                  annotation=annotation, prototypes=EmbeddingIndex(protos),
                  labels=labels, encoder_hash=encoder_hash(enc))
-    _floor_check(ds, anchors)
+    floor_check(ds, anchors)
     return ds
 
 
-def _floor_check(ds: Dataset, image_embeddings: np.ndarray) -> float:
+def floor_check(ds: Dataset, image_embeddings: np.ndarray) -> float:
+    """Clean TR R@FLOOR_K of image_embeddings, the encoded ds.images; raise
+    DegenerateDatasetError below FLOOR_MULTIPLIER times chance."""
     k = min(FLOOR_K, len(ds.texts))
     matches = [ds.matches_of_image(i) for i in range(ds.params.n_images)]
     r = recall_at_k(EmbeddingIndex(image_embeddings), ds.texts, matches, k)

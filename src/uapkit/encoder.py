@@ -201,10 +201,11 @@ class PerturbedBatch:
     every image shares, and W1 times the delta is cached per delta. A call
     then costs one product over the pixels the carrier moves, W1 times its
     one step, which every scale of the step shares, and none for a zero
-    step. Layers 2 on multiply by contiguous copies of W.T, which on a few
+    step. clean() reads the images as given, with no delta, off the same
+    cache. Layers 2 on multiply by contiguous copies of W.T, which on a few
     rows is several times faster than the transposed views of _forward.
-    forward_points and backward agree with _forward and backward_from_cache
-    at those points up to rounding.
+    clean, forward_points and backward agree with _forward and
+    backward_from_cache at those points up to rounding.
     """
 
     def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
@@ -217,7 +218,7 @@ class PerturbedBatch:
                 f"mask shape {carrier.mask.shape} does not match {enc.input_shape}")
         self.enc, self.carrier = enc, carrier
         W1, b1 = enc.weights[0], enc.biases[0]
-        flat = images.reshape(len(images), -1)
+        flat = self._flat = images.reshape(len(images), -1)
         if carrier.mode == "patch":
             self._on = np.flatnonzero(carrier.mask)
             # the patch replaces the on-mask pixels, apply clamps the rest
@@ -225,13 +226,12 @@ class PerturbedBatch:
             flat[:, self._on] = 0.0
         else:
             self._on = slice(None)
-            self._flat = flat
             self._lo, self._hi = flat.min(axis=1), flat.max(axis=1)
         self._w = np.ascontiguousarray(W1[:, self._on])
         self._base = flat @ W1.T + b1
         self._weights_t = [np.ascontiguousarray(W.T) for W in enc.weights[1:]]
         self._all_rows = np.arange(len(images))
-        self._key = None
+        self._key = self._clean = None
         self.set_delta(np.zeros(enc.input_shape))
 
     def set_delta(self, delta: np.ndarray) -> None:
@@ -258,6 +258,21 @@ class PerturbedBatch:
             self._gallery = self.forward_points(self._all_rows)
             self._gallery.embeddings.flags.writeable = False
         return self._gallery
+
+    def clean(self) -> ForwardCache:
+        """Every image as given, with no delta, encoded once from the cached
+        first layer (read-only embeddings). In patch mode the cache gains
+        W1 times the on-mask pixels, and an image whose other pixels the
+        clamp moved is multiplied out in full."""
+        if self._clean is None:
+            x, z = self._flat, self._base
+            if self.carrier.mode == "patch":
+                z = z + x[:, self._on] @ self._w.T
+                moved = (x.min(axis=1) < 0.0) | (x.max(axis=1) > 1.0)
+                z[moved] = x[moved] @ self.enc.weights[0].T + self.enc.biases[0]
+            self._clean = _stack(self.enc, z, self._weights_t)
+            self._clean.embeddings.flags.writeable = False
+        return self._clean
 
     def forward_points(self, rows, step=None, scales=(1.0,)) -> ForwardCache:
         """Encode carrier.apply(images[rows], delta) + s * step for each
@@ -375,6 +390,7 @@ def encoder_hash(enc: Encoder) -> str:
     h = hashlib.sha256()
     h.update(json.dumps(enc.manifest_dict(), sort_keys=True).encode())
     for W, b in zip(enc.weights, enc.biases):
-        h.update(np.ascontiguousarray(W, dtype="<f8").tobytes())
-        h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        # contiguous <f8 arrays reach SHA-256 through the buffer protocol, uncopied
+        h.update(np.ascontiguousarray(W, dtype="<f8"))
+        h.update(np.ascontiguousarray(b, dtype="<f8"))
     return h.hexdigest()

@@ -3,9 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uapkit.attack import (EPS_LINF_DEFAULT, AttackConfig, Perturbation, _ira_inner,
-                           _orders, _probe_subset, _tra_inner, check_attack,
-                           evaluate_metrics, run_attack)
+from uapkit.attack import (EPS_LINF_DEFAULT, AttackConfig, AttackTrace, CommitRecord,
+                           Perturbation, _commit, _ira_inner, _orders, _probe_subset,
+                           _tra_inner, check_attack, evaluate_metrics, report_metrics,
+                           run_attack)
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import (PerturbedBatch, build_encoder, default_toy_encoder,
@@ -132,7 +133,7 @@ def test_patch_delta_stays_in_unit_range(enc, ds):
 
 def test_patch_apply_off_patch_identity(enc, ds):
     pert, _ = run_attack(enc, ds, patch_cfg(epochs=1), "tra")
-    out = pert.apply_batch(ds.images[0][None])[0]
+    out = pert.carrier.apply(ds.images[0][None], pert.delta)[0]
     off = pert.carrier.mask == 0.0
     assert np.array_equal(out[off], ds.images[0][off])
 
@@ -204,7 +205,7 @@ def test_converged_samples_are_fooled_at_commit(enc, ds):
     clamp_bound = np.any(pert.delta[on] <= 0.0) or np.any(pert.delta[on] >= 1.0)
     if last.converged and not clamp_bound:
         # the final image's visit is followed only by its own commit
-        v = pert.apply_batch(ds.images[last.sample_id][None])[0]
+        v = pert.carrier.apply(ds.images[last.sample_id][None], pert.delta)[0]
         emb = encode_batch(enc, v[None])[0]
         assert indicator(emb, ds.texts,
                          ds.matches_of_image(last.sample_id), cfg.k) == 0
@@ -217,6 +218,37 @@ def global_cfg(**kw):
     kw.setdefault("norm", "l2")
     kw.setdefault("epsilon", 2.0)
     return AttackConfig(mode="global", **kw)
+
+
+@pytest.mark.parametrize("cfg", [patch_cfg(epochs=1), global_cfg(epochs=1),
+                                 global_cfg(norm="linf", epsilon=0.05, epochs=1)],
+                         ids=["patch", "global_l2", "global_linf"])
+def test_a_zero_r_commit_keeps_delta_as_it_is(enc, ds, cfg):
+    strategy = "tira" if cfg.mode == "patch" else "ira"
+    delta = run_attack(enc, ds, cfg, strategy)[0].delta  # a delta the carrier made
+    assert delta.any()
+    fixed, trace = [], AttackTrace()
+    out = _commit(SimpleNamespace(set_delta=fixed.append), delta, np.zeros(SHAPE),
+                  cfg, trace, 3)
+    assert out is delta and fixed == []  # no projection, no set_delta
+    # the projection it skips maps delta to itself, bit for bit
+    projected = cfg.carrier.commit(delta, np.zeros(SHAPE))
+    assert projected.tobytes() == delta.tobytes()
+    assert trace.commits == [CommitRecord(3, float(np.linalg.norm(projected)),
+                                          float(np.abs(projected).max()))]
+    r = np.full(SHAPE, 1e-3) * (cfg.mask if cfg.mode == "patch" else 1.0)
+    out = _commit(SimpleNamespace(set_delta=fixed.append), delta, r, cfg, trace, 3)
+    assert fixed == [out] and not np.array_equal(out, delta)
+
+
+def test_only_halves_that_take_a_step_project(enc, ds, monkeypatch):
+    calls = []
+    commit = Carrier.commit
+    monkeypatch.setattr(Carrier, "commit",
+                        lambda self, *args: calls.append(1) or commit(self, *args))
+    _, trace = run_attack(enc, ds, global_cfg(norm="linf", epsilon=0.05, epochs=1), "ira")
+    stepped = sum(r.inner_iterations > 0 for r in trace.records)
+    assert 0 < len(calls) == stepped < len(trace.commits)
 
 
 def test_global_l2_budget_every_commit(enc, ds):
@@ -272,7 +304,7 @@ def per_k_metrics(enc, ds, perturbation, k_list, image_subset):
     k, one topk_class_accuracy per k, on match sets."""
     images = ds.images[image_subset]
     if perturbation is not None:
-        images = perturbation.apply_batch(images)
+        images = perturbation.carrier.apply(images, perturbation.delta)
     img = EmbeddingIndex(encode_batch(enc, images))
     text_ids = sorted(t for v in image_subset for t in ds.matches_of_image(v))
     text_pos = {t: i for i, t in enumerate(text_ids)}
@@ -305,6 +337,36 @@ def test_evaluate_metrics_equals_the_per_k_oracle(enc, ds, subset):
             expected = per_k_metrics(enc, ds, p, k_list, images)
             assert out == expected and list(out) == list(expected)
             assert all(type(v) is float for v in out.values())
+
+
+REPORT_CARRIERS = {
+    # (carrier, delta of a given rng): a patch, and global deltas large
+    # enough that the [0, 1] clamp moves pixels, so the clamp correction of
+    # the factored rows runs
+    "patch": (patch_cfg().carrier, lambda rng: rng.uniform(0.0, 1.0, SHAPE)),
+    "global_l2": (Carrier("global", norm="l2", epsilon=50.0),
+                  lambda rng: 0.6 * rng.standard_normal(SHAPE)),
+    "global_linf": (Carrier("global", norm="linf", epsilon=0.6),
+                    lambda rng: rng.choice([-0.6, 0.6], SHAPE)),
+}
+
+
+@pytest.mark.parametrize("subset", [None, [0, 3, 5, 7, 11, 19]], ids=["full", "subset"])
+@pytest.mark.parametrize("name", sorted(REPORT_CARRIERS))
+def test_report_metrics_equal_the_apply_encode_oracle(enc, ds, name, subset):
+    carrier, draw = REPORT_CARRIERS[name]
+    pert = Perturbation(draw(np.random.default_rng(5)), carrier)
+    if carrier.mode == "global":
+        raw = ds.images + pert.delta
+        assert raw.min() < 0.0 and raw.max() > 1.0  # the clamp is active
+    images = list(range(PARAMS.n_images)) if subset is None else subset
+    k_list = (1, 2, 5)
+    batch = PerturbedBatch(enc, ds.images, carrier)
+    report = report_metrics(batch, ds, pert.delta, k_list, subset)
+    assert report == {"clean": per_k_metrics(enc, ds, None, k_list, images),
+                      "adversarial": per_k_metrics(enc, ds, pert, k_list, images)}
+    # the batch, already at delta, gives the same report again
+    assert report_metrics(batch, ds, pert.delta, k_list, subset) == report
 
 
 @pytest.mark.parametrize("k", [0, 4, 10])
@@ -487,8 +549,9 @@ def linf_epochs():
     # ira: one gallery per distinct delta, and each text's rows at r = 0 are
     # gallery rows, so every other forward is a probe of a step taken
     ("ira", 698, {"gallery": 119, "at_delta": 0, "step": 579, "backward": 579}),
-    # tra: each image's entry forward is also its probe at r = 0
-    ("tra", 660, {"gallery": 0, "at_delta": 200, "step": 460, "backward": 460}),
+    # tra: each image's entry forward is also its probe at r = 0, and the
+    # epoch's R@10 probe reads the gallery at the committed delta
+    ("tra", 661, {"gallery": 1, "at_delta": 200, "step": 460, "backward": 460}),
 ])
 def test_global_linf_epoch_work_is_pinned(linf_epochs, strategy, forwards, work):
     trace, counts = linf_epochs[strategy]

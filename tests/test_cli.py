@@ -3,6 +3,7 @@ import hashlib
 import json
 import operator
 import shutil
+import sys
 
 import numpy as np
 import pytest
@@ -515,8 +516,9 @@ def test_eval_dataset_manifest_with_float_size_exit_5(workspace, zero_epoch_runs
 def test_eval_rejects_k_list_before_encoding(workspace, zero_epoch_runs, capsys,
                                             monkeypatch, k_list):
     # 20 images and 60 texts: each k must lie in [1, 20], and there must be one
-    monkeypatch.setattr("uapkit.cli.evaluate_metrics",
-                        lambda *args: pytest.fail("evaluation ran"))
+    for name in ("uapkit.cli.PerturbedBatch", "uapkit.cli.report_metrics",
+                 "uapkit.encoder._forward"):
+        monkeypatch.setattr(name, lambda *args: pytest.fail("encoding ran"))
     capsys.readouterr()
     assert main(["eval", "--perturbation", str(workspace / "zero_patch" / "delta.json"),
                  "--dataset", str(workspace / "data" / "manifest.json"),
@@ -524,6 +526,40 @@ def test_eval_rejects_k_list_before_encoding(workspace, zero_epoch_runs, capsys,
                  "--k-list", k_list]) == 2
     err = capsys.readouterr().err
     assert "--k-list" in err and "[1, 20]" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--perturbation", "zero_patch/delta.json"],
+    ["eval", "--perturbation", "zero_global/delta.json"],
+    ["attack", "--out", "one_batch_tra", "--strategy", "tra", "--epochs", "1"],
+    ["attack", "--out", "one_batch_ira", "--strategy", "ira", "--mode", "global",
+     "--norm", "linf", "--epochs", "1"],
+], ids=["eval-patch", "eval-global", "attack-tra-patch", "attack-ira-linf"])
+def test_a_command_encodes_through_one_perturbed_batch(workspace, zero_epoch_runs,
+                                                       monkeypatch, argv):
+    # the report's clean and adversarial rows, attack's floor check and its
+    # per-epoch probe all come from one first layer; the full forward of
+    # apply -> encode_batch is the tests' oracle only
+    built = []
+    init = encoder.PerturbedBatch.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def fail(*args):
+        pytest.fail("a full forward ran")
+
+    monkeypatch.setattr(encoder.PerturbedBatch, "__init__", counting_init)
+    monkeypatch.setattr(encoder, "_forward", fail)
+    for name, module in list(sys.modules.items()):  # every binding of encode_batch
+        if name.split(".")[0] == "uapkit" and hasattr(module, "encode_batch"):
+            monkeypatch.setattr(module, "encode_batch", fail)
+    command, flag, path, *rest = argv
+    assert main([command, flag, str(workspace / path), *rest, "--k-list", "1,3",
+                 "--dataset", str(workspace / "data" / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json")]) == 0
+    assert len(built) == 1
 
 
 # -- fuzzing the dataset and perturbation loaders -----------------------------

@@ -310,6 +310,20 @@ def test_zero_step_is_the_no_step_forward_bitwise(name):
 
 
 @pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
+def test_clean_rows_encode_the_images_as_given(name):
+    # the patch case's images 0 and 1 have off-mask pixels outside [0, 1],
+    # which the cached first layer holds clamped, so clean multiplies those
+    # two out in full; delta, already set, plays no part
+    enc, images, *_, batch = points_case(name)
+    clean = batch.clean()
+    np.testing.assert_allclose(clean.embeddings, encode_batch(enc, images),
+                               rtol=0, atol=1e-12)
+    assert not clean.embeddings.flags.writeable
+    batch.set_delta(np.zeros(SHAPE))
+    assert batch.clean() is clean  # encoded once per batch
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
 def test_gallery_rows_stand_in_for_a_forward_at_delta(name):
     # an attack reads a sample's rows at r = 0 from the gallery's cache; they
     # come from a larger product than the sample's own forward, so they

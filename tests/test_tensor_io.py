@@ -37,6 +37,18 @@ def test_header_layout(tmp_path):
     assert len(blob) == 14 + 6 * 8
 
 
+@pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 1, 3), (1, 2, 2, 2)])
+def test_read_returns_aligned_writable_float64(tmp_path, shape):
+    # the values start 6 + 4 * rank bytes into the file, never at a multiple
+    # of 8, so an array viewed on the file's bytes would be misaligned (and
+    # read-only), which sends numpy's float64 kernels down slow paths
+    path = tmp_path / "t.uapt"
+    sha = write_tensor(path, np.arange(math.prod(shape), dtype=np.float64).reshape(shape))
+    out = read_tensor(path, sha)
+    assert out.dtype == np.float64 and out.shape == shape
+    assert out.flags.aligned and out.flags.writeable and out.flags.c_contiguous
+
+
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "t.uapt"
     write_tensor(path, np.zeros(3))
