@@ -43,6 +43,7 @@ EPS_L2_DEFAULT = 2000.0 / 255.0
 EPS_LINF_DEFAULT = 10.0 / 255.0
 PATCH_AREA_DEFAULT = 0.03
 PROBE_K = 10  # the R@k of the epoch metrics, taken over _probe_subset
+PROBE_LIMIT = 32  # the most images _probe_subset takes
 
 
 @dataclass(frozen=True)
@@ -218,20 +219,19 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
 # -- commit and driver -------------------------------------------------------
 
 
-def _commit(batch: PerturbedBatch, delta: np.ndarray, r: np.ndarray,
-            cfg: AttackConfig, trace: AttackTrace, epoch: int) -> np.ndarray:
-    """delta after one half's r, fixed on batch. A zero r leaves delta as
-    it is: every delta here is a projection's output (or zero), which the
+def _commit(batch: PerturbedBatch, r: np.ndarray, cfg: AttackConfig,
+            trace: AttackTrace, epoch: int) -> None:
+    """Move batch.delta by one half's r. A zero r leaves delta as it is:
+    every delta here is a projection's output (or zero), which the
     projection maps to itself bit for bit, so neither it nor set_delta runs."""
     if r.any():
-        delta = cfg.carrier.commit(delta, (1.0 + cfg.eta) * r)
-        batch.set_delta(delta)
+        batch.set_delta(cfg.carrier.commit(batch.delta, (1.0 + cfg.eta) * r))
+    delta = batch.delta
     trace.commits.append(CommitRecord(
         epoch=epoch,
         norm_l2=float(np.linalg.norm(delta)),
         norm_linf=float(np.abs(delta).max()) if delta.size else 0.0,
     ))
-    return delta
 
 
 def _orders(n: int, cfg: AttackConfig):
@@ -248,17 +248,17 @@ def _orders(n: int, cfg: AttackConfig):
         yield idx
 
 
-def report_metrics(batch: PerturbedBatch, ds: Dataset, delta: np.ndarray,
-                   k_list=(1, 5, 10), image_subset=None) -> dict:
+def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=(1, 5, 10),
+                   image_subset=None) -> dict:
     """{"clean": ..., "adversarial": ...}: TR/IR R@k for each k and
     Top-1/Top-5 of the images image_subset (default: all) of ds, as given
-    and under delta, against the texts of those images.
+    and under batch.delta, against the texts of those images.
 
     batch is a PerturbedBatch of ds.images. The adversarial rows are its
-    gallery at delta, the rows the attack ranks against, and the clean rows
-    its clean(), off the same cached first layer. Both are ranked on one set
-    of text ids and match masks: each direction once, with one match_ranks
-    vector, and every k read off it.
+    gallery at batch.delta, the rows the attack ranks against, and the clean
+    rows its clean(), off the same cached first layer. Both are ranked on one
+    set of text ids and match masks: each direction once, with one
+    match_ranks vector, and every k read off it.
     """
     rows = range(ds.params.n_images) if image_subset is None else list(image_subset)
     img_pos = {v: i for i, v in enumerate(rows)}
@@ -281,7 +281,6 @@ def report_metrics(batch: PerturbedBatch, ds: Dataset, delta: np.ndarray,
         out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
         return out
 
-    batch.set_delta(delta)
     return {"clean": metrics(batch.clean().embeddings[rows]),
             "adversarial": metrics(batch.gallery().embeddings[rows])}
 
@@ -293,15 +292,16 @@ def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | Non
     # clean rows are the same under any carrier
     p = perturbation or Perturbation(np.zeros(ds.params.image_shape),
                                      Carrier("global", norm="linf", epsilon=1.0))
-    report = report_metrics(PerturbedBatch(enc, ds.images, p.carrier), ds, p.delta,
-                            k_list, image_subset)
+    batch = PerturbedBatch(enc, ds.images, p.carrier)
+    batch.set_delta(p.delta)
+    report = report_metrics(batch, ds, k_list, image_subset)
     return report["clean" if perturbation is None else "adversarial"]
 
 
-def _probe_subset(ds: Dataset, limit: int = 32) -> list[int]:
+def _probe_subset(ds: Dataset) -> list[int]:
     n = ds.params.n_images
-    stride = max(1, n // limit)
-    return list(range(0, n, stride))[:limit]
+    stride = max(1, n // PROBE_LIMIT)
+    return list(range(0, n, stride))[:PROBE_LIMIT]
 
 
 def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, order: list[int]):
@@ -361,15 +361,14 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
     check_attack(ds, cfg, strategy)
     if batch is None:
         batch = PerturbedBatch(enc, ds.images, cfg.carrier)
-    delta = np.zeros(ds.params.image_shape)
-    batch.set_delta(delta)
+    batch.set_delta(np.zeros(ds.params.image_shape))
     trace = AttackTrace()
     probe = _probe_subset(ds)
     gallery_cache = None
     orders = _orders(ds.params.n_texts if strategy == "ira" else ds.params.n_images, cfg)
     for epoch, order in zip(range(cfg.epochs), orders):
         for kind, samples in _halves(ds, cfg, strategy, order):
-            r = np.zeros_like(delta)
+            r = np.zeros(ds.params.image_shape)
             if kind == "text":
                 # gallery() encodes again only after delta moved, and only a
                 # new gallery needs a new index
@@ -382,11 +381,11 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
                 else:
                     r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
-            delta = _commit(batch, delta, r, cfg, trace, epoch)
-        clean, adv = report_metrics(batch, ds, delta, (PROBE_K,), probe).values()
+            _commit(batch, r, cfg, trace, epoch)
+        clean, adv = report_metrics(batch, ds, (PROBE_K,), probe).values()
         trace.epoch_metrics.append({
             "epoch": epoch,
             "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],
             "clean_ir_r10": clean["ir_r10"], "adv_ir_r10": adv["ir_r10"],
         })
-    return Perturbation(delta, cfg.carrier), trace
+    return Perturbation(batch.delta, cfg.carrier), trace

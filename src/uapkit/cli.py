@@ -48,13 +48,13 @@ def _load_encoder_arg(path: str | None):
     return load_encoder(path)
 
 
-def _report(command: str, start: float, batch: PerturbedBatch, ds,
-            delta: np.ndarray, k_list, **fields) -> dict:
-    """Clean and adversarial metrics from batch's one first layer, the wall
-    clock since start and the fields every report has, plus the command's
-    own fields."""
+def _report(command: str, start: float, batch: PerturbedBatch, ds, k_list,
+            **fields) -> dict:
+    """Clean and adversarial metrics from batch's one first layer at
+    batch.delta, the wall clock since start and the fields every report
+    has, plus the command's own fields."""
     return {"schema": "uapkit-report-v1", "command": command,
-            **report_metrics(batch, ds, delta, tuple(k_list)),
+            **report_metrics(batch, ds, tuple(k_list)),
             "wall_clock_seconds": time.monotonic() - start,
             "library_version": __version__, **fields}
 
@@ -143,7 +143,7 @@ def cmd_attack(args) -> int:
     start = time.monotonic()
     pert, trace = run_attack(enc, ds, cfg, args.strategy, batch)
     report = _report(
-        "attack", start, batch, ds, pert.delta, args.k_list,
+        "attack", start, batch, ds, args.k_list,
         strategy=args.strategy, config=config,
         seeds={"attack": cfg.seed, "dataset": ds.params.seed, "encoder": enc.seed},
         hashes={"encoder": enc_hash, "dataset": ds.dataset_hash, "config": config_hash},
@@ -211,9 +211,11 @@ def cmd_eval(args) -> int:
               file=sys.stderr)
         return EXIT_HASH_MISMATCH
 
+    start = time.monotonic()
+    batch = PerturbedBatch(enc, ds.images, pert.carrier)
+    batch.set_delta(pert.delta)
     report = _report(
-        "eval", time.monotonic(), PerturbedBatch(enc, ds.images, pert.carrier), ds,
-        pert.delta, args.k_list,
+        "eval", start, batch, ds, args.k_list,
         strategy=sidecar.get("strategy", ""), config=sidecar.get("config", {}),
         seeds={"dataset": ds.params.seed, "encoder": enc.seed},
         hashes={"encoder": enc_hash, "dataset": ds.dataset_hash,
@@ -229,6 +231,8 @@ def cmd_eval(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:  # an audit of nothing passes nothing
         raise InvalidArgumentError(f"--trials {args.trials}: must be at least 1")
+    if not 0 <= args.seed < 2 ** 64:  # Lcg reads the seed mod 2^64
+        raise InvalidArgumentError(f"--seed {args.seed} not in [0, 2^64)")
     enc = _load_encoder_arg(args.encoder)
     rng = Lcg(args.seed)
     worst = 0.0

@@ -130,9 +130,10 @@ def build_dataset(params: DatasetParams, enc: Encoder) -> Dataset:
     return ds
 
 
-def floor_check(ds: Dataset, image_embeddings: np.ndarray) -> float:
-    """Clean TR R@FLOOR_K of image_embeddings, the encoded ds.images; raise
-    DegenerateDatasetError below FLOOR_MULTIPLIER times chance."""
+def floor_check(ds: Dataset, image_embeddings: np.ndarray) -> None:
+    """Raise DegenerateDatasetError if the clean TR R@FLOOR_K of
+    image_embeddings, the encoded ds.images, is below FLOOR_MULTIPLIER times
+    chance."""
     k = min(FLOOR_K, len(ds.texts))
     matches = [ds.matches_of_image(i) for i in range(ds.params.n_images)]
     r = recall_at_k(EmbeddingIndex(image_embeddings), ds.texts, matches, k)
@@ -142,7 +143,6 @@ def floor_check(ds: Dataset, image_embeddings: np.ndarray) -> float:
         raise DegenerateDatasetError(
             f"clean TR R@{k} = {r:.4f} below floor {threshold:.4f}; "
             "the decoder/encoder seed pairing yields chance-level retrieval")
-    return r
 
 
 def generate(params: DatasetParams, enc: Encoder, out_dir) -> tuple[Path, dict, str]:

@@ -121,7 +121,7 @@ class ForwardCache:
     """Batched forward state kept around for a later backward pass."""
     embeddings: np.ndarray          # (B, d) unit rows
     norms: np.ndarray               # (B,) pre-normalization norms
-    layers: list                    # per layer (s, a_out)
+    layers: list                    # per hidden layer (s, a_out)
 
 
 def _stack(enc: Encoder, s: np.ndarray, weights_t=None) -> ForwardCache:
@@ -135,7 +135,6 @@ def _stack(enc: Encoder, s: np.ndarray, weights_t=None) -> ForwardCache:
         a = _activate(enc.activation, s)
         layers.append((s, a))
         s = a @ Wt + b
-    layers.append((s, s))
     norms = np.linalg.norm(s, axis=1)
     if np.any(norms < _ZERO_NORM):
         raise DegenerateEncodingError("pre-normalization output is zero")
@@ -194,18 +193,18 @@ class PerturbedBatch:
     factored around the pixels the carrier moves.
 
     Every point it encodes is carrier.apply(images[row], delta) + step, for
-    the delta of the last set_delta (zero at first) and a step that is zero
-    wherever the carrier moves no pixel (off the mask in patch mode, where
-    those entries are not read). Layer 1's pre-activation W1.x + b1 is cached
-    per image once; in patch mode it leaves out the on-mask pixels, which
-    every image shares, and W1 times the delta is cached per delta. A call
-    then costs one product over the pixels the carrier moves, W1 times its
-    one step, which every scale of the step shares, and none for a zero
-    step. clean() reads the images as given, with no delta, off the same
-    cache. Layers 2 on multiply by contiguous copies of W.T, which on a few
-    rows is several times faster than the transposed views of _forward.
-    clean, forward_points and backward agree with _forward and
-    backward_from_cache at those points up to rounding.
+    delta = self.delta, the read-only copy the last set_delta kept (zero at
+    first), and a step that is zero wherever the carrier moves no pixel (off
+    the mask in patch mode, where those entries are not read). Layer 1's
+    pre-activation W1.x + b1 is cached per image once; in patch mode it leaves
+    out the on-mask pixels, which every image shares, and W1 times the delta
+    is cached per delta. A call then costs one product over the pixels the
+    carrier moves, W1 times its one step, which every scale of the step
+    shares, and none for a step of None. clean() reads the images as given,
+    with no delta, off the same cache. Layers 2 on multiply by contiguous
+    copies of W.T, which on a few rows is several times faster than the
+    transposed views of _forward. clean, forward_points and backward agree
+    with _forward and backward_from_cache at those points up to rounding.
     """
 
     def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
@@ -231,21 +230,20 @@ class PerturbedBatch:
         self._base = flat @ W1.T + b1
         self._weights_t = [np.ascontiguousarray(W.T) for W in enc.weights[1:]]
         self._all_rows = np.arange(len(images))
-        self._key = self._clean = None
+        self._clean = None
         self.set_delta(np.zeros(enc.input_shape))
 
     def set_delta(self, delta: np.ndarray) -> None:
-        """Fix delta for the calls that follow; a delta with the current
-        delta's bytes is checked and changes nothing."""
-        d = as_tensor(delta, shape=self.enc.input_shape).ravel()
-        key = d.tobytes()
-        if key == self._key:
-            return
-        self._key, self._gallery = key, None
+        """Check delta and keep a read-only copy of it as self.delta, the one
+        delta of the calls that follow."""
+        self.delta = as_tensor(delta, shape=self.enc.input_shape).copy()
+        self.delta.flags.writeable = False
+        self._gallery = None
+        d = self.delta.ravel()
         if self.carrier.mode == "patch":
             self._shift = self._w @ clamp_unit(d[self._on])
             return
-        self._d, self._shift = d, self._w @ d
+        self._shift = self._w @ d
         # x + d cannot leave [0, 1] where even the extreme pixels stay inside;
         # floating-point addition is monotone, so the bound is exact
         self._may_clamp = (self._lo + d.min() < 0.0) | (self._hi + d.max() > 1.0)
@@ -280,24 +278,22 @@ class PerturbedBatch:
         rows of scales[0] first, then those of scales[1], and so on.
 
         The points share one product W1 . step over the pixels the carrier
-        moves, and a step that is None or zero costs none. The step is
-        trusted, not checked: a finite float64 array of n_inputs values, as
-        an attack builds it from this batch's own backward; set_delta checks
-        whatever the steps add up to.
+        moves, and a step of None costs none. The step is trusted, not
+        checked: a finite float64 array of n_inputs values, as an attack
+        builds it from this batch's own backward; set_delta checks whatever
+        the steps add up to.
         """
         rows = np.asarray(rows, dtype=np.intp)
         z = self._base[rows] + self._shift
         if self.carrier.mode == "global":
             clamps = self._may_clamp[rows]
             if clamps.any():  # W1 (clamp(v) - v) for the pixels the clamp moved
-                raw = self._flat[rows[clamps]] + self._d
+                raw = self._flat[rows[clamps]] + self.delta.ravel()
                 z[clamps] += (clamp_unit(raw) - raw) @ self._w.T
-        if step is not None:
-            step = step.reshape(-1)[self._on]
-        if step is None or not step.any():
+        if step is None:
             points = [z] * len(scales)
         else:
-            shift = self._w @ step
+            shift = self._w @ step.reshape(-1)[self._on]
             points = [z + s * shift for s in scales]
         return _stack(self.enc, np.concatenate(points), self._weights_t)
 

@@ -114,13 +114,7 @@ def indicator(query: np.ndarray, index: EmbeddingIndex, matches, k: int) -> int:
 
 def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
                             matches, k: int) -> list[int]:
-    """The k most-similar gallery indices excluding matches, descending.
-
-    Only the head of the ranking is sorted: the first k + |matches| ranked
-    indices hold the answer, and so do the indices scoring at least the
-    lowest of them, which are a prefix of the ranking even when that score
-    is tied.
-    """
+    """The k most-similar gallery indices excluding matches, descending."""
     n = len(index)
     matches = set(matches)
     if not all(0 <= j < n for j in matches):
@@ -128,15 +122,10 @@ def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
     if not 0 <= k <= n - len(matches):
         raise InvalidArgumentError(
             f"k={k} outside [0, {n - len(matches)}], the non-matching candidates")
-    sims = index.embeddings @ query
-    head = np.arange(n)
-    size = k + len(matches)
-    if 0 < size < n:
-        head = np.flatnonzero(sims >= np.partition(sims, n - size)[n - size])
-    head = head[np.lexsort((head, -sims[head]))]
+    ranked = np.lexsort((np.arange(n), -(index.embeddings @ query)))
     is_match = np.zeros(n, dtype=bool)
     is_match[list(matches)] = True
-    return head[~is_match[head]][:k].tolist()
+    return ranked[~is_match[ranked]][:k].tolist()
 
 
 def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,

@@ -3,11 +3,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uapkit.attack import (EPS_LINF_DEFAULT, AttackConfig, AttackTrace, CommitRecord,
-                           Perturbation, _commit, _ira_inner, _orders, _probe_subset,
-                           _tra_inner, check_attack, evaluate_metrics, report_metrics,
-                           run_attack)
-from uapkit.core import Carrier, square_patch_mask
+from uapkit.attack import (EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT, AttackConfig,
+                           AttackTrace, CommitRecord, Perturbation, _commit, _ira_inner,
+                           _orders, _probe_subset, _tra_inner, check_attack,
+                           evaluate_metrics, report_metrics, run_attack)
+from uapkit.core import Carrier, patch_side_for_area, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import (PerturbedBatch, build_encoder, default_toy_encoder,
                             encode_batch)
@@ -228,17 +228,22 @@ def test_a_zero_r_commit_keeps_delta_as_it_is(enc, ds, cfg):
     delta = run_attack(enc, ds, cfg, strategy)[0].delta  # a delta the carrier made
     assert delta.any()
     fixed, trace = [], AttackTrace()
-    out = _commit(SimpleNamespace(set_delta=fixed.append), delta, np.zeros(SHAPE),
-                  cfg, trace, 3)
-    assert out is delta and fixed == []  # no projection, no set_delta
+
+    def set_delta(d):
+        fixed.append(d)
+        batch.delta = d
+
+    batch = SimpleNamespace(delta=delta, set_delta=set_delta)
+    _commit(batch, np.zeros(SHAPE), cfg, trace, 3)
+    assert batch.delta is delta and fixed == []  # no projection, no set_delta
     # the projection it skips maps delta to itself, bit for bit
     projected = cfg.carrier.commit(delta, np.zeros(SHAPE))
     assert projected.tobytes() == delta.tobytes()
     assert trace.commits == [CommitRecord(3, float(np.linalg.norm(projected)),
                                           float(np.abs(projected).max()))]
     r = np.full(SHAPE, 1e-3) * (cfg.mask if cfg.mode == "patch" else 1.0)
-    out = _commit(SimpleNamespace(set_delta=fixed.append), delta, r, cfg, trace, 3)
-    assert fixed == [out] and not np.array_equal(out, delta)
+    _commit(batch, r, cfg, trace, 3)
+    assert fixed == [batch.delta] and not np.array_equal(batch.delta, delta)
 
 
 def test_only_halves_that_take_a_step_project(enc, ds, monkeypatch):
@@ -362,11 +367,12 @@ def test_report_metrics_equal_the_apply_encode_oracle(enc, ds, name, subset):
     images = list(range(PARAMS.n_images)) if subset is None else subset
     k_list = (1, 2, 5)
     batch = PerturbedBatch(enc, ds.images, carrier)
-    report = report_metrics(batch, ds, pert.delta, k_list, subset)
+    batch.set_delta(pert.delta)
+    report = report_metrics(batch, ds, k_list, subset)
     assert report == {"clean": per_k_metrics(enc, ds, None, k_list, images),
                       "adversarial": per_k_metrics(enc, ds, pert, k_list, images)}
-    # the batch, already at delta, gives the same report again
-    assert report_metrics(batch, ds, pert.delta, k_list, subset) == report
+    # the batch, still at delta, gives the same report again
+    assert report_metrics(batch, ds, k_list, subset) == report
 
 
 @pytest.mark.parametrize("k", [0, 4, 10])
@@ -514,12 +520,20 @@ def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
 # -- work on the standard benchmark ------------------------------------------
 
 @pytest.fixture(scope="module")
-def linf_epochs():
-    """One global linf epoch of ira and of tra on the standard benchmark (the
-    default gen dataset and encoder), with each PerturbedBatch forward and
-    backward counted: (trace, counts) per strategy."""
+def benchmark_epochs():
+    """One global linf epoch of ira and of tra, and one patch epoch of tira,
+    on the standard benchmark (the default gen dataset and encoder), with
+    each PerturbedBatch forward and backward counted: (trace, counts) per
+    strategy."""
     enc = default_toy_encoder()
     ds = build_dataset(DatasetParams(), enc)
+    shape = ds.params.image_shape
+    configs = {
+        strategy: AttackConfig(epochs=1, mode="global", norm="linf",
+                               epsilon=EPS_LINF_DEFAULT)
+        for strategy in ("ira", "tra")}
+    configs["tira"] = AttackConfig(epochs=1, mask=square_patch_mask(
+        shape, patch_side_for_area(shape, PATCH_AREA_DEFAULT)))
     forward_points, backward = PerturbedBatch.forward_points, PerturbedBatch.backward
     counts = {}
 
@@ -537,10 +551,8 @@ def linf_epochs():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PerturbedBatch, "forward_points", counting_forward_points)
         mp.setattr(PerturbedBatch, "backward", counting_backward)
-        for strategy in ("ira", "tra"):
+        for strategy, cfg in configs.items():
             counts = dict.fromkeys(("gallery", "at_delta", "step", "backward"), 0)
-            cfg = AttackConfig(epochs=1, mode="global", norm="linf",
-                               epsilon=EPS_LINF_DEFAULT)
             out[strategy] = run_attack(enc, ds, cfg, strategy)[1], counts
     return out
 
@@ -552,16 +564,20 @@ def linf_epochs():
     # tra: each image's entry forward is also its probe at r = 0, and the
     # epoch's R@10 probe reads the gallery at the committed delta
     ("tra", 661, {"gallery": 1, "at_delta": 200, "step": 460, "backward": 460}),
+    # tira patch: delta moves before each of the 13 text halves, so each
+    # encodes a gallery, and the R@10 probe one more; 25 of the 26 halves
+    # commit a nonzero r
+    ("tira", 7620, {"gallery": 14, "at_delta": 200, "step": 7406, "backward": 6351}),
 ])
-def test_global_linf_epoch_work_is_pinned(linf_epochs, strategy, forwards, work):
-    trace, counts = linf_epochs[strategy]
+def test_global_linf_epoch_work_is_pinned(benchmark_epochs, strategy, forwards, work):
+    trace, counts = benchmark_epochs[strategy]
     assert counts == work
     assert counts["gallery"] + counts["at_delta"] + counts["step"] == forwards
     assert trace.summary()["total_inner_iterations"] == work["backward"]
 
 
-def test_stop_reasons_of_an_ira_epoch(linf_epochs):
-    trace, _ = linf_epochs["ira"]
+def test_stop_reasons_of_an_ira_epoch(benchmark_epochs):
+    trace, _ = benchmark_epochs["ira"]
     reasons = trace.summary()["stop_reasons"]
     assert reasons == {"fooled_at_entry": 882, "fooled": 114, "max_iters": 4,
                        "degenerate": 0}

@@ -432,7 +432,10 @@ def test_gradcheck_large_step_still_reports(workspace, capsys):
                                          (["--trials", "1", "--step", "nan"], "step"),
                                          (["--trials", "1", "--step", "inf"], "step"),
                                          (["--trials", "1", "--step", "0"], "step"),
-                                         (["--trials", "1", "--seed", "-1"], "seed")])
+                                         (["--trials", "1", "--seed", "-1"], "seed"),
+                                         # Lcg would read it as seed 0
+                                         (["--trials", "1", "--seed", str(2 ** 64)],
+                                          "--seed")])
 def test_gradcheck_empty_or_invalid_audit_exit_2(workspace, capsys, flags, name):
     rc = main(["gradcheck", "--encoder", str(workspace / "encoder.json"), *flags])
     out, err = capsys.readouterr()

@@ -347,7 +347,11 @@ def test_gallery_is_encoded_once_per_delta():
                                encode_batch(enc, carrier.apply(images, delta)),
                                rtol=0, atol=1e-12)
     assert not first.embeddings.flags.writeable
-    batch.set_delta(delta.copy())  # the same bytes: nothing moves
+    # set_delta keeps no key to compare a new delta's bytes with: the one
+    # delta is batch.delta, a read-only copy, and the gallery stays encoded
+    # until the next set_delta
+    assert np.array_equal(batch.delta, delta) and batch.delta is not delta
+    assert not batch.delta.flags.writeable
     assert batch.gallery() is first
     batch.set_delta(0.5 * delta)
     moved = batch.gallery()
@@ -355,8 +359,25 @@ def test_gallery_is_encoded_once_per_delta():
     np.testing.assert_allclose(moved.embeddings,
                                encode_batch(enc, carrier.apply(images, 0.5 * delta)),
                                rtol=0, atol=1e-12)
-    with pytest.raises(InvalidArgumentError):  # the same check, even unchanged
+    with pytest.raises(InvalidArgumentError):  # every delta is checked
         batch.set_delta(np.full(SHAPE, np.nan))
+
+
+@pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
+def test_set_delta_keeps_its_own_read_only_copy(name):
+    # a caller that reuses its buffer after set_delta must move neither the
+    # clamp correction nor W1 . delta of the points at the delta it set
+    enc, images, carrier, delta, *_ = points_case(name)
+    batch, buffer = PerturbedBatch(enc, images, carrier), delta.copy()
+    batch.set_delta(buffer)
+    buffer[...] = 0.0
+    np.testing.assert_allclose(batch.gallery().embeddings,
+                               encode_batch(enc, carrier.apply(images, delta)),
+                               rtol=0, atol=1e-12)
+    assert np.array_equal(batch.delta, delta)
+    assert not batch.delta.flags.writeable
+    with pytest.raises(ValueError):
+        batch.delta[0, 0, 0] = 0.5
 
 
 @pytest.mark.parametrize("kwargs", [{"n_probes": 0}, {"n_probes": -3},
