@@ -99,13 +99,24 @@ def accumulate(r: np.ndarray, probe, max_iters: int):
     reason), reason being why the loop stopped: "fooled_at_entry" (at the
     incoming r), "fooled", "max_iters" or "degenerate".
 
-    probe(r) is called once per visited r and returns (fooled, step): step()
-    gives the crossing step from r, or None at a degenerate boundary, and is
-    called only for a step the loop takes, so never once r is fooled or
-    max_iters steps are spent.
+    probe(r) returns (fooled, step): step() gives the crossing step from r,
+    or None at a degenerate boundary, and is called only for a step the loop
+    takes, so never once r is fooled or max_iters steps are spent.
+
+    probe must be a pure function of r's bytes. Then an r that repeats an
+    earlier one bit for bit starts an unfooled cycle that the loop would
+    replay until max_iters; accumulate returns what that loop returns
+    without probing again. So probe is called once per distinct visited r,
+    and iterations counts the loop-equivalent iterations, not the probes.
+    The visited r's (at most max_iters + 1) are kept until the call returns.
     """
+    path, seen = [], {}  # the visited r's, and each one's index by its bytes
     iterations = 0
     while True:
+        j = seen.setdefault(r.tobytes(), iterations)
+        if j < iterations:
+            return path[j + (max_iters - j) % (iterations - j)], max_iters, "max_iters"
+        path.append(r)
         fooled, step_at = probe(r)
         if fooled:
             return r, iterations, "fooled" if iterations else "fooled_at_entry"

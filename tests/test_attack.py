@@ -15,6 +15,8 @@ from uapkit.errors import InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, indicator, recall_at_k,
                               topk_class_accuracy)
 
+from test_boundary import plain_accumulate
+
 SHAPE = (1, 8, 8)
 PARAMS = DatasetParams(n_images=20, texts_per_image=3, image_shape=SHAPE,
                        embed_dim=16, class_count=4, noise_level=0.1, seed=7)
@@ -519,12 +521,10 @@ def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
 
 # -- work on the standard benchmark ------------------------------------------
 
-@pytest.fixture(scope="module")
-def benchmark_epochs():
-    """One global linf epoch of ira and of tra, and one patch epoch of tira,
-    on the standard benchmark (the default gen dataset and encoder), with
-    each PerturbedBatch forward and backward counted: (trace, counts) per
-    strategy."""
+def standard_epochs():
+    """The standard benchmark (the default gen dataset and encoder) and one
+    epoch's config per strategy: global linf for ira and tra, patch for
+    tira. Returns (enc, ds, configs)."""
     enc = default_toy_encoder()
     ds = build_dataset(DatasetParams(), enc)
     shape = ds.params.image_shape
@@ -534,6 +534,15 @@ def benchmark_epochs():
         for strategy in ("ira", "tra")}
     configs["tira"] = AttackConfig(epochs=1, mask=square_patch_mask(
         shape, patch_side_for_area(shape, PATCH_AREA_DEFAULT)))
+    return enc, ds, configs
+
+
+@pytest.fixture(scope="module")
+def benchmark_epochs():
+    """standard_epochs' run of each strategy, with each PerturbedBatch
+    forward and backward counted: (perturbation, trace, counts) per
+    strategy."""
+    enc, ds, configs = standard_epochs()
     forward_points, backward = PerturbedBatch.forward_points, PerturbedBatch.backward
     counts = {}
 
@@ -553,33 +562,57 @@ def benchmark_epochs():
         mp.setattr(PerturbedBatch, "backward", counting_backward)
         for strategy, cfg in configs.items():
             counts = dict.fromkeys(("gallery", "at_delta", "step", "backward"), 0)
-            out[strategy] = run_attack(enc, ds, cfg, strategy)[1], counts
+            out[strategy] = (*run_attack(enc, ds, cfg, strategy), counts)
     return out
 
 
 @pytest.mark.parametrize("strategy, forwards, work", [
     # ira: one gallery per distinct delta, and each text's rows at r = 0 are
     # gallery rows, so every other forward is a probe of a step taken
-    ("ira", 698, {"gallery": 119, "at_delta": 0, "step": 579, "backward": 579}),
+    ("ira", 698, {"gallery": 119, "at_delta": 0, "step": 579, "backward": 579,
+                  "iterations": 579}),
     # tra: each image's entry forward is also its probe at r = 0, and the
-    # epoch's R@10 probe reads the gallery at the committed delta
-    ("tra", 661, {"gallery": 1, "at_delta": 200, "step": 460, "backward": 460}),
+    # epoch's R@10 probe reads the gallery at the committed delta; an r that
+    # repeats is neither probed nor stepped from again
+    ("tra", 624, {"gallery": 1, "at_delta": 200, "step": 423, "backward": 424,
+                  "iterations": 460}),
     # tira patch: delta moves before each of the 13 text halves, so each
     # encodes a gallery, and the R@10 probe one more; 25 of the 26 halves
-    # commit a nonzero r
-    ("tira", 7620, {"gallery": 14, "at_delta": 200, "step": 7406, "backward": 6351}),
+    # commit a nonzero r, and most of the samples that stop at max_iters
+    # repeat an r within a few iterations
+    ("tira", 3420, {"gallery": 14, "at_delta": 200, "step": 3206, "backward": 2247,
+                    "iterations": 6351}),
 ])
 def test_global_linf_epoch_work_is_pinned(benchmark_epochs, strategy, forwards, work):
-    trace, counts = benchmark_epochs[strategy]
-    assert counts == work
+    _, trace, counts = benchmark_epochs[strategy]
+    iterations = trace.summary()["total_inner_iterations"]
+    assert {**counts, "iterations": iterations} == work
     assert counts["gallery"] + counts["at_delta"] + counts["step"] == forwards
-    assert trace.summary()["total_inner_iterations"] == work["backward"]
+    # inner_iterations counts loop-equivalent iterations: a backward is
+    # made for each one evaluated, not for those a repeat skips
+    assert counts["backward"] <= iterations
 
 
 def test_stop_reasons_of_an_ira_epoch(benchmark_epochs):
-    trace, _ = benchmark_epochs["ira"]
+    _, trace, _ = benchmark_epochs["ira"]
     reasons = trace.summary()["stop_reasons"]
     assert reasons == {"fooled_at_entry": 882, "fooled": 114, "max_iters": 4,
                        "degenerate": 0}
     assert sum(reasons.values()) == trace.summary()["samples_visited"]
     assert reasons["fooled_at_entry"] + reasons["fooled"] == trace.summary()["converged"]
+
+
+def test_tira_epoch_equals_the_plain_crossing_loop(benchmark_epochs, monkeypatch):
+    # skipping an r's repeats leaves delta, every record and the trace as
+    # the loop that probes each iteration makes them
+    enc, ds, configs = standard_epochs()
+    monkeypatch.setattr("uapkit.attack.accumulate", plain_accumulate)
+    plain, plain_trace = run_attack(enc, ds, configs["tira"], "tira")
+    perturbation, trace, counts = benchmark_epochs["tira"]
+    assert perturbation.delta.tobytes() == plain.delta.tobytes()
+    assert trace.records == plain_trace.records
+    assert trace.commits == plain_trace.commits
+    assert trace.epoch_metrics == plain_trace.epoch_metrics
+    assert trace.summary() == plain_trace.summary()
+    # the run reaches the rule: repeats skip some iterations' backwards
+    assert counts["backward"] < trace.summary()["total_inner_iterations"]

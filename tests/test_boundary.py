@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uapkit.boundary import (CrossingReport, LinearClassifier, accumulate,
                              binary_distance, binary_min_perturbation,
@@ -264,3 +266,71 @@ def test_accumulate_probes_each_visited_r_once(n_to_fool, max_iters):
     r, iterations, _ = accumulate(np.zeros(1), fake.probe, max_iters)
     assert fake.probed == [float(i) for i in range(iterations + 1)]
     assert fake.stepped == fake.probed[:-1]
+
+
+def plain_accumulate(r, probe, max_iters):
+    """The crossing loop without repeat detection: one probe per iteration."""
+    iterations = 0
+    while True:
+        fooled, step_at = probe(r)
+        if fooled:
+            return r, iterations, "fooled" if iterations else "fooled_at_entry"
+        if iterations >= max_iters:
+            return r, iterations, "max_iters"
+        step = step_at()
+        if step is None:
+            return r, iterations, "degenerate"
+        r = r + step
+        iterations += 1
+
+
+class Scripted:
+    """Fake crossing probe, a pure function of r: from each r, the step leads
+    to the next value of path. Values are small integers, so r + step is
+    exact, and a value that recurs in path starts a bitwise cycle."""
+
+    def __init__(self, path, fooled=(), degenerate=()):
+        self.next = dict(zip(path, path[1:]))
+        self.fooled, self.degenerate = set(fooled), set(degenerate)
+        self.probed, self.stepped = [], []
+
+    def probe(self, r):
+        v = float(r[0])
+        self.probed.append(v)
+
+        def step_at():
+            self.stepped.append(v)
+            return None if v in self.degenerate else np.array([self.next[v] - v])
+
+        return v in self.fooled, step_at
+
+
+@st.composite
+def scripted_paths(draw):
+    """(path, fooled, degenerate): a drawn transient of distinct values, then
+    a fixed point (period 1), a cycle of period 2-6, or values that never
+    repeat; optionally one distinct value of it is fooled or degenerate."""
+    transient = [float(v) for v in range(1, 1 + draw(st.integers(0, 8)))]
+    period = draw(st.none() | st.integers(1, 6))
+    path = transient + [100.0 + (v if period is None else v % period) for v in range(62)]
+    distinct = list(dict.fromkeys(path))
+    marked = draw(st.none() | st.sampled_from(distinct))
+    marks = [] if marked is None else [marked]
+    if draw(st.booleans()):
+        return path, marks, []
+    return path, [], marks
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripted_paths())
+def test_accumulate_equals_the_plain_loop_and_probes_each_r_once(script):
+    start = script[0][0]
+    for max_iters in range(1, 61):
+        ref, fake = Scripted(*script), Scripted(*script)
+        want = plain_accumulate(np.array([start]), ref.probe, max_iters)
+        r, iterations, reason = accumulate(np.array([start]), fake.probe, max_iters)
+        assert (r.tobytes(), iterations, reason) == (want[0].tobytes(), *want[1:])
+        # each distinct r the plain loop visits is probed once, in its order
+        assert fake.probed == list(dict.fromkeys(ref.probed))
+        assert fake.stepped == list(dict.fromkeys(ref.stepped))
+
