@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boundary import FOOLED, STOP_REASONS, accumulate, crossing_step
+from .boundary import FOOLED, STOP_REASONS, accumulate
 from .core import Carrier, as_tensor
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch
@@ -174,8 +174,7 @@ def _cross(batch: PerturbedBatch, rows, entry, sims_of, seeds, is_match, candida
             m = matches[np.argmax(sims[matches])]
             c = candidates[np.argmin(sims[candidates])]
             us, positions = seeds(c, m)
-            return crossing_step(batch.backward(cache, us, at_r[positions]),
-                                 float(sims[m] - sims[c]))
+            return batch.step(cache, us, at_r[positions], float(sims[m] - sims[c]))
 
         return False, step_at
 
@@ -187,8 +186,9 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
     """Image-loop body for one image: the query moves against the texts.
 
     r accumulates on top of its incoming value (shared across a combined-run
-    batch). Every step is a gradient with respect to the pixels the carrier
-    moves, so r is exactly zero elsewhere and needs no masking of its own.
+    batch), in batch's step coordinates. Every step is a gradient with
+    respect to the pixels the carrier moves, so batch.pixels(r) is exactly
+    zero elsewhere and needs no masking of its own.
     """
     texts = ds.texts.embeddings
     match_set = ds.matches_of_image(v_idx)
@@ -224,11 +224,13 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
 
 def _commit(batch: PerturbedBatch, r: np.ndarray, cfg: AttackConfig,
             trace: AttackTrace, epoch: int) -> None:
-    """Move batch.delta by one half's r. A zero r leaves delta as it is:
+    """Move batch.delta by one half's r, in batch's step coordinates, taken
+    to pixels once. A zero r leaves delta as it is:
     every delta here is a projection's output (or zero), which the
     projection maps to itself bit for bit, so neither it nor set_delta runs."""
     if r.any():
-        batch.set_delta(cfg.carrier.commit(batch.delta, (1.0 + cfg.eta) * r))
+        step = (1.0 + cfg.eta) * batch.pixels(r)
+        batch.set_delta(cfg.carrier.commit(batch.delta, step))
     delta = batch.delta
     trace.commits.append(CommitRecord(
         epoch=epoch,
@@ -371,7 +373,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
     orders = _orders(ds.params.n_texts if strategy == "ira" else ds.params.n_images, cfg)
     for epoch, order in zip(range(cfg.epochs), orders):
         for kind, samples in _halves(ds, cfg, strategy, order):
-            r = np.zeros(ds.params.image_shape)
+            r = batch.zero_step()
             if kind == "text":
                 # gallery() encodes again only after delta moved, and only a
                 # new gallery needs a new index

@@ -84,11 +84,14 @@ def binary_min_perturbation(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarra
     return -(f / sq) * w
 
 
-def crossing_step(diff: np.ndarray, gap: float) -> np.ndarray | None:
+def crossing_step(diff: np.ndarray, gap: float, gram=None) -> np.ndarray | None:
     """Closed-form step (gap / ||diff||^2) * diff onto a linear(ized) boundary,
     with diff = grad(f_target - f_true) and gap = f_true - f_target (positive
-    while uncrossed); None when ||diff|| < DEGENERATE_DENOM."""
-    sq = float(np.vdot(diff, diff))
+    while uncrossed); None when ||diff|| < DEGENERATE_DENOM.
+
+    With gram = A A^T, diff and the step are coordinates a of the vectors
+    A^T a, and ||diff||^2 is diff . gram . diff."""
+    sq = float(np.vdot(diff, diff if gram is None else gram @ diff))
     if sq < DEGENERATE_DENOM ** 2:
         return None
     return (gap / sq) * diff
@@ -107,8 +110,9 @@ def accumulate(r: np.ndarray, probe, max_iters: int):
     earlier one bit for bit starts an unfooled cycle that the loop would
     replay until max_iters; accumulate returns what that loop returns
     without probing again. So probe is called once per distinct visited r,
-    and iterations counts the loop-equivalent iterations, not the probes.
-    The visited r's (at most max_iters + 1) are kept until the call returns.
+    and iterations counts the loop-equivalent iterations, not the probes,
+    and the r returned is always one probe saw. The visited r's (at most
+    max_iters + 1) are kept until the call returns.
     """
     path, seen = [], {}  # the visited r's, and each one's index by its bytes
     iterations = 0
@@ -198,13 +202,11 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
         raise InvalidArgumentError("max_iters must be positive")
 
     targets = k_nearest_boundaries(clf, x, y, k)
-
-    def uncrossed(r_vec):
-        s = clf.scores(x + (1.0 + eta) * r_vec)
-        return [l for l in targets if s[y] > s[l]]
+    scored = {}  # each probed r's bytes -> its scores at the overshoot
 
     def probe(r_vec):
-        left = uncrossed(r_vec)
+        s_probe = scored[r_vec.tobytes()] = clf.scores(x + (1.0 + eta) * r_vec)
+        left = [l for l in targets if s_probe[y] > s_probe[l]]
 
         def step_at():
             # step toward the uncrossed target with the smallest crossing ratio
@@ -220,7 +222,9 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
 
     r, iterations, reason = accumulate(np.zeros_like(x), probe, max_iters)
 
-    s_final = clf.scores(x + (1.0 + eta) * r)
+    # accumulate returns an r it probed; a tie is neither crossed here nor
+    # left uncrossed above
+    s_final = scored[r.tobytes()]
     crossed = {l for l in targets if s_final[y] < s_final[l]}
     return CrossingReport(
         perturbation=(1.0 + eta) * r,

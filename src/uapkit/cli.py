@@ -16,7 +16,6 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -142,12 +141,13 @@ def cmd_attack(args) -> int:
 
     start = time.monotonic()
     pert, trace = run_attack(enc, ds, cfg, args.strategy, batch)
+    summary = trace.summary()
     report = _report(
         "attack", start, batch, ds, args.k_list,
         strategy=args.strategy, config=config,
         seeds={"attack": cfg.seed, "dataset": ds.params.seed, "encoder": enc.seed},
         hashes={"encoder": enc_hash, "dataset": ds.dataset_hash, "config": config_hash},
-        trace_summary=trace.summary())
+        trace_summary=summary)
 
     tensor_io.write_json(out / "delta.json", {
         "format": "uapkit-perturbation-v1",
@@ -162,9 +162,11 @@ def cmd_attack(args) -> int:
         **geometry,
     })
     tensor_io.write_json(out / "trace.json", {
-        "summary": trace.summary(),
+        "summary": summary,
         "epoch_metrics": trace.epoch_metrics,
-        "commits": [asdict(c) for c in trace.commits],
+        # a CommitRecord's fields are flat floats and ints: its __dict__ is
+        # what dataclasses.asdict would deep-copy
+        "commits": [vars(c) for c in trace.commits],
     })
     _emit_report(report, out / "report.json")
     return EXIT_OK

@@ -13,11 +13,13 @@ import json
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor_io
+from .boundary import crossing_step
 from .core import Carrier, as_tensor, clamp_unit
 from .errors import (MALFORMED_JSON_ERRORS, DegenerateEncodingError,
                      IntegrityError, InvalidArgumentError)
@@ -192,19 +194,27 @@ class PerturbedBatch:
     """The images of one attack under a carrier, encoded with the first layer
     factored around the pixels the carrier moves.
 
-    Every point it encodes is carrier.apply(images[row], delta) + step, for
-    delta = self.delta, the read-only copy the last set_delta kept (zero at
-    first), and a step that is zero wherever the carrier moves no pixel (off
-    the mask in patch mode, where those entries are not read). Layer 1's
+    Every point it encodes is carrier.apply(images[row], delta) + pixels(step),
+    for delta = self.delta, the read-only copy the last set_delta kept (zero
+    at first), and a step in the batch's step coordinates. Layer 1's
     pre-activation W1.x + b1 is cached per image once; in patch mode it leaves
     out the on-mask pixels, which every image shares, and W1 times the delta
-    is cached per delta. A call then costs one product over the pixels the
-    carrier moves, W1 times its one step, which every scale of the step
-    shares, and none for a step of None. clean() reads the images as given,
-    with no delta, off the same cache. Layers 2 on multiply by contiguous
-    copies of W.T, which on a few rows is several times faster than the
-    transposed views of _forward. clean, forward_points and backward agree
-    with _forward and backward_from_cache at those points up to rounding.
+    is cached per delta. clean() reads the images as given, with no delta,
+    off the same cache. Layers 2 on multiply by contiguous copies of W.T,
+    which on a few rows is several times faster than the transposed views of
+    _forward. clean, forward_points and backward agree with _forward and
+    backward_from_cache at those points up to rounding.
+
+    Every input gradient is W1^T u for a vector u over W1's rows, restricted
+    to the pixels the carrier moves, and so is every sum of crossing steps.
+    So where those pixels outnumber W1's rows (global mode, or a large
+    patch), a step is the vector a over W1's rows with pixels(a) = W1^T a,
+    and a call adds G a, G = W1 W1^T over the moved pixels, built once on
+    the first step. Otherwise (a patch of at most as many pixels as W1 has
+    rows) a step is image-shaped, zero off the mask (where it is not read),
+    and a call adds W1 times it over the pixels the carrier moves. Either way the scales of one step share
+    one product, and a step of None costs none; only pixels and set_delta
+    multiply by W1 over every moved pixel.
     """
 
     def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
@@ -227,6 +237,7 @@ class PerturbedBatch:
             self._on = slice(None)
             self._lo, self._hi = flat.min(axis=1), flat.max(axis=1)
         self._w = np.ascontiguousarray(W1[:, self._on])
+        self._in_rows = self._w.shape[1] > self._w.shape[0]
         self._base = flat @ W1.T + b1
         self._weights_t = [np.ascontiguousarray(W.T) for W in enc.weights[1:]]
         self._all_rows = np.arange(len(images))
@@ -293,17 +304,45 @@ class PerturbedBatch:
         if step is None:
             points = [z] * len(scales)
         else:
-            shift = self._w @ step.reshape(-1)[self._on]
+            shift = (self._gram @ step if self._in_rows
+                     else self._w @ step.reshape(-1)[self._on])
             points = [z + s * shift for s in scales]
         return _stack(self.enc, np.concatenate(points), self._weights_t)
 
     def backward(self, cache: ForwardCache, us: np.ndarray, rows) -> np.ndarray:
-        """Gradient of sum_j us[j] . e[rows[j]] with respect to the step that
+        """Gradient of sum_j us[j] . e[rows[j]] with respect to the pixels
         every row shares; rows names one cached row per row of us. In patch
         mode it is zero off the mask."""
         g = np.zeros(self.enc.n_inputs)
         g[self._on] = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0) @ self._w
         return g.reshape(self.enc.input_shape)
+
+    def zero_step(self) -> np.ndarray:
+        """The zero step in this batch's step coordinates."""
+        return np.zeros(len(self._w) if self._in_rows else self.enc.input_shape)
+
+    def step(self, cache: ForwardCache, us: np.ndarray, rows,
+             gap: float) -> np.ndarray | None:
+        """boundary.crossing_step of backward(cache, us, rows) and gap, in
+        this batch's step coordinates: None at a degenerate boundary."""
+        if not self._in_rows:
+            return crossing_step(self.backward(cache, us, rows), gap)
+        u = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0)
+        return crossing_step(u, gap, self._gram)
+
+    def pixels(self, step: np.ndarray) -> np.ndarray:
+        """The image-shaped step that a step in this batch's coordinates
+        adds to every point."""
+        if not self._in_rows:
+            return step
+        g = np.zeros(self.enc.n_inputs)
+        g[self._on] = step @ self._w
+        return g.reshape(self.enc.input_shape)
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        """G = W1 W1^T over the pixels the carrier moves, built once."""
+        return self._w @ self._w.T
 
 
 def score_with_gradient(enc: Encoder, image: np.ndarray,

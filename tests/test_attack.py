@@ -7,6 +7,7 @@ from uapkit.attack import (EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT, AttackConfig,
                            AttackTrace, CommitRecord, Perturbation, _commit, _ira_inner,
                            _orders, _probe_subset, _tra_inner, check_attack,
                            evaluate_metrics, report_metrics, run_attack)
+from uapkit.boundary import crossing_step
 from uapkit.core import Carrier, patch_side_for_area, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import (PerturbedBatch, build_encoder, default_toy_encoder,
@@ -235,7 +236,8 @@ def test_a_zero_r_commit_keeps_delta_as_it_is(enc, ds, cfg):
         fixed.append(d)
         batch.delta = d
 
-    batch = SimpleNamespace(delta=delta, set_delta=set_delta)
+    # the stub's step coordinates are pixels
+    batch = SimpleNamespace(delta=delta, set_delta=set_delta, pixels=lambda r: r)
     _commit(batch, np.zeros(SHAPE), cfg, trace, 3)
     assert batch.delta is delta and fixed == []  # no projection, no set_delta
     # the projection it skips maps delta to itself, bit for bit
@@ -387,14 +389,15 @@ def test_evaluate_metrics_k_beyond_a_subset_gallery(enc, ds, k):
 # -- inner-loop tie-breaks ---------------------------------------------------
 
 class StubBatch:
-    """Stands in for PerturbedBatch: the rows at delta (forward_points
-    without a step, and gallery()) are the entry embeddings, and every point
-    of a step the probe embeddings; backward records what it is asked to
-    differentiate."""
+    """Stands in for PerturbedBatch, with pixel step coordinates: the rows
+    at delta (forward_points without a step, and gallery()) are the entry
+    embeddings, and every point of a step the probe embeddings; step
+    records what it is asked to differentiate, and crosses along a gradient
+    of ones."""
 
     def __init__(self, entry, probe, shape):
         self.entry, self.probe, self.shape = entry, probe, shape
-        self.backward_calls = []
+        self.step_calls = []
 
     def forward_points(self, rows, step=None, scales=(1.0,)):
         table = self.entry if step is None else self.probe
@@ -403,11 +406,15 @@ class StubBatch:
     def gallery(self):
         return SimpleNamespace(embeddings=self.entry)
 
-    def backward(self, cache, us, rows=None):
-        # rows=None differentiates every cached row
-        rows = range(len(cache.embeddings)) if rows is None else rows
-        self.backward_calls.append((np.array(us), [int(j) for j in rows]))
-        return np.ones(self.shape)
+    def zero_step(self):
+        return np.zeros(self.shape)
+
+    def step(self, cache, us, rows, gap):
+        self.step_calls.append((np.array(us), [int(j) for j in rows]))
+        return crossing_step(np.ones(self.shape), gap)
+
+    def pixels(self, step):
+        return step
 
 
 def unit_rows(dots):
@@ -445,7 +452,7 @@ def test_tra_step_seeded_by_smallest_id_candidate_and_match():
     batch = StubBatch(e0[None], e1[None], (1, 2, 2))
     r, iters, reason = _tra_inner(batch, ds, 0, R0, tiebreak_cfg())
     assert (iters, reason) == (1, "max_iters")
-    [(us, rows)] = batch.backward_calls
+    [(us, rows)] = batch.step_calls
     np.testing.assert_array_equal(us, (texts[1] - texts[5])[None])
     assert rows == [0]
     np.testing.assert_allclose(r - R0, np.full((1, 2, 2), (0.6 - 0.2) / 4))
@@ -462,7 +469,7 @@ def test_ira_step_seeded_by_smallest_id_candidate():
     batch = StubBatch(gallery.embeddings, unit_rows(probe_sims), (1, 2, 2))
     r, iters, reason = _ira_inner(batch, ds, 0, R0, tiebreak_cfg(), gallery)
     assert (iters, reason) == (1, "max_iters")
-    [(us, rows)] = batch.backward_calls
+    [(us, rows)] = batch.step_calls
     np.testing.assert_array_equal(us, np.stack([t, -t]))
     assert rows == [2, 0]  # rows are [3, 6, 2, 4]: image 2, then the match
     np.testing.assert_allclose(r - R0, np.full((1, 2, 2), (0.7 - 0.2) / 4))
@@ -541,9 +548,10 @@ def standard_epochs():
 def benchmark_epochs():
     """standard_epochs' run of each strategy, with each PerturbedBatch
     forward and backward counted: (perturbation, trace, counts) per
-    strategy."""
+    strategy. Each crossing step makes one backward, counted as the step
+    call."""
     enc, ds, configs = standard_epochs()
-    forward_points, backward = PerturbedBatch.forward_points, PerturbedBatch.backward
+    forward_points, step = PerturbedBatch.forward_points, PerturbedBatch.step
     counts = {}
 
     def counting_forward_points(self, rows, step=None, scales=(1.0,)):
@@ -552,14 +560,14 @@ def benchmark_epochs():
         counts[kind] += 1
         return forward_points(self, rows, step, scales)
 
-    def counting_backward(self, *args):
+    def counting_step(self, *args):
         counts["backward"] += 1
-        return backward(self, *args)
+        return step(self, *args)
 
     out = {}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PerturbedBatch, "forward_points", counting_forward_points)
-        mp.setattr(PerturbedBatch, "backward", counting_backward)
+        mp.setattr(PerturbedBatch, "step", counting_step)
         for strategy, cfg in configs.items():
             counts = dict.fromkeys(("gallery", "at_delta", "step", "backward"), 0)
             out[strategy] = (*run_attack(enc, ds, cfg, strategy), counts)
@@ -574,7 +582,7 @@ def benchmark_epochs():
     # tra: each image's entry forward is also its probe at r = 0, and the
     # epoch's R@10 probe reads the gallery at the committed delta; an r that
     # repeats is neither probed nor stepped from again
-    ("tra", 624, {"gallery": 1, "at_delta": 200, "step": 423, "backward": 424,
+    ("tra", 622, {"gallery": 1, "at_delta": 200, "step": 421, "backward": 422,
                   "iterations": 460}),
     # tira patch: delta moves before each of the 13 text halves, so each
     # encodes a gallery, and the R@10 probe one more; 25 of the 26 halves
@@ -616,3 +624,25 @@ def test_tira_epoch_equals_the_plain_crossing_loop(benchmark_epochs, monkeypatch
     assert trace.summary() == plain_trace.summary()
     # the run reaches the rule: repeats skip some iterations' backwards
     assert counts["backward"] < trace.summary()["total_inner_iterations"]
+
+
+@pytest.mark.parametrize("strategy", ["ira", "tra"])
+def test_global_epoch_equals_the_pixel_step_reference(benchmark_epochs, strategy):
+    # global steps live over W1's 256 rows; a batch made to step over all
+    # 3,072 pixels instead gives the same run up to rounding
+    enc, ds, configs = standard_epochs()
+    reference = PerturbedBatch(enc, ds.images, configs[strategy].carrier)
+    assert reference.zero_step().shape == (256,)
+    reference._in_rows = False  # the pixel-coordinate arithmetic of a small patch
+    assert reference.zero_step().shape == ds.params.image_shape
+    plain, plain_trace = run_attack(enc, ds, configs[strategy], strategy, reference)
+    perturbation, trace, _ = benchmark_epochs[strategy]
+    np.testing.assert_allclose(perturbation.delta, plain.delta, rtol=0, atol=1e-12)
+    assert trace.records == plain_trace.records
+    assert trace.summary() == plain_trace.summary()
+    assert trace.epoch_metrics == plain_trace.epoch_metrics
+    assert len(trace.commits) == len(plain_trace.commits)
+    for got, want in zip(trace.commits, plain_trace.commits):
+        assert got.epoch == want.epoch
+        assert got.norm_l2 == pytest.approx(want.norm_l2, rel=0, abs=1e-12)
+        assert got.norm_linf == pytest.approx(want.norm_linf, rel=0, abs=1e-12)

@@ -188,6 +188,27 @@ def test_cross_k_overshoot_applied_once():
     assert s_at_r[y] == pytest.approx(s_at_r[l], abs=1e-9)
 
 
+def test_cross_k_scores_its_final_point_once(monkeypatch):
+    # crossed_indices reads the last probe's scores, which a rescoring of
+    # the final point reproduces
+    rng = np.random.default_rng(9)
+    scores, points = LinearClassifier.scores, []
+    monkeypatch.setattr(LinearClassifier, "scores",
+                        lambda self, x: points.append(x.tobytes()) or scores(self, x))
+    for _ in range(30):
+        clf = random_classifier(rng, 12, 5)
+        x = rng.standard_normal(5)
+        y = clf.predict(x)
+        targets = k_nearest_boundaries(clf, x, y, 4)
+        for max_iters in (1, 2, None):
+            points.clear()
+            rep = cross_k_boundaries(clf, x, y, k=4, eta=0.02, max_iters=max_iters)
+            final = x + rep.perturbation
+            assert points.count(final.tobytes()) == 1
+            s = scores(clf, final)
+            assert rep.crossed_indices == {l for l in targets if s[y] < s[l]}
+
+
 def test_cross_k_invalid_args():
     rng = np.random.default_rng(8)
     clf = random_classifier(rng, 5, 3)
@@ -333,4 +354,5 @@ def test_accumulate_equals_the_plain_loop_and_probes_each_r_once(script):
         # each distinct r the plain loop visits is probed once, in its order
         assert fake.probed == list(dict.fromkeys(ref.probed))
         assert fake.stepped == list(dict.fromkeys(ref.stepped))
+        assert float(r[0]) in fake.probed  # callers may reuse its probe
 

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapkit import datagen, encoder
+from uapkit import attack, datagen, encoder
 from uapkit.cli import _load_perturbation, main
 from uapkit.encoder import build_encoder, save_encoder
 from uapkit.errors import CorruptDatasetError, IntegrityError, InvalidArgumentError
@@ -93,6 +94,30 @@ def test_attack_writes_artifacts_and_report(workspace, capsys):
     assert sidecar["mode"] == "patch" and "mask" in sidecar
     trace = json.loads((out / "trace.json").read_text())
     assert trace["summary"]["epochs"] == 1
+
+
+def test_trace_json_is_the_asdict_trace(workspace, monkeypatch, capsys):
+    # trace.json writes each commit's __dict__, which serializes to the
+    # bytes dataclasses.asdict gave
+    traces = []
+
+    def recording(*args):
+        pert, trace = attack.run_attack(*args)
+        traces.append(trace)
+        return pert, trace
+
+    monkeypatch.setattr("uapkit.cli.run_attack", recording)
+    assert run_attack(workspace, "trace_asdict", ["--mode", "global", "--norm", "l2",
+                                                  "--epsilon", "2"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    [trace] = traces
+    assert len(trace.commits) == 20
+    expected = json.dumps({"summary": trace.summary(),
+                           "epoch_metrics": trace.epoch_metrics,
+                           "commits": [dataclasses.asdict(c) for c in trace.commits]},
+                          indent=2, sort_keys=True).encode()
+    assert (workspace / "trace_asdict" / "trace.json").read_bytes() == expected
+    assert report["trace_summary"] == trace.summary()
 
 
 def test_attack_report_matches_schema(workspace, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapkit.attack import Perturbation
+from uapkit.boundary import crossing_step
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.encoder import (Encoder, PerturbedBatch, _forward,
                             backward_from_cache, build_encoder,
@@ -149,27 +150,35 @@ FACTORED_ENCODERS = [("linear", (), "tanh"), ("mlp", (12,), "tanh"),
 
 
 def factored_case(kind, widths, act, carrier, delta_scale):
-    """An encoder, six images in [0.2, 0.8], a delta and a step the carrier
-    can move, for a PerturbedBatch and its _forward oracle."""
+    """An encoder, six images in [0.2, 0.8] and a delta the carrier can
+    make, for a PerturbedBatch and its _forward oracle."""
     enc = build_encoder(kind, SHAPE, 8, widths, act, seed=5)
     rng = np.random.default_rng(0)
     images = rng.uniform(0.2, 0.8, size=(6, *SHAPE))
     if carrier.mode == "patch":
         delta = rng.uniform(size=SHAPE) * carrier.mask
-        step = 0.3 * rng.standard_normal(SHAPE) * carrier.mask
     else:
         delta = delta_scale * rng.standard_normal(SHAPE)
-        step = 0.05 * rng.standard_normal(SHAPE)
-    return enc, images, delta, step
+    return enc, images, delta
 
 
-def assert_factored_matches_oracle(enc, images, carrier, delta, step):
+def draw_step(batch, carrier, seed=0):
+    """A random step in batch's step coordinates: over W1's rows where the
+    pixels the carrier moves outnumber them, else image-shaped and, in
+    patch mode, zero off the mask."""
+    step = np.random.default_rng(seed).standard_normal(batch.zero_step().shape)
+    if carrier.mode == "patch" and step.shape == SHAPE:
+        return 0.3 * step * carrier.mask
+    return 0.05 * step
+
+
+def assert_factored_matches_oracle(enc, images, carrier, delta):
     batch = PerturbedBatch(enc, images, carrier)
     batch.set_delta(delta)
     rows = [4, 1, 3]
     applied = carrier.apply(images[rows], delta)
-    for s in (None, step):
-        point = applied if s is None else applied + s[None]
+    for s in (None, draw_step(batch, carrier)):
+        point = applied if s is None else applied + batch.pixels(s)[None]
         cache, oracle = batch.forward_points(rows, s), _forward(enc, point)
         np.testing.assert_allclose(cache.embeddings, oracle.embeddings, rtol=0, atol=1e-12)
         us = np.random.default_rng(1).standard_normal((2, enc.embed_dim))
@@ -183,39 +192,41 @@ def assert_factored_matches_oracle(enc, images, carrier, delta, step):
 @pytest.mark.parametrize("kind,widths,act", FACTORED_ENCODERS)
 def test_factored_patch_matches_full_forward_and_backward(kind, widths, act):
     carrier = Carrier("patch", square_patch_mask(SHAPE, 2, (1, 2)))
-    enc, images, delta, step = factored_case(kind, widths, act, carrier, None)
+    enc, images, delta = factored_case(kind, widths, act, carrier, None)
     images[:3, 0, 0, 0] = [1.5, -0.5, 1.0]  # off-mask pixels apply clamps
-    assert_factored_matches_oracle(enc, images, carrier, delta, step)
+    assert_factored_matches_oracle(enc, images, carrier, delta)
 
 
 @pytest.mark.parametrize("kind,widths,act", FACTORED_ENCODERS)
 def test_factored_global_without_clamping(kind, widths, act):
     carrier = Carrier("global", norm="linf", epsilon=0.1)
-    enc, images, delta, step = factored_case(kind, widths, act, carrier, 0.02)
+    enc, images, delta = factored_case(kind, widths, act, carrier, 0.02)
     delta = np.clip(delta, -0.1, 0.1)
     assert np.array_equal(carrier.apply(images, delta), images + delta)
-    assert_factored_matches_oracle(enc, images, carrier, delta, step)
+    assert_factored_matches_oracle(enc, images, carrier, delta)
 
 
 @pytest.mark.parametrize("kind,widths,act", FACTORED_ENCODERS)
 def test_factored_global_with_clamping(kind, widths, act):
     carrier = Carrier("global", norm="l2", epsilon=50.0)
-    enc, images, delta, step = factored_case(kind, widths, act, carrier, 0.6)
+    enc, images, delta = factored_case(kind, widths, act, carrier, 0.6)
     raw = images + delta
     assert np.any(raw < 0.0) and np.any(raw > 1.0)  # the clamp is active
-    assert_factored_matches_oracle(enc, images, carrier, delta, step)
+    assert_factored_matches_oracle(enc, images, carrier, delta)
 
 
 def test_factored_rows_follow_each_new_delta():
     carrier = Carrier("global", norm="l2", epsilon=50.0)
-    enc, images, _, step = factored_case("mlp", (12,), "tanh", carrier, 0.6)
+    enc, images, _ = factored_case("mlp", (12,), "tanh", carrier, 0.6)
     batch = PerturbedBatch(enc, images, carrier)
+    step = draw_step(batch, carrier)
     for scale in (0.6, 0.0, 0.3):
         delta = scale * np.random.default_rng(7).standard_normal(SHAPE)
         batch.set_delta(delta)
         np.testing.assert_allclose(
             batch.forward_points([0, 5], step).embeddings,
-            encode_batch(enc, carrier.apply(images[[0, 5]], delta) + step[None]),
+            encode_batch(enc, carrier.apply(images[[0, 5]], delta)
+                         + batch.pixels(step)[None]),
             rtol=0, atol=1e-12)
 
 
@@ -223,14 +234,14 @@ def test_factored_rows_follow_each_new_delta():
 def test_factored_rejects_non_finite_steps_and_deltas(mode):
     carrier = (Carrier("patch", square_patch_mask(SHAPE, 2)) if mode == "patch"
                else Carrier("global", norm="l2", epsilon=1.0))
-    enc, images, delta, step = factored_case("mlp", (12,), "tanh", carrier, 0.01)
+    enc, images, delta = factored_case("mlp", (12,), "tanh", carrier, 0.01)
     batch = PerturbedBatch(enc, images, carrier)
     with pytest.raises(InvalidArgumentError):
         batch.set_delta(np.full(SHAPE, np.nan))
     batch.set_delta(delta)
     # forward_points trusts its steps; a non-finite step cannot reach a delta
     for bad in (np.nan, np.inf):
-        step = step.copy()
+        step = np.zeros(SHAPE)
         step[0, 5, 5] = bad  # under the patch
         with pytest.raises(InvalidArgumentError):
             batch.set_delta(delta + step)
@@ -267,7 +278,7 @@ FACTORED_CARRIERS = {
 
 def points_case(name):
     carrier, scale = FACTORED_CARRIERS[name]
-    enc, images, delta, step = factored_case("mlp", (12, 10), "tanh", carrier, scale)
+    enc, images, delta = factored_case("mlp", (12, 10), "tanh", carrier, scale)
     if name == "patch":
         images[:3, 0, 0, 0] = [1.5, -0.5, 1.0]  # off-mask pixels apply clamps
     if name == "global_clamped":
@@ -275,7 +286,7 @@ def points_case(name):
         assert np.any(raw < 0.0) and np.any(raw > 1.0)
     batch = PerturbedBatch(enc, images, carrier)
     batch.set_delta(delta)
-    return enc, images, carrier, delta, step, batch
+    return enc, images, carrier, delta, draw_step(batch, carrier), batch
 
 
 @pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
@@ -288,7 +299,7 @@ def test_forward_points_match_single_points_and_oracle(name):
     for i, s in enumerate(scales):
         got = cache.embeddings[3 * i:3 * i + 3]
         single = batch.forward_points(rows, s * step).embeddings
-        oracle = _forward(enc, applied + s * step[None]).embeddings
+        oracle = _forward(enc, applied + s * batch.pixels(step)[None]).embeddings
         np.testing.assert_allclose(got, single, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got, oracle, rtol=0, atol=1e-12)
     # the backward differentiates the cache rows it names, at any point
@@ -303,10 +314,68 @@ def test_zero_step_is_the_no_step_forward_bitwise(name):
     *_, batch = points_case(name)
     rows = [0, 5, 2]
     plain = batch.forward_points(rows).embeddings
-    assert np.array_equal(batch.forward_points(rows, np.zeros(SHAPE)).embeddings, plain)
-    for step in (np.zeros(SHAPE), None):
+    assert np.array_equal(batch.forward_points(rows, batch.zero_step()).embeddings, plain)
+    for step in (batch.zero_step(), None):
         both = batch.forward_points(rows, step, (1.0, 1.02)).embeddings
         assert np.array_equal(both, np.concatenate([plain, plain]))
+
+
+ROW_STEP_CARRIERS = {
+    # carriers that move more pixels than W1's 12 rows: every pixel, or a
+    # 3x3 patch over 3 channels (27 pixels)
+    "global": FACTORED_CARRIERS["global"][0],
+    "global_clamped": FACTORED_CARRIERS["global_clamped"][0],
+    "patch_wide": Carrier("patch", square_patch_mask(SHAPE, 3, (1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_STEP_CARRIERS))
+def test_row_coordinate_steps_equal_pixel_steps(name):
+    # a step a over W1's rows stands for the pixels W1^T a over the moved
+    # pixels: the points of a are those of the pixel step, and the crossing
+    # step in rows is the pixel crossing step of the oracle's gradient
+    carrier = ROW_STEP_CARRIERS[name]
+    scale = FACTORED_CARRIERS.get(name, (None, None))[1]
+    enc, images, delta = factored_case("mlp", (12, 10), "tanh", carrier, scale)
+    batch = PerturbedBatch(enc, images, carrier)
+    batch.set_delta(delta)
+    rng = np.random.default_rng(3)
+    a = 0.05 * rng.standard_normal(12)
+    assert batch.zero_step().shape == a.shape
+    moved = np.ones(SHAPE) if carrier.mode == "global" else carrier.mask
+    pixels = (a @ enc.weights[0]).reshape(SHAPE) * moved
+    np.testing.assert_allclose(batch.pixels(a), pixels, rtol=0, atol=1e-15)
+    rows, scales = [4, 1, 3], (1.0, 1.02)
+    cache = batch.forward_points(rows, a, scales)
+    applied = carrier.apply(images[rows], delta)
+    for i, s in enumerate(scales):
+        oracle = _forward(enc, applied + s * pixels[None])
+        np.testing.assert_allclose(cache.embeddings[3 * i:3 * i + 3], oracle.embeddings,
+                                   rtol=0, atol=1e-12)
+    oracle = _forward(enc, applied + pixels[None])
+    us, gap = rng.standard_normal((2, enc.embed_dim)), 0.3
+    want = crossing_step(
+        backward_from_cache(enc, oracle, us, rows=[2, 0]).sum(axis=0) * moved, gap)
+    np.testing.assert_allclose(batch.pixels(batch.step(cache, us, [2, 0], gap)), want,
+                               rtol=1e-10, atol=1e-12)
+    # u . e has no gradient along u = e, so ||W1^T u|| is rounding: degenerate
+    flat = cache.embeddings[[2, 0]]
+    assert crossing_step(backward_from_cache(enc, oracle, flat, rows=[2, 0]).sum(axis=0)
+                         * moved, gap) is None
+    assert batch.step(cache, flat, [2, 0], gap) is None
+    assert batch.step(cache, np.zeros_like(us), [2, 0], gap) is None
+
+
+def test_pixel_steps_keep_the_pixel_crossing_step_bitwise():
+    # a patch smaller than W1's rows keeps image-shaped steps: step is
+    # crossing_step of backward and pixels returns the step itself
+    *_, step, batch = points_case("patch")
+    assert batch.zero_step().shape == SHAPE
+    assert batch.pixels(step) is step
+    cache = batch.forward_points([4, 1, 3], step, (1.0, 1.02))
+    us = np.random.default_rng(4).standard_normal((2, batch.enc.embed_dim))
+    got = batch.step(cache, us, [2, 0], 0.3)
+    assert got.tobytes() == crossing_step(batch.backward(cache, us, [2, 0]), 0.3).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
@@ -339,7 +408,7 @@ def test_gallery_rows_stand_in_for_a_forward_at_delta(name):
 
 def test_gallery_is_encoded_once_per_delta():
     carrier, scale = FACTORED_CARRIERS["global_clamped"]
-    enc, images, delta, _ = factored_case("mlp", (12,), "tanh", carrier, scale)
+    enc, images, delta = factored_case("mlp", (12,), "tanh", carrier, scale)
     batch = PerturbedBatch(enc, images, carrier)
     batch.set_delta(delta)
     first = batch.gallery()
