@@ -49,20 +49,19 @@ PROBE_LIMIT = 32  # the most images _probe_subset takes
 
 @dataclass(frozen=True)
 class AttackConfig:
+    """delta's constraint set (the carrier) and the crossing's hyper-parameters."""
+    carrier: Carrier
     k: int = 10
     eta: float = 0.02
     epochs: int = 10
     max_inner_iters: int = 50
     batch_size: int = 16
-    mode: str = "patch"              # "patch" | "global"
-    mask: np.ndarray | None = None   # required in patch mode
-    norm: str | None = None          # "l2" | "linf", global mode
-    epsilon: float | None = None     # global mode budget
     seed: int = 0
     shuffle: bool = False
-    carrier: Carrier = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.carrier, Carrier):
+            raise InvalidArgumentError(f"carrier must be a Carrier, got {self.carrier!r}")
         for name, low in {"k": 1, "epochs": 0, "max_inner_iters": 1, "batch_size": 1}.items():
             if (value := getattr(self, name)) < low:
                 raise InvalidArgumentError(f"{name} must be >= {low}, got {value}")
@@ -72,8 +71,6 @@ class AttackConfig:
         # [0, 2^63) is attack's documented seed range, so no seed aliases
         if not 0 <= self.seed < 2 ** 63:
             raise InvalidArgumentError(f"seed {self.seed} not in [0, 2^63)")
-        object.__setattr__(self, "carrier",
-                           Carrier(self.mode, self.mask, self.norm, self.epsilon))
 
     def to_json_dict(self) -> dict:
         return {
@@ -265,7 +262,10 @@ def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=(1, 5, 10),
     set of text ids and match masks: each direction once, with one
     match_ranks vector, and every k read off it.
     """
-    rows = range(ds.params.n_images) if image_subset is None else list(image_subset)
+    n = ds.params.n_images
+    rows = range(n) if image_subset is None else list(image_subset)
+    if not rows or len(set(rows)) < len(rows) or not set(rows) <= set(range(n)):
+        raise InvalidArgumentError(f"image_subset must be distinct ids in [0, {n}), at least one")
     img_pos = {v: i for i, v in enumerate(rows)}
     text_ids = sorted(t for v in rows for t in ds.matches_of_image(v))
     owner = np.array([img_pos[ds.image_of_text(t)] for t in text_ids])
@@ -366,6 +366,10 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
     check_attack(ds, cfg, strategy)
     if batch is None:
         batch = PerturbedBatch(enc, ds.images, cfg.carrier)
+    elif (batch.carrier is not cfg.carrier or batch.enc is not enc
+          or not np.array_equal(batch.images, ds.images)):
+        raise InvalidArgumentError(
+            "batch must be a PerturbedBatch of enc over ds.images under cfg.carrier")
     batch.set_delta(np.zeros(ds.params.image_shape))
     trace = AttackTrace()
     probe = _probe_subset(ds)

@@ -101,20 +101,20 @@ def cmd_gen(args) -> int:
 # -- attack ------------------------------------------------------------------
 
 
-def _carrier_args(args, image_shape) -> tuple[dict, dict]:
-    """AttackConfig's carrier keywords and the sidecar's mask geometry, which
-    is empty in global mode; Carrier rejects the flags of the other mode."""
-    kw = {"mode": args.mode, "norm": args.norm, "epsilon": args.epsilon}
-    if args.mode == "global" and args.epsilon is None:
-        kw["epsilon"] = EPS_L2_DEFAULT if args.norm == "l2" else EPS_LINF_DEFAULT
-    if args.mode == "global" and args.mask_side is None and args.mask_offset is None:
-        return kw, {}
-    side = args.mask_side
-    if side is None:
-        side = patch_side_for_area(image_shape, PATCH_AREA_DEFAULT)
-    offset = args.mask_offset or [0, 0]
-    kw["mask"] = square_patch_mask(image_shape, side, tuple(offset))
-    return kw, {"mask": {"side": side, "offset": offset}}
+def _carrier_args(args, image_shape) -> tuple[Carrier, dict]:
+    """The attack's Carrier and the sidecar's mask geometry, which is empty
+    in global mode; Carrier rejects the flags of the other mode."""
+    epsilon, mask, geometry = args.epsilon, None, {}
+    if args.mode == "global" and epsilon is None:
+        epsilon = EPS_L2_DEFAULT if args.norm == "l2" else EPS_LINF_DEFAULT
+    if args.mode == "patch" or args.mask_side is not None or args.mask_offset is not None:
+        side = args.mask_side
+        if side is None:
+            side = patch_side_for_area(image_shape, PATCH_AREA_DEFAULT)
+        offset = args.mask_offset or [0, 0]
+        mask = square_patch_mask(image_shape, side, tuple(offset))
+        geometry = {"mask": {"side": side, "offset": offset}}
+    return Carrier(args.mode, mask, args.norm, epsilon), geometry
 
 
 def cmd_attack(args) -> int:
@@ -124,11 +124,11 @@ def cmd_attack(args) -> int:
     if ds.encoder_hash and ds.encoder_hash != enc_hash:
         raise IntegrityError("dataset was generated against a different encoder")
     _check_k_list(args.k_list, ds)
-    carrier_kw, geometry = _carrier_args(args, ds.params.image_shape)
+    carrier, geometry = _carrier_args(args, ds.params.image_shape)
     cfg = AttackConfig(
-        k=args.k, eta=args.eta, epochs=args.epochs,
+        carrier, k=args.k, eta=args.eta, epochs=args.epochs,
         max_inner_iters=args.max_inner_iters, batch_size=args.batch_size,
-        seed=args.seed, shuffle=args.shuffle, **carrier_kw)
+        seed=args.seed, shuffle=args.shuffle)
     config = cfg.to_json_dict()
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     check_attack(ds, cfg, args.strategy)  # before anything is written

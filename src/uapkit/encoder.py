@@ -225,7 +225,7 @@ class PerturbedBatch:
         if carrier.mode == "patch" and carrier.mask.shape != enc.input_shape:
             raise InvalidArgumentError(
                 f"mask shape {carrier.mask.shape} does not match {enc.input_shape}")
-        self.enc, self.carrier = enc, carrier
+        self.enc, self.carrier, self.images = enc, carrier, images
         W1, b1 = enc.weights[0], enc.biases[0]
         flat = self._flat = images.reshape(len(images), -1)
         if carrier.mode == "patch":

@@ -142,9 +142,4 @@ def topk_class_accuracy(image_embeddings: EmbeddingIndex,
                         class_prototypes: EmbeddingIndex,
                         labels, k: int) -> float:
     """Fraction of images whose true prototype ranks in the top k."""
-    labels = list(labels)
-    if len(labels) != len(image_embeddings):
-        raise InvalidArgumentError("one label per image required")
-    sims = image_embeddings.embeddings @ class_prototypes.embeddings.T
-    ranks = match_ranks(sims, match_mask([[y] for y in labels], len(class_prototypes)))
-    return hit_rate(ranks, k, len(class_prototypes))
+    return recall_at_k(image_embeddings, class_prototypes, [[y] for y in labels], k)

@@ -21,7 +21,7 @@ from uapkit.attack import (AttackConfig, EPS_L2_DEFAULT, EPS_LINF_DEFAULT,
 from uapkit.boundary import (LinearClassifier, binary_min_perturbation,
                              cross_k_boundaries, multiclass_min_perturbation,
                              nearest_boundary)
-from uapkit.core import (apply_patch, patch_side_for_area, project_l2,
+from uapkit.core import (Carrier, apply_patch, patch_side_for_area, project_l2,
                          project_linf, square_patch_mask)
 from uapkit.datagen import (DatasetParams, FLOOR_K, FLOOR_MULTIPLIER,
                             build_dataset)
@@ -57,8 +57,7 @@ def bench():
 @pytest.fixture(scope="session")
 def tira_run(bench):
     enc, ds, _ = bench
-    cfg = AttackConfig(k=10, eta=0.02, epochs=10, mode="patch",
-                       mask=BENCH_MASK, seed=7)
+    cfg = AttackConfig(Carrier("patch", BENCH_MASK), k=10, eta=0.02, epochs=10, seed=7)
     t0 = time.monotonic()
     pert, trace = run_attack(enc, ds, cfg, "tira")
     elapsed = time.monotonic() - t0
@@ -74,8 +73,7 @@ def single_strategy_runs(bench):
     enc, ds, _ = bench
     out = {}
     for strategy in ("tra", "ira"):
-        cfg = AttackConfig(k=10, eta=0.02, epochs=3, mode="patch",
-                           mask=BENCH_MASK, seed=7)
+        cfg = AttackConfig(Carrier("patch", BENCH_MASK), k=10, eta=0.02, epochs=3, seed=7)
         pert, _ = run_attack(enc, ds, cfg, strategy)
         out[strategy] = evaluate_metrics(enc, ds, pert, (10,))
     return out
@@ -90,8 +88,8 @@ def global_runs(bench):
     for name, norm, eps in (("l2", "l2", EPS_L2_DEFAULT),
                             ("linf", "linf", EPS_LINF_DEFAULT),
                             ("tiny", "l2", 1e-9)):
-        cfg = AttackConfig(k=10, eta=0.02, epochs=2, mode="global",
-                           norm=norm, epsilon=eps, seed=7)
+        cfg = AttackConfig(Carrier("global", norm=norm, epsilon=eps), k=10, eta=0.02,
+                           epochs=2, seed=7)
         pert, trace = run_attack(enc, ds, cfg, "tra")
         runs[name] = (pert, trace, evaluate_metrics(enc, ds, pert, (10,)))
     return runs

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -33,32 +34,22 @@ def ds(enc):
     return build_dataset(PARAMS, enc)
 
 
-def patch_cfg(**kw):
-    kw.setdefault("mask", square_patch_mask(SHAPE, 2))
+def patch_cfg(mask=None, **kw):
     kw.setdefault("k", 3)
-    return AttackConfig(mode="patch", **kw)
+    return AttackConfig(Carrier("patch", square_patch_mask(SHAPE, 2) if mask is None else mask),
+                        **kw)
 
 
 # -- config validation -------------------------------------------------------
 
-def test_patch_mode_rejects_global_flags():
-    mask = square_patch_mask(SHAPE, 2)
-    with pytest.raises(InvalidArgumentError):
-        AttackConfig(mode="patch", mask=mask, norm="l2")
-    with pytest.raises(InvalidArgumentError):
-        AttackConfig(mode="patch")  # mask missing
-
-
-def test_global_mode_requires_norm_and_epsilon():
-    with pytest.raises(InvalidArgumentError):
-        AttackConfig(mode="global")
-    with pytest.raises(InvalidArgumentError):
-        AttackConfig(mode="global", norm="l1", epsilon=1.0)
-    with pytest.raises(InvalidArgumentError):
-        AttackConfig(mode="global", norm="l2", epsilon=0.0)
-    with pytest.raises(InvalidArgumentError):
-        AttackConfig(mode="global", norm="l2", epsilon=1.0,
-                     mask=square_patch_mask(SHAPE, 2))
+def test_config_takes_one_carrier_and_hashes_by_it():
+    for carrier in (None, {"mode": "patch", "mask": square_patch_mask(SHAPE, 2)}):
+        with pytest.raises(InvalidArgumentError, match="carrier must be a Carrier"):
+            AttackConfig(carrier)
+    cfg = patch_cfg(epochs=1)
+    assert cfg == dataclasses.replace(cfg) and {cfg: 1}[dataclasses.replace(cfg)] == 1
+    # a Carrier compares by identity: an equal mask in another one is another config
+    assert cfg != patch_cfg(epochs=1)
 
 
 @pytest.mark.parametrize("eta", [0.0, -0.5, float("nan"), float("inf")])
@@ -84,9 +75,7 @@ def test_config_seed_must_not_alias_in_the_shuffle_stream(seed):
     assert patch_cfg(seed=2 ** 63 - 1).seed == 2 ** 63 - 1
 
 
-def test_unknown_mode_and_strategy(enc, ds):
-    with pytest.raises(InvalidArgumentError):
-        AttackConfig(mode="sticker", mask=square_patch_mask(SHAPE, 2))
+def test_unknown_strategy(enc, ds):
     with pytest.raises(InvalidArgumentError):
         run_attack(enc, ds, patch_cfg(epochs=0), "pgd")
 
@@ -107,7 +96,24 @@ def test_check_attack_names_each_size_it_needs(enc):
     with pytest.raises(InvalidArgumentError, match="k=20"):
         check_attack(ds, patch_cfg(k=20), "tira")
     with pytest.raises(InvalidArgumentError, match="patch mode"):
-        check_attack(ds, AttackConfig(mode="global", norm="l2", epsilon=1.0), "tira")
+        check_attack(ds, global_cfg(epsilon=1.0), "tira")
+
+
+def test_run_attack_runs_only_on_a_batch_of_its_own_inputs(enc, ds):
+    cfg = patch_cfg(epochs=1)
+    same_weights = build_encoder("mlp", SHAPE, 16, (24,), "tanh", 42)
+    other_images = build_dataset(dataclasses.replace(PARAMS, seed=8), enc).images
+    for batch in (PerturbedBatch(enc, ds.images, Carrier("global", norm="linf", epsilon=0.04)),
+                  PerturbedBatch(enc, ds.images, Carrier("patch", cfg.carrier.mask)),
+                  PerturbedBatch(same_weights, ds.images, cfg.carrier),
+                  PerturbedBatch(enc, other_images, cfg.carrier)):
+        with pytest.raises(InvalidArgumentError, match="batch must be"):
+            run_attack(enc, ds, cfg, "tra", batch)
+    # a batch over an equal copy of the images runs as the one built inside
+    pert, trace = run_attack(enc, ds, cfg, "tra", PerturbedBatch(enc, ds.images.copy(),
+                                                                 cfg.carrier))
+    ref, ref_trace = run_attack(enc, ds, cfg, "tra")
+    assert pert.delta.tobytes() == ref.delta.tobytes() and trace == ref_trace
 
 
 # -- trivial cases -----------------------------------------------------------
@@ -193,7 +199,7 @@ def test_patch_delta_is_zero_off_mask(enc, ds, strategy):
     cfg = patch_cfg(epochs=1, batch_size=8)
     pert, trace = run_attack(enc, ds, cfg, strategy)
     assert trace.summary()["total_inner_iterations"] > 0
-    off = cfg.mask == 0.0
+    off = cfg.carrier.mask == 0.0
     assert np.all(pert.delta[off] == 0.0)
     assert np.any(pert.delta[~off] != 0.0)
 
@@ -204,7 +210,7 @@ def test_converged_samples_are_fooled_at_commit(enc, ds):
     cfg = patch_cfg(epochs=1)
     pert, trace = run_attack(enc, ds, cfg, "tra")
     last = trace.records[-1]
-    on = cfg.mask == 1.0
+    on = cfg.carrier.mask == 1.0
     clamp_bound = np.any(pert.delta[on] <= 0.0) or np.any(pert.delta[on] >= 1.0)
     if last.converged and not clamp_bound:
         # the final image's visit is followed only by its own commit
@@ -216,18 +222,16 @@ def test_converged_samples_are_fooled_at_commit(enc, ds):
 
 # -- global mode -------------------------------------------------------------
 
-def global_cfg(**kw):
+def global_cfg(norm="l2", epsilon=2.0, **kw):
     kw.setdefault("k", 3)
-    kw.setdefault("norm", "l2")
-    kw.setdefault("epsilon", 2.0)
-    return AttackConfig(mode="global", **kw)
+    return AttackConfig(Carrier("global", norm=norm, epsilon=epsilon), **kw)
 
 
 @pytest.mark.parametrize("cfg", [patch_cfg(epochs=1), global_cfg(epochs=1),
                                  global_cfg(norm="linf", epsilon=0.05, epochs=1)],
                          ids=["patch", "global_l2", "global_linf"])
 def test_a_zero_r_commit_keeps_delta_as_it_is(enc, ds, cfg):
-    strategy = "tira" if cfg.mode == "patch" else "ira"
+    strategy = "tira" if cfg.carrier.mode == "patch" else "ira"
     delta = run_attack(enc, ds, cfg, strategy)[0].delta  # a delta the carrier made
     assert delta.any()
     fixed, trace = [], AttackTrace()
@@ -245,7 +249,7 @@ def test_a_zero_r_commit_keeps_delta_as_it_is(enc, ds, cfg):
     assert projected.tobytes() == delta.tobytes()
     assert trace.commits == [CommitRecord(3, float(np.linalg.norm(projected)),
                                           float(np.abs(projected).max()))]
-    r = np.full(SHAPE, 1e-3) * (cfg.mask if cfg.mode == "patch" else 1.0)
+    r = np.full(SHAPE, 1e-3) * (cfg.carrier.mask if cfg.carrier.mode == "patch" else 1.0)
     _commit(batch, r, cfg, trace, 3)
     assert fixed == [batch.delta] and not np.array_equal(batch.delta, delta)
 
@@ -264,16 +268,16 @@ def test_global_l2_budget_every_commit(enc, ds):
     cfg = global_cfg(epochs=2)
     pert, trace = run_attack(enc, ds, cfg, "tra")
     for c in trace.commits:
-        assert c.norm_l2 <= cfg.epsilon + 1e-9
-    assert np.linalg.norm(pert.delta) <= cfg.epsilon + 1e-9
+        assert c.norm_l2 <= cfg.carrier.epsilon + 1e-9
+    assert np.linalg.norm(pert.delta) <= cfg.carrier.epsilon + 1e-9
 
 
 def test_global_linf_budget_every_commit(enc, ds):
     cfg = global_cfg(norm="linf", epsilon=0.05, epochs=2)
     pert, trace = run_attack(enc, ds, cfg, "ira")
     for c in trace.commits:
-        assert c.norm_linf <= cfg.epsilon + 1e-15
-    assert np.abs(pert.delta).max() <= cfg.epsilon
+        assert c.norm_linf <= cfg.carrier.epsilon + 1e-15
+    assert np.abs(pert.delta).max() <= cfg.carrier.epsilon
 
 
 def test_global_vanishing_budget_is_harmless(enc, ds):
@@ -379,6 +383,14 @@ def test_report_metrics_equal_the_apply_encode_oracle(enc, ds, name, subset):
     assert report_metrics(batch, ds, k_list, subset) == report
 
 
+@pytest.mark.parametrize("subset", [[0, 0, 1, 2], [99], [-1], [3, 20], []],
+                         ids=["duplicate", "99", "-1", "n_images", "empty"])
+def test_evaluate_metrics_rejects_a_bad_image_subset(enc, ds, subset):
+    # a duplicate id would map its texts to the wrong row
+    with pytest.raises(InvalidArgumentError, match="image_subset"):
+        evaluate_metrics(enc, ds, None, (1,), subset)
+
+
 @pytest.mark.parametrize("k", [0, 4, 10])
 def test_evaluate_metrics_k_beyond_a_subset_gallery(enc, ds, k):
     # three images and nine texts: the image gallery holds three
@@ -428,7 +440,7 @@ def unit_rows(dots):
 
 def tiebreak_cfg():
     # one step, then stop: the stub never becomes fooled
-    return AttackConfig(k=3, max_inner_iters=1, mode="global", norm="l2", epsilon=1.0)
+    return AttackConfig(Carrier("global", norm="l2", epsilon=1.0), k=3, max_inner_iters=1)
 
 
 # a nonzero incoming r, as a tira half passes on: the probe is then a new
@@ -490,7 +502,7 @@ def test_ira_encodes_the_gallery_once_per_distinct_delta(enc, ds, monkeypatch):
 
     monkeypatch.setattr(PerturbedBatch, "set_delta", counting_set_delta)
     monkeypatch.setattr(PerturbedBatch, "forward_points", counting_forward_points)
-    cfg = AttackConfig(k=3, epochs=2, mode="global", norm="l2", epsilon=2.0)
+    cfg = global_cfg(epochs=2)
     _, trace = run_attack(enc, ds, cfg, "ira")
     distinct = [d for i, d in enumerate(deltas) if i == 0 or d != deltas[i - 1]]
     assert galleries == distinct
@@ -517,7 +529,7 @@ def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
 
     monkeypatch.setattr(PerturbedBatch, "gallery", recording_gallery)
     monkeypatch.setattr("uapkit.attack.EmbeddingIndex", CountingIndex)
-    cfg = AttackConfig(k=3, epochs=2, mode="global", norm="linf", epsilon=0.5)
+    cfg = global_cfg(norm="linf", epsilon=0.5, epochs=2)
     _, trace = run_attack(enc, ds, cfg, "ira")
     built = [e for e in indexed if any(e is g for g in encoded)]
     assert len(built) == len(encoded)
@@ -536,11 +548,11 @@ def standard_epochs():
     ds = build_dataset(DatasetParams(), enc)
     shape = ds.params.image_shape
     configs = {
-        strategy: AttackConfig(epochs=1, mode="global", norm="linf",
-                               epsilon=EPS_LINF_DEFAULT)
+        strategy: AttackConfig(Carrier("global", norm="linf", epsilon=EPS_LINF_DEFAULT),
+                               epochs=1)
         for strategy in ("ira", "tra")}
-    configs["tira"] = AttackConfig(epochs=1, mask=square_patch_mask(
-        shape, patch_side_for_area(shape, PATCH_AREA_DEFAULT)))
+    configs["tira"] = AttackConfig(Carrier("patch", square_patch_mask(
+        shape, patch_side_for_area(shape, PATCH_AREA_DEFAULT))), epochs=1)
     return enc, ds, configs
 
 
