@@ -224,10 +224,16 @@ def _commit(batch: PerturbedBatch, r: np.ndarray, cfg: AttackConfig,
     """Move batch.delta by one half's r, in batch's step coordinates, taken
     to pixels once. A zero r leaves delta as it is:
     every delta here is a projection's output (or zero), which the
-    projection maps to itself bit for bit, so neither it nor set_delta runs."""
+    projection maps to itself bit for bit, so neither it nor set_delta runs,
+    and the norms are those of the last commit (taken afresh only on the
+    first)."""
     if r.any():
         step = (1.0 + cfg.eta) * batch.pixels(r)
         batch.set_delta(cfg.carrier.commit(batch.delta, step))
+    elif trace.commits:
+        last = trace.commits[-1]
+        trace.commits.append(CommitRecord(epoch, last.norm_l2, last.norm_linf))
+        return
     delta = batch.delta
     trace.commits.append(CommitRecord(
         epoch=epoch,

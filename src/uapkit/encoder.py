@@ -405,27 +405,40 @@ def save_encoder(enc: Encoder, manifest_path) -> None:
 def load_encoder(manifest_path) -> Encoder:
     """Read an encoder manifest and its weights; a malformed manifest, a
     missing or altered weight file, or weights that do not fit the
-    architecture raise IntegrityError."""
+    architecture raise IntegrityError. The weight arrays are read-only, and
+    the encoder keeps the file digests that read_tensor verified, from which
+    encoder_hash builds its identity without hashing a weight again."""
     manifest_path = Path(manifest_path)
     try:
         manifest = json.loads(manifest_path.read_bytes())
         root, layers = manifest_path.parent, manifest["layers"]
+        digests = tuple(layer[key] for layer in layers
+                        for key in ("weight_sha256", "bias_sha256"))
         weights = tuple(tensor_io.read_tensor(root / layer["weight"], layer["weight_sha256"])
                         for layer in layers)
         biases = tuple(tensor_io.read_tensor(root / layer["bias"], layer["bias_sha256"])
                        for layer in layers)
-        return Encoder(**{key: manifest[key] for key in ARCHITECTURE},
-                       weights=weights, biases=biases)
+        enc = Encoder(**{key: manifest[key] for key in ARCHITECTURE},
+                      weights=weights, biases=biases)
     except (*MALFORMED_JSON_ERRORS, InvalidArgumentError) as exc:
         raise IntegrityError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
+    for array in (*weights, *biases):
+        array.flags.writeable = False
+    object.__setattr__(enc, "_digests", digests)
+    return enc
 
 
 def encoder_hash(enc: Encoder) -> str:
-    """Content hash over the architecture parameters and raw weight bytes."""
-    h = hashlib.sha256()
-    h.update(json.dumps(enc.manifest_dict(), sort_keys=True).encode())
-    for W, b in zip(enc.weights, enc.biases):
-        # contiguous <f8 arrays reach SHA-256 through the buffer protocol, uncopied
-        h.update(np.ascontiguousarray(W, dtype="<f8"))
-        h.update(np.ascontiguousarray(b, dtype="<f8"))
+    """The encoder's identity: the SHA-256 of its canonical architecture JSON
+    (manifest_dict, keys sorted) followed by the hex SHA-256 of each layer's
+    UAPT file in the order w0, b0, w1, b1, ... A loaded encoder reuses the
+    digests load_encoder verified while its weights stay read-only; any
+    other encoder hashes its weights the way write_tensor would."""
+    arrays = [t for layer in zip(enc.weights, enc.biases) for t in layer]
+    digests = getattr(enc, "_digests", None)
+    if digests is None or any(t.flags.writeable for t in arrays):
+        digests = [tensor_io.tensor_sha256(t) for t in arrays]
+    h = hashlib.sha256(json.dumps(enc.manifest_dict(), sort_keys=True).encode())
+    for digest in digests:
+        h.update(digest.encode())
     return h.hexdigest()

@@ -83,19 +83,30 @@ def match_ranks(sims: np.ndarray, is_match: np.ndarray) -> np.ndarray:
     """Per row of a (Q, M) similarity matrix: how many gallery entries rank
     ahead of the row's best-ranked match.
 
-    is_match is the rows' (Q, M) match mask, with at least one match per row.
+    is_match is the rows' (Q, M) boolean match mask, with at least one match
+    per row.
     The ranking is by descending similarity, ties toward the smallest
     index, so the best-ranked match is the first argmax among the matches,
     and a match survives in the top k iff its rank is below k. This is the
     one rank rule: every R@k, top-k accuracy and stopping test compares its
     result with k.
+
+    The rank is the count of entries strictly above the best match's
+    similarity, plus, in a row where that similarity is tied, the tied
+    entries before the first match that holds it.
     """
     if is_match.shape != sims.shape:
         raise InvalidArgumentError(f"match mask {is_match.shape} does not fit {sims.shape}")
-    best = np.argmax(np.where(is_match, sims, -np.inf), axis=1)
-    best_sim = sims[np.arange(len(sims)), best][:, None]
-    ahead = (sims > best_sim) | ((sims == best_sim) & (np.arange(sims.shape[1]) < best[:, None]))
-    return ahead.sum(axis=1)
+    # row counts summed in uint16, exact below 2**16 columns, run several
+    # times faster than a sum in intp
+    count = np.uint16 if sims.shape[1] < 2 ** 16 else np.intp
+    best = np.maximum.reduce(sims, axis=1, where=is_match, initial=-np.inf, keepdims=True)
+    ranks = np.add.reduce(sims > best, axis=1, dtype=count).astype(np.intp)
+    tied = sims == best
+    for i in np.flatnonzero(np.add.reduce(tied, axis=1, dtype=count) > 1):
+        row = tied[i]
+        ranks[i] += np.count_nonzero(row[:np.argmax(row & is_match[i])])
+    return ranks
 
 
 def hit_rate(ranks: np.ndarray, k: int, n: int) -> float:

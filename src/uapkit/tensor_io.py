@@ -1,6 +1,8 @@
 """Reader/writer for the UAPT v1 binary tensor format, and the one place that
 hashes artifacts: writers return the SHA-256 of the bytes they wrote, and
-readers check the bytes they parse against a recorded SHA-256.
+readers check the bytes they parse against a recorded SHA-256. The encoder's
+identity (encoder.encoder_hash) is built from these digests of its weight
+files, the ones read_tensor has verified or tensor_sha256 computes.
 
 Layout: magic b"UAPT", u8 version (=1), u8 rank, rank little-endian u32 dims,
 then prod(dims) little-endian float64 values in row-major order.
@@ -23,10 +25,10 @@ MAGIC = b"UAPT"
 VERSION = 1
 
 
-def write_atomic(path, *chunks: bytes) -> str:
-    """Write chunks to a temp file beside path, then move it onto path, so a
-    write that fails partway leaves the previous file intact; returns the
-    SHA-256 of the bytes written."""
+def write_atomic(path, *chunks) -> str:
+    """Write chunks (bytes or contiguous buffers) to a temp file beside path,
+    then move it onto path, so a write that fails partway leaves the previous
+    file intact; returns the SHA-256 of the bytes written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     h = hashlib.sha256()
@@ -46,14 +48,28 @@ def write_json(path, obj) -> str:
     return write_atomic(path, json.dumps(obj, indent=2, sort_keys=True).encode())
 
 
-def write_tensor(path, tensor: np.ndarray) -> str:
-    """Write a UAPT file; returns the SHA-256."""
-    t = np.ascontiguousarray(tensor, dtype=np.float64)
+def _uapt_chunks(tensor: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A UAPT file's header and its payload, the contiguous little-endian
+    float64 values, which reach a file or SHA-256 through the buffer
+    protocol without a copy of their own."""
+    t = np.ascontiguousarray(tensor, dtype="<f8")
     if t.ndim > 255:
         raise InvalidArgumentError("rank exceeds u8")
     header = MAGIC + struct.pack("<BB", VERSION, t.ndim)
-    header += struct.pack(f"<{t.ndim}I", *t.shape)
-    return write_atomic(path, header, t.astype("<f8").tobytes(order="C"))
+    return header + struct.pack(f"<{t.ndim}I", *t.shape), t
+
+
+def tensor_sha256(tensor: np.ndarray) -> str:
+    """The SHA-256 that write_tensor would return for tensor, with no file."""
+    h = hashlib.sha256()
+    for chunk in _uapt_chunks(tensor):
+        h.update(chunk)
+    return h.hexdigest()
+
+
+def write_tensor(path, tensor: np.ndarray) -> str:
+    """Write a UAPT file; returns the SHA-256."""
+    return write_atomic(path, *_uapt_chunks(tensor))
 
 
 def read_verified(path, sha256: str) -> bytes:

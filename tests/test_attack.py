@@ -254,6 +254,18 @@ def test_a_zero_r_commit_keeps_delta_as_it_is(enc, ds, cfg):
     assert fixed == [batch.delta] and not np.array_equal(batch.delta, delta)
 
 
+def test_a_zero_r_commit_reuses_the_last_norms(monkeypatch):
+    # delta is unchanged, so the norms of the last commit stand: they are not
+    # taken again (the stand-in values below are not delta's norms)
+    delta = np.full(SHAPE, 0.5)
+    batch = SimpleNamespace(delta=delta)
+    trace = AttackTrace(commits=[CommitRecord(2, 1.25, 0.75)])
+    monkeypatch.setattr(np.linalg, "norm", None)
+    _commit(batch, np.zeros(SHAPE), patch_cfg(), trace, 3)
+    assert trace.commits[-1] == CommitRecord(3, 1.25, 0.75)
+    assert batch.delta is delta
+
+
 def test_only_halves_that_take_a_step_project(enc, ds, monkeypatch):
     calls = []
     commit = Carrier.commit

@@ -240,6 +240,37 @@ def test_eval_hash_mismatch_exit_5(workspace, tmp_path, capsys):
     assert report["cross_artifact"]["dataset"] is True
 
 
+@pytest.fixture(scope="module")
+def other_encoder(workspace):
+    """An encoder of the workspace's architecture with other weights."""
+    path = workspace / "other_encoder" / "encoder.json"
+    save_encoder(build_encoder("mlp", (1, 8, 8), 16, (24,), "tanh", 43), path)
+    return path
+
+
+def test_eval_against_another_encoder_exits_5(workspace, other_encoder, capsys):
+    assert run_attack(workspace, "for_encoder_mismatch", []) == 0
+    capsys.readouterr()
+    args = ["eval", "--perturbation", str(workspace / "for_encoder_mismatch" / "delta.json"),
+            "--dataset", str(workspace / "data" / "manifest.json"),
+            "--encoder", str(other_encoder)]
+    assert main(args) == 5
+    assert "encoder" in capsys.readouterr().err
+    assert main([*args, "--allow-mismatch"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["cross_artifact"] == {"encoder": True, "dataset": False}
+
+
+def test_attack_on_a_dataset_of_another_encoder_exits_5(workspace, other_encoder, capsys):
+    rc = main(["attack", "--strategy", "tra", "--k", "3", "--epochs", "1",
+               "--encoder", str(other_encoder),
+               "--dataset", str(workspace / "data" / "manifest.json"),
+               "--out", str(workspace / "other_encoder_attack")])
+    assert rc == 5
+    assert "different encoder" in capsys.readouterr().err
+    assert not (workspace / "other_encoder_attack").exists()
+
+
 def test_eval_detects_tampered_delta(workspace, capsys):
     assert run_attack(workspace, "tamper", []) == 0
     capsys.readouterr()

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -16,6 +17,7 @@ from uapkit.encoder import (Encoder, PerturbedBatch, _forward,
                             score_with_gradient)
 from uapkit.errors import (DegenerateEncodingError, IntegrityError,
                            InvalidArgumentError)
+from uapkit.tensor_io import tensor_sha256
 
 
 def small_mlp(seed=0):
@@ -137,9 +139,18 @@ def test_default_toy_encoder_shape():
 
 
 def test_default_toy_encoder_regression_hash():
-    # frozen after first implementation; guards the LCG-driven init chain
-    assert encoder_hash(default_toy_encoder()) == (
-        "7d5cbcb193694566b484559763586e5133a2985e06e76decf58a85078e6eb5c8")
+    # guards the LCG-driven init chain: each layer's UAPT digest, and the
+    # identity built from them
+    enc = default_toy_encoder()
+    assert [tensor_sha256(t) for layer in zip(enc.weights, enc.biases) for t in layer] == [
+        "da14c266f1189ad1bd880baf7444d5101d34bc5ef03a788d53dbab93d3420541",
+        "4e796c7eb05ba5c3c91229c5eb778527b7319bb9fb04730c1501ab5c0b0662f9",
+        "e4e50a6372fba0d85a2e36fe262e04d649ce18a0dd12926bb3c865e4ded3ff97",
+        "cbd342de4ce2219ecbdaeb7fcbfef6e9c4646b911e437c0e5f3d404dcf73a1fe",
+        "42f2f37ab1a1a8036c7728335bd5084014e2fe71ff5ec416d15d8c30778d1f5a",
+        "55f7af251d0dce0f40212a40060fbd35719eebdca21d590cf99f27a10f29a987"]
+    assert encoder_hash(enc) == (
+        "c141c31fa9f2b5e0ff852141dfb40aedd1c0c33dba003ff374c5476634ba469b")
 
 
 # -- the factored first layer -------------------------------------------------
@@ -469,6 +480,73 @@ def test_save_load_roundtrip(tmp_path):
     loaded = load_encoder(tmp_path / "encoder.json")
     assert encoder_hash(loaded) == encoder_hash(enc)
     assert loaded.manifest_dict() == enc.manifest_dict()
+
+
+def test_encoder_hash_byte_layout(tmp_path):
+    # SHA-256 of the sorted architecture JSON, then the hex SHA-256 of each
+    # layer's UAPT file in the order w0, b0, w1, b1, ...
+    enc = small_mlp(9)
+    save_encoder(enc, tmp_path / "encoder.json")
+    files = [f"{kind}{i}.uapt" for i in range(len(enc.weights)) for kind in "wb"]
+    expected = hashlib.sha256(
+        json.dumps(enc.manifest_dict(), sort_keys=True).encode()
+        + b"".join(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest().encode()
+                   for name in files)).hexdigest()
+    assert encoder_hash(enc) == expected
+    assert encoder_hash(load_encoder(tmp_path / "encoder.json")) == expected
+
+
+def flip_last_bit(a):
+    out = a.copy()
+    out.reshape(-1).view(np.uint64)[-1] ^= 1
+    return out
+
+
+def test_encoder_hash_sees_the_last_bit_and_the_architecture(tmp_path):
+    enc = small_mlp(9)
+    save_encoder(enc, tmp_path / "encoder.json")
+    loaded = load_encoder(tmp_path / "encoder.json")
+    for base in (enc, loaded):
+        weights = (base.weights[0], flip_last_bit(base.weights[1]))
+        assert encoder_hash(dataclasses.replace(base, weights=weights)) != encoder_hash(enc)
+        assert encoder_hash(dataclasses.replace(base, activation="relu")) != encoder_hash(enc)
+
+
+def test_loaded_encoder_hash_hashes_no_weight_bytes(tmp_path, monkeypatch):
+    enc = small_mlp(9)
+    save_encoder(enc, tmp_path / "encoder.json")
+    loaded = load_encoder(tmp_path / "encoder.json")
+    assert not any(t.flags.writeable for t in (*loaded.weights, *loaded.biases))
+    hashed, sha256 = [], hashlib.sha256
+
+    class Counting:
+        def __init__(self, data=b""):
+            self._h = sha256()
+            self.update(data)
+
+        def update(self, data):
+            hashed.append(memoryview(data).nbytes)
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(hashlib, "sha256", Counting)
+    identity = encoder_hash(loaded)
+    monkeypatch.undo()
+    architecture = len(json.dumps(enc.manifest_dict(), sort_keys=True).encode())
+    assert sum(hashed) == architecture + 64 * 2 * len(enc.weights)
+    assert identity == encoder_hash(enc)
+
+
+def test_loaded_encoder_hash_follows_weights_made_writable(tmp_path):
+    # the kept digests stand only while the weights stay read-only
+    save_encoder(small_mlp(9), tmp_path / "encoder.json")
+    loaded = load_encoder(tmp_path / "encoder.json")
+    before = encoder_hash(loaded)
+    loaded.biases[0].flags.writeable = True
+    loaded.biases[0][0] += 1.0
+    assert encoder_hash(loaded) != before
 
 
 def test_load_detects_tampering(tmp_path):

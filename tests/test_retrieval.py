@@ -109,6 +109,41 @@ def test_match_ranks_hand_case():
         match_ranks(sims, is_match[:, :3])
 
 
+def earlier_match_ranks(sims, is_match):
+    """match_ranks as first written: the first argmax among the matches, then
+    every entry above it, or equal to it at a smaller index."""
+    best = np.argmax(np.where(is_match, sims, -np.inf), axis=1)
+    best_sim = sims[np.arange(len(sims)), best][:, None]
+    ahead = (sims > best_sim) | ((sims == best_sim) & (np.arange(sims.shape[1]) < best[:, None]))
+    return ahead.sum(axis=1)
+
+
+@pytest.mark.parametrize("shape, matches", [((200, 1000), 5), ((1000, 200), 1)],
+                         ids=["tr", "ir"])
+def test_match_ranks_at_report_scale_with_exact_ties(shape, matches):
+    rng = np.random.default_rng(11)
+    q, m = shape
+    sims = rng.uniform(-1.0, 1.0, shape)
+    is_match = np.zeros(shape, dtype=bool)
+    for row in is_match:
+        row[rng.choice(m, size=rng.integers(1, matches + 1), replace=False)] = True
+    # exact ties with the best match's similarity: other entries of every
+    # third row, a second match of every seventh, the whole of every 50th
+    best = np.where(is_match, sims, -np.inf).max(axis=1)
+    for i in range(0, q, 3):
+        sims[i, rng.choice(m, size=rng.integers(1, 4), replace=False)] = best[i]
+    for i in range(1, q, 7):
+        sims[i, np.flatnonzero(is_match[i])] = best[i]
+        sims[i, rng.choice(m, size=2, replace=False)] = best[i]
+    sims[2::50] = 0.25
+    ranks = match_ranks(sims, is_match)
+    expected = earlier_match_ranks(sims, is_match)
+    assert ranks.dtype == np.intp and np.array_equal(ranks, expected)
+    # the ties decide the rank in many rows
+    above = (sims > np.where(is_match, sims, -np.inf).max(axis=1, keepdims=True)).sum(axis=1)
+    assert np.count_nonzero(expected != above) > q // 20
+
+
 @pytest.mark.parametrize("rank_at", [
     lambda index, k: indicator(index.embeddings[0], index, {0}, k),
     lambda index, k: recall_at_k(index, index, [{i} for i in range(len(index))], k),

@@ -37,6 +37,25 @@ def test_header_layout(tmp_path):
     assert len(blob) == 14 + 6 * 8
 
 
+def earlier_serialization(tensor) -> bytes:
+    """The UAPT bytes as write_tensor once built them, with a second copy."""
+    t = np.ascontiguousarray(tensor, dtype=np.float64)
+    header = MAGIC + struct.pack("<BB", 1, t.ndim) + struct.pack(f"<{t.ndim}I", *t.shape)
+    return header + t.astype("<f8").tobytes(order="C")
+
+
+@pytest.mark.parametrize("tensor", [
+    np.linspace(-1, 1, 12, dtype=np.float32).reshape(3, 4),
+    np.arange(24.0).reshape(4, 6)[::2, 1::2],
+    np.linspace(-3, 3, 10).astype(">f8").reshape(2, 5),
+], ids=["float32", "non_contiguous", "big_endian"])
+def test_write_tensor_bytes_and_digest(tmp_path, tensor):
+    path = tmp_path / "t.uapt"
+    sha = write_tensor(path, tensor)
+    assert path.read_bytes() == earlier_serialization(tensor)
+    assert sha == tensor_io.tensor_sha256(tensor) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 1, 3), (1, 2, 2, 2)])
 def test_read_returns_aligned_writable_float64(tmp_path, shape):
     # the values start 6 + 4 * rank bytes into the file, never at a multiple
