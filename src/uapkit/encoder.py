@@ -202,8 +202,8 @@ class PerturbedBatch:
     is cached per delta. clean() reads the images as given, with no delta,
     off the same cache. Layers 2 on multiply by contiguous copies of W.T,
     which on a few rows is several times faster than the transposed views of
-    _forward. clean, forward_points and backward agree with _forward and
-    backward_from_cache at those points up to rounding.
+    _forward. clean and forward_points agree with _forward at those points
+    up to rounding, and step with crossing_step of backward_from_cache.
 
     Every input gradient is W1^T u for a vector u over W1's rows, restricted
     to the pixels the carrier moves, and so is every sum of crossing steps.
@@ -260,9 +260,9 @@ class PerturbedBatch:
         self._may_clamp = (self._lo + d.min() < 0.0) | (self._hi + d.max() > 1.0)
 
     def gallery(self) -> ForwardCache:
-        """Every image under delta, encoded once per delta with its backward
-        state; the embeddings are read-only. Its rows at delta stand in for
-        the rows of any point at a zero step."""
+        """Every image under delta, encoded once per delta with the state
+        step differentiates; the embeddings are read-only. Its rows at delta
+        stand in for the rows of any point at a zero step."""
         if self._gallery is None:
             self._gallery = self.forward_points(self._all_rows)
             self._gallery.embeddings.flags.writeable = False
@@ -285,13 +285,13 @@ class PerturbedBatch:
 
     def forward_points(self, rows, step=None, scales=(1.0,)) -> ForwardCache:
         """Encode carrier.apply(images[rows], delta) + s * step for each
-        scale s in one pass, keeping state for backward: the cache holds the
+        scale s in one pass, keeping state for step: the cache holds the
         rows of scales[0] first, then those of scales[1], and so on.
 
         The points share one product W1 . step over the pixels the carrier
         moves, and a step of None costs none. The step is trusted, not
         checked: a finite float64 array of n_inputs values, as an attack
-        builds it from this batch's own backward; set_delta checks whatever
+        builds it from this batch's own step; set_delta checks whatever
         the steps add up to.
         """
         rows = np.asarray(rows, dtype=np.intp)
@@ -309,34 +309,31 @@ class PerturbedBatch:
             points = [z + s * shift for s in scales]
         return _stack(self.enc, np.concatenate(points), self._weights_t)
 
-    def backward(self, cache: ForwardCache, us: np.ndarray, rows) -> np.ndarray:
-        """Gradient of sum_j us[j] . e[rows[j]] with respect to the pixels
-        every row shares; rows names one cached row per row of us. In patch
-        mode it is zero off the mask."""
-        g = np.zeros(self.enc.n_inputs)
-        g[self._on] = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0) @ self._w
-        return g.reshape(self.enc.input_shape)
-
     def zero_step(self) -> np.ndarray:
         """The zero step in this batch's step coordinates."""
         return np.zeros(len(self._w) if self._in_rows else self.enc.input_shape)
 
     def step(self, cache: ForwardCache, us: np.ndarray, rows,
              gap: float) -> np.ndarray | None:
-        """boundary.crossing_step of backward(cache, us, rows) and gap, in
-        this batch's step coordinates: None at a degenerate boundary."""
-        if not self._in_rows:
-            return crossing_step(self.backward(cache, us, rows), gap)
+        """boundary.crossing_step along the gradient of sum_j us[j] .
+        e[rows[j]] with respect to the pixels every row shares, and gap, in
+        this batch's step coordinates: None at a degenerate boundary. rows
+        names one cached row per row of us."""
         u = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0)
-        return crossing_step(u, gap, self._gram)
+        if self._in_rows:
+            return crossing_step(u, gap, self._gram)
+        return crossing_step(self._moved(u), gap)
 
     def pixels(self, step: np.ndarray) -> np.ndarray:
         """The image-shaped step that a step in this batch's coordinates
         adds to every point."""
-        if not self._in_rows:
-            return step
+        return self._moved(step) if self._in_rows else step
+
+    def _moved(self, a: np.ndarray) -> np.ndarray:
+        """W1^T a over the pixels the carrier moves, image-shaped and zero
+        elsewhere (off the mask in patch mode)."""
         g = np.zeros(self.enc.n_inputs)
-        g[self._on] = step @ self._w
+        g[self._on] = a @ self._w
         return g.reshape(self.enc.input_shape)
 
     @cached_property

@@ -4,19 +4,18 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from uapkit.attack import (EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT, AttackConfig,
-                           AttackTrace, CommitRecord, Perturbation, _commit, _ira_inner,
-                           _orders, _probe_subset, _tra_inner, check_attack,
+from uapkit.attack import (AttackConfig, AttackTrace, CommitRecord, Perturbation, _commit,
+                           _ira_inner, _orders, _probe_subset, _tra_inner, check_attack,
                            evaluate_metrics, report_metrics, run_attack)
 from uapkit.boundary import crossing_step
-from uapkit.core import Carrier, patch_side_for_area, square_patch_mask
+from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
-from uapkit.encoder import (PerturbedBatch, build_encoder, default_toy_encoder,
-                            encode_batch)
+from uapkit.encoder import PerturbedBatch, build_encoder, encode_batch
 from uapkit.errors import InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, indicator, recall_at_k,
                               topk_class_accuracy)
 
+from reference import ReferenceBatch
 from test_boundary import plain_accumulate
 
 SHAPE = (1, 8, 8)
@@ -204,20 +203,55 @@ def test_patch_delta_is_zero_off_mask(enc, ds, strategy):
     assert np.any(pert.delta[~off] != 0.0)
 
 
-def test_converged_samples_are_fooled_at_commit(enc, ds):
-    """After a converged tra visit, the committed patch fools that image
-    unless the pixel clamp truncated the step."""
-    cfg = patch_cfg(epochs=1)
-    pert, trace = run_attack(enc, ds, cfg, "tra")
-    last = trace.records[-1]
-    on = cfg.carrier.mask == 1.0
-    clamp_bound = np.any(pert.delta[on] <= 0.0) or np.any(pert.delta[on] >= 1.0)
-    if last.converged and not clamp_bound:
-        # the final image's visit is followed only by its own commit
-        v = pert.carrier.apply(ds.images[last.sample_id][None], pert.delta)[0]
-        emb = encode_batch(enc, v[None])[0]
-        assert indicator(emb, ds.texts,
-                         ds.matches_of_image(last.sample_id), cfg.k) == 0
+ATTACK_CARRIERS = {  # ira's projections bind; no global delta clamps images in [0.36, 0.65]
+    "patch": Carrier("patch", square_patch_mask(SHAPE, 2)),
+    "global_l2": Carrier("global", norm="l2", epsilon=0.3),
+    "global_linf": Carrier("global", norm="linf", epsilon=0.1),
+}
+
+
+def unfooled_at_commit(enc, ds, strategy, carrier, monkeypatch):
+    """One epoch of tra or ira, one sample per half: the samples that took
+    steps and converged, and the ids of those of them that the delta of
+    their own commit leaves unfooled, with ReferenceBatch as the oracle."""
+    deltas, reference = [], ReferenceBatch(enc, ds.images, carrier)
+
+    def recording_commit(batch, *args):
+        _commit(batch, *args)
+        deltas.append(batch.delta)
+
+    monkeypatch.setattr("uapkit.attack._commit", recording_commit)
+    _, trace = run_attack(enc, ds, AttackConfig(carrier, k=3, epochs=1), strategy)
+
+    def fooled(v, delta):
+        reference.set_delta(delta)
+        if strategy == "tra":
+            image = reference.forward_points([v]).embeddings[0]
+            return not indicator(image, ds.texts, ds.matches_of_image(v), 3)
+        gallery = EmbeddingIndex(reference.gallery().embeddings)
+        return not indicator(ds.texts.embeddings[v], gallery, [ds.image_of_text(v)], 3)
+
+    stepped = [(r.sample_id, delta) for r, delta in zip(trace.records, deltas, strict=True)
+               if r.converged and r.inner_iterations > 0]
+    return stepped, [v for v, delta in stepped if not fooled(v, delta)]
+
+
+def test_converged_samples_are_fooled_at_commit(enc, ds, monkeypatch):
+    # in global mode every stepped, converged sample is fooled where evaluation sees it
+    for strategy in ("tra", "ira"):
+        for name in ("global_l2", "global_linf"):
+            stepped, unfooled = unfooled_at_commit(enc, ds, strategy, ATTACK_CARRIERS[name],
+                                                   monkeypatch)
+            assert stepped and unfooled == []
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2, certify converged: a patch probe is "
+                   "not clamped to [0, 1] as its commit is (7 of 8 tra, 18 of 24 ira unfooled)")
+@pytest.mark.parametrize("strategy", ["tra", "ira"])
+def test_converged_patch_samples_are_fooled_at_commit(enc, ds, strategy, monkeypatch):
+    stepped, unfooled = unfooled_at_commit(enc, ds, strategy, ATTACK_CARRIERS["patch"],
+                                           monkeypatch)
+    assert stepped and unfooled == []
 
 
 # -- global mode -------------------------------------------------------------
@@ -384,13 +418,12 @@ def test_report_metrics_equal_the_apply_encode_oracle(enc, ds, name, subset):
     if carrier.mode == "global":
         raw = ds.images + pert.delta
         assert raw.min() < 0.0 and raw.max() > 1.0  # the clamp is active
-    images = list(range(PARAMS.n_images)) if subset is None else subset
     k_list = (1, 2, 5)
-    batch = PerturbedBatch(enc, ds.images, carrier)
-    batch.set_delta(pert.delta)
+    batch, reference = (cls(enc, ds.images, carrier) for cls in (PerturbedBatch, ReferenceBatch))
+    for b in (batch, reference):
+        b.set_delta(pert.delta)
     report = report_metrics(batch, ds, k_list, subset)
-    assert report == {"clean": per_k_metrics(enc, ds, None, k_list, images),
-                      "adversarial": per_k_metrics(enc, ds, pert, k_list, images)}
+    assert report == report_metrics(reference, ds, k_list, subset)
     # the batch, still at delta, gives the same report again
     assert report_metrics(batch, ds, k_list, subset) == report
 
@@ -552,52 +585,6 @@ def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
 
 # -- work on the standard benchmark ------------------------------------------
 
-def standard_epochs():
-    """The standard benchmark (the default gen dataset and encoder) and one
-    epoch's config per strategy: global linf for ira and tra, patch for
-    tira. Returns (enc, ds, configs)."""
-    enc = default_toy_encoder()
-    ds = build_dataset(DatasetParams(), enc)
-    shape = ds.params.image_shape
-    configs = {
-        strategy: AttackConfig(Carrier("global", norm="linf", epsilon=EPS_LINF_DEFAULT),
-                               epochs=1)
-        for strategy in ("ira", "tra")}
-    configs["tira"] = AttackConfig(Carrier("patch", square_patch_mask(
-        shape, patch_side_for_area(shape, PATCH_AREA_DEFAULT))), epochs=1)
-    return enc, ds, configs
-
-
-@pytest.fixture(scope="module")
-def benchmark_epochs():
-    """standard_epochs' run of each strategy, with each PerturbedBatch
-    forward and backward counted: (perturbation, trace, counts) per
-    strategy. Each crossing step makes one backward, counted as the step
-    call."""
-    enc, ds, configs = standard_epochs()
-    forward_points, step = PerturbedBatch.forward_points, PerturbedBatch.step
-    counts = {}
-
-    def counting_forward_points(self, rows, step=None, scales=(1.0,)):
-        kind = ("gallery" if len(rows) == ds.params.n_images
-                else "at_delta" if step is None or not step.any() else "step")
-        counts[kind] += 1
-        return forward_points(self, rows, step, scales)
-
-    def counting_step(self, *args):
-        counts["backward"] += 1
-        return step(self, *args)
-
-    out = {}
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PerturbedBatch, "forward_points", counting_forward_points)
-        mp.setattr(PerturbedBatch, "step", counting_step)
-        for strategy, cfg in configs.items():
-            counts = dict.fromkeys(("gallery", "at_delta", "step", "backward"), 0)
-            out[strategy] = (*run_attack(enc, ds, cfg, strategy), counts)
-    return out
-
-
 @pytest.mark.parametrize("strategy, forwards, work", [
     # ira: one gallery per distinct delta, and each text's rows at r = 0 are
     # gallery rows, so every other forward is a probe of a step taken
@@ -634,10 +621,10 @@ def test_stop_reasons_of_an_ira_epoch(benchmark_epochs):
     assert reasons["fooled_at_entry"] + reasons["fooled"] == trace.summary()["converged"]
 
 
-def test_tira_epoch_equals_the_plain_crossing_loop(benchmark_epochs, monkeypatch):
+def test_tira_epoch_equals_the_plain_crossing_loop(standard, benchmark_epochs, monkeypatch):
     # skipping an r's repeats leaves delta, every record and the trace as
     # the loop that probes each iteration makes them
-    enc, ds, configs = standard_epochs()
+    enc, ds, configs = standard
     monkeypatch.setattr("uapkit.attack.accumulate", plain_accumulate)
     plain, plain_trace = run_attack(enc, ds, configs["tira"], "tira")
     perturbation, trace, counts = benchmark_epochs["tira"]
@@ -650,23 +637,26 @@ def test_tira_epoch_equals_the_plain_crossing_loop(benchmark_epochs, monkeypatch
     assert counts["backward"] < trace.summary()["total_inner_iterations"]
 
 
-@pytest.mark.parametrize("strategy", ["ira", "tra"])
-def test_global_epoch_equals_the_pixel_step_reference(benchmark_epochs, strategy):
-    # global steps live over W1's 256 rows; a batch made to step over all
-    # 3,072 pixels instead gives the same run up to rounding
-    enc, ds, configs = standard_epochs()
-    reference = PerturbedBatch(enc, ds.images, configs[strategy].carrier)
-    assert reference.zero_step().shape == (256,)
-    reference._in_rows = False  # the pixel-coordinate arithmetic of a small patch
-    assert reference.zero_step().shape == ds.params.image_shape
-    plain, plain_trace = run_attack(enc, ds, configs[strategy], strategy, reference)
-    perturbation, trace, _ = benchmark_epochs[strategy]
-    np.testing.assert_allclose(perturbation.delta, plain.delta, rtol=0, atol=1e-12)
+def assert_same_run(fast, trace, plain, plain_trace):
+    """Equal records and epoch metrics, and the same commits, with delta
+    and each commit's norms within 1e-12."""
     assert trace.records == plain_trace.records
-    assert trace.summary() == plain_trace.summary()
     assert trace.epoch_metrics == plain_trace.epoch_metrics
-    assert len(trace.commits) == len(plain_trace.commits)
-    for got, want in zip(trace.commits, plain_trace.commits):
-        assert got.epoch == want.epoch
-        assert got.norm_l2 == pytest.approx(want.norm_l2, rel=0, abs=1e-12)
-        assert got.norm_linf == pytest.approx(want.norm_linf, rel=0, abs=1e-12)
+    np.testing.assert_allclose(fast.delta, plain.delta, rtol=0, atol=1e-12)
+    got, want = ([(c.epoch, c.norm_l2, c.norm_linf) for c in t.commits]
+                 for t in (trace, plain_trace))
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("strategy", ["ira", "tra"])
+def test_global_epoch_equals_the_pixel_step_reference(standard, benchmark_epochs, strategy):
+    # global steps live over W1's 256 rows; ReferenceBatch steps over all
+    # 3,072 pixels and gives the same run up to rounding
+    enc, ds, configs = standard
+    carrier = configs[strategy].carrier
+    assert PerturbedBatch(enc, ds.images, carrier).zero_step().shape == (256,)
+    plain, plain_trace = run_attack(enc, ds, configs[strategy], strategy,
+                                    ReferenceBatch(enc, ds.images, carrier))
+    perturbation, trace, _ = benchmark_epochs[strategy]
+    assert_same_run(perturbation, trace, plain, plain_trace)
+    assert trace.summary() == plain_trace.summary()
