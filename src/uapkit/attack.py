@@ -155,21 +155,23 @@ def _cross(batch: PerturbedBatch, rows, entry, sims_of, seeds, is_match, candida
     n = len(rows)
     matches = np.flatnonzero(is_match[0])
     at_step = np.arange(n)
+    # the two blocks of a forward at a step: r's rows, then the probe's
+    step_rows, probe_rows = slice(0, n), slice(n, 2 * n)
 
     def probe(r_vec):
-        if r_vec.any():
+        if np.count_nonzero(r_vec):
             cache = batch.forward_points(rows, r_vec, (1.0, 1.0 + cfg.eta))
-            at_r, at_probe = at_step, at_step + n
+            at_r, read_r, read_probe = at_step, step_rows, probe_rows
         else:
             cache, at_r = entry
-            at_probe = at_r
-        if match_ranks(sims_of(cache.embeddings[at_probe])[None], is_match)[0] >= cfg.k:
+            read_r = read_probe = at_r
+        if match_ranks(sims_of(cache.embeddings[read_probe])[None], is_match)[0] >= cfg.k:
             return True, None
 
         def step_at():
-            sims = sims_of(cache.embeddings[at_r])
-            m = matches[np.argmax(sims[matches])]
-            c = candidates[np.argmin(sims[candidates])]
+            sims = sims_of(cache.embeddings[read_r])
+            m = matches[sims[matches].argmax()]
+            c = candidates[sims[candidates].argmin()]
             us, positions = seeds(c, m)
             return batch.step(cache, us, at_r[positions], float(sims[m] - sims[c]))
 
@@ -183,9 +185,10 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
     """Image-loop body for one image: the query moves against the texts.
 
     r accumulates on top of its incoming value (shared across a combined-run
-    batch), in batch's step coordinates. Every step is a gradient with
-    respect to the pixels the carrier moves, so batch.pixels(r) is exactly
-    zero elsewhere and needs no masking of its own.
+    batch), in batch's step coordinates: for the default patch, its values
+    on the 75 on-mask pixels. Every step is a gradient with respect to the
+    pixels the carrier moves, so batch.pixels(r) is exactly zero elsewhere
+    and needs no masking of its own.
     """
     texts = ds.texts.embeddings
     match_set = ds.matches_of_image(v_idx)
@@ -211,8 +214,9 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
     t = ds.texts.embeddings[t_idx]
     y = ds.image_of_text(t_idx)
     rows = np.array([y, *select_nonmatching_topk(t, gallery, {y}, cfg.k)])
+    us = np.array([t, -t])  # every step seeds f_c - f_m with these rows
     return _cross(batch, rows, (batch.gallery(), rows), lambda e: e @ t,
-                  lambda c, m: (np.stack([t, -t]), [c, m]),
+                  lambda c, m: (us, [c, m]),
                   match_mask([[0]], 1 + cfg.k), 1 + np.argsort(rows[1:]), r, cfg)
 
 
@@ -222,7 +226,8 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
 def _commit(batch: PerturbedBatch, r: np.ndarray, cfg: AttackConfig,
             trace: AttackTrace, epoch: int) -> None:
     """Move batch.delta by one half's r, in batch's step coordinates, taken
-    to pixels once. A zero r leaves delta as it is:
+    to an image-shaped step once, here, by batch.pixels. A zero r leaves
+    delta as it is:
     every delta here is a projection's output (or zero), which the
     projection maps to itself bit for bit, so neither it nor set_delta runs,
     and the norms are those of the last commit (taken afresh only on the
@@ -277,12 +282,13 @@ def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=(1, 5, 10),
     owner = np.array([img_pos[ds.image_of_text(t)] for t in text_ids])
     texts = ds.texts.embeddings[text_ids]
     tr_match = owner == np.arange(len(rows))[:, None]  # (images, texts)
+    ir_match = np.ascontiguousarray(tr_match.T)  # a contiguous where= reads faster
     protos = ds.prototypes.embeddings
     cls_match = np.array([ds.labels[v] for v in rows])[:, None] == np.arange(len(protos))
 
     def metrics(img: np.ndarray) -> dict:
         tr = match_ranks(img @ texts.T, tr_match)
-        ir = match_ranks(texts @ img.T, tr_match.T)
+        ir = match_ranks(texts @ img.T, ir_match)
         out = {}
         for k in k_list:
             out[f"tr_r{k}"] = hit_rate(tr, k, len(texts))

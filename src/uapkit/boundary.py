@@ -84,14 +84,24 @@ def binary_min_perturbation(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarra
     return -(f / sq) * w
 
 
-def crossing_step(diff: np.ndarray, gap: float, gram=None) -> np.ndarray | None:
+def crossing_step(diff: np.ndarray, gap: float, gram=None,
+                  support=None) -> np.ndarray | None:
     """Closed-form step (gap / ||diff||^2) * diff onto a linear(ized) boundary,
     with diff = grad(f_target - f_true) and gap = f_true - f_target (positive
     while uncrossed); None when ||diff|| < DEGENERATE_DENOM.
 
     With gram = A A^T, diff and the step are coordinates a of the vectors
-    A^T a, and ||diff||^2 is diff . gram . diff."""
-    sq = float(np.vdot(diff, diff if gram is None else gram @ diff))
+    A^T a, and ||diff||^2 is diff . gram . diff. With support = (n, index),
+    diff and the step are the entries at index of n-vectors zero elsewhere,
+    and ||diff||^2 is summed over the n-vector, bit for bit as its own
+    crossing_step sums it."""
+    if support is not None:
+        n, index = support
+        full = np.zeros(n)
+        full[index] = diff
+        sq = float(np.vdot(full, full))
+    else:
+        sq = float(np.vdot(diff, diff if gram is None else gram @ diff))
     if sq < DEGENERATE_DENOM ** 2:
         return None
     return (gap / sq) * diff

@@ -12,6 +12,7 @@ malformed sidecar or manifest.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -26,8 +27,8 @@ from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
                      run_attack)
 from .core import Carrier, as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
-from .encoder import (PerturbedBatch, default_toy_encoder, encoder_hash, gradcheck,
-                      load_encoder, save_encoder)
+from .encoder import (PerturbedBatch, default_toy_encoder, encoder_hash,
+                      freeze_encoder, gradcheck, load_encoder, save_encoder)
 from .errors import (MALFORMED_JSON_ERRORS, DegenerateDatasetError,
                      IntegrityError, InvalidArgumentError, UapkitError)
 from .rng import Lcg
@@ -85,6 +86,9 @@ def cmd_gen(args) -> int:
         seed=args.seed, decoder_scale=args.decoder_scale,
         decoder_rank=args.decoder_rank)
     enc = _load_encoder_arg(args.encoder)
+    if args.encoder is None:
+        # hashed once: the manifest's encoder_hash and encoder.json share the digests
+        freeze_encoder(enc)
     out = Path(args.out)
     manifest_path, manifest, dataset_hash = datagen.generate(params, enc, out)
     if args.encoder is None:
@@ -286,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--decoder-scale", type=float, default=0.15)
     g.add_argument("--decoder-rank", type=int, default=8)
     g.add_argument("--seed", type=int, default=7)
-    g.set_defaults(func=cmd_gen)
 
     a = sub.add_parser("attack", help="synthesize a universal perturbation")
     a.add_argument("--strategy", choices=("tra", "ira", "tira"), required=True)
@@ -307,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--dataset", required=True, help="dataset manifest path")
     a.add_argument("--out", required=True)
     a.add_argument("--k-list", type=_int_list, default=[1, 5, 10])
-    a.set_defaults(func=cmd_attack)
 
     e = sub.add_parser("eval", help="evaluate a saved perturbation")
     e.add_argument("--perturbation", required=True, help="sidecar JSON path")
@@ -316,22 +318,29 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--k-list", type=_int_list, default=[1, 5, 10])
     e.add_argument("--allow-mismatch", action="store_true")
     e.add_argument("--out")
-    e.set_defaults(func=cmd_eval)
 
     c = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     c.add_argument("--encoder")
     c.add_argument("--trials", type=int, default=20)
     c.add_argument("--step", type=float, default=1e-5)
     c.add_argument("--seed", type=int, default=0)
-    c.set_defaults(func=cmd_gradcheck)
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process; parse_args keeps no
+    state from one call to the next."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a command rebound after the parser was built runs
+    commands = {"gen": cmd_gen, "attack": cmd_attack, "eval": cmd_eval,
+                "gradcheck": cmd_gradcheck}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except DegenerateDatasetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

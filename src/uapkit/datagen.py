@@ -208,8 +208,9 @@ def load(manifest_path) -> Dataset:
 
     if images.shape != (params.n_images, *params.image_shape):
         raise CorruptDatasetError("image tensor shape does not match manifest")
-    if images.size and (images.min() < 0.0 or images.max() > 1.0):
-        raise CorruptDatasetError("image values outside [0, 1]")
+    # written so that a NaN, for which every comparison is false, fails it
+    if images.size and not (images.min() >= 0.0 and images.max() <= 1.0):
+        raise CorruptDatasetError(f"{named('images')[0]}: image values not all in [0, 1]")
     if texts.shape != (params.n_texts, params.embed_dim):
         raise CorruptDatasetError("text tensor shape does not match manifest")
     if protos.shape != (params.class_count, params.embed_dim):

@@ -106,9 +106,13 @@ def _activate(name: str, s: np.ndarray) -> np.ndarray:
     return np.maximum(s, 0.0)  # relu; subgradient at 0 taken as 0 in backward
 
 
-def _activate_grad(name: str, s: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activate_grad(name: str, s: np.ndarray, a: np.ndarray, rows=None) -> np.ndarray:
+    """The activation's derivative at the rows (default: all) of a layer's
+    pre-activations s and outputs a, indexing only the one it reads."""
     if name == "tanh":
+        a = a if rows is None else a.take(rows, axis=0)
         return 1.0 - a * a
+    s = s if rows is None else s.take(rows, axis=0)
     return (s > 0.0).astype(np.float64)
 
 
@@ -137,8 +141,8 @@ def _stack(enc: Encoder, s: np.ndarray, weights_t=None) -> ForwardCache:
         a = _activate(enc.activation, s)
         layers.append((s, a))
         s = a @ Wt + b
-    norms = np.linalg.norm(s, axis=1)
-    if np.any(norms < _ZERO_NORM):
+    norms = np.sqrt(np.add.reduce(s * s, axis=1))  # np.linalg.norm's own sum
+    if np.count_nonzero(norms < _ZERO_NORM):
         raise DegenerateEncodingError("pre-normalization output is zero")
     return ForwardCache(embeddings=s / norms[:, None], norms=norms, layers=layers)
 
@@ -165,17 +169,14 @@ def _layer1_gradient(enc: Encoder, cache: ForwardCache, us: np.ndarray,
     (default: all, in which case us has one row per cached row)."""
     if rows is None:
         e, norms = cache.embeddings, cache.norms
-        layers = cache.layers
     else:
-        rows = list(rows)
-        e, norms = cache.embeddings[rows], cache.norms[rows]
-        layers = [(s[rows], out[rows]) for s, out in cache.layers]
-    values = np.sum(us * e, axis=1)
+        rows = np.asarray(rows, dtype=np.intp)
+        e, norms = cache.embeddings.take(rows, axis=0), cache.norms.take(rows)
+    values = np.add.reduce(us * e, axis=1)
     # normalization Jacobian: d(u.e)/dz = (u - (u.e) e) / ||z||
     g = (us - values[:, None] * e) / norms[:, None]
     for i in range(len(enc.weights) - 1, 0, -1):
-        s, a_out = layers[i - 1]
-        g = (g @ enc.weights[i]) * _activate_grad(enc.activation, s, a_out)
+        g = (g @ enc.weights[i]) * _activate_grad(enc.activation, *cache.layers[i - 1], rows)
     return g
 
 
@@ -198,11 +199,11 @@ class PerturbedBatch:
     for delta = self.delta, the read-only copy the last set_delta kept (zero
     at first), and a step in the batch's step coordinates. Layer 1's
     pre-activation W1.x + b1 is cached per image once; in patch mode it leaves
-    out the on-mask pixels, which every image shares, and W1 times the delta
-    is cached per delta. clean() reads the images as given, with no delta,
-    off the same cache. Layers 2 on multiply by contiguous copies of W.T,
-    which on a few rows is several times faster than the transposed views of
-    _forward. clean and forward_points agree with _forward at those points
+    out the on-mask pixels, which every image shares. Each delta adds W1
+    times itself to a copy of it, every image's first layer at the delta.
+    clean() reads the images as given, with no delta, off the same cache.
+    Layers 2 on multiply by contiguous copies of W.T, which on a few rows is
+    several times faster than the transposed views of _forward. clean and forward_points agree with _forward at those points
     up to rounding, and step with crossing_step of backward_from_cache.
 
     Every input gradient is W1^T u for a vector u over W1's rows, restricted
@@ -211,10 +212,11 @@ class PerturbedBatch:
     patch), a step is the vector a over W1's rows with pixels(a) = W1^T a,
     and a call adds G a, G = W1 W1^T over the moved pixels, built once on
     the first step. Otherwise (a patch of at most as many pixels as W1 has
-    rows) a step is image-shaped, zero off the mask (where it is not read),
-    and a call adds W1 times it over the pixels the carrier moves. Either way the scales of one step share
-    one product, and a step of None costs none; only pixels and set_delta
-    multiply by W1 over every moved pixel.
+    rows, such as the default 75) a step is the vector of its values on the
+    moved pixels, in np.flatnonzero(mask) order, and a call adds W1 times
+    it over those pixels. Either way the scales of one step share one
+    product, and a step of None costs none; only pixels, once per commit,
+    and set_delta reach every pixel of the image.
     """
 
     def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
@@ -238,6 +240,9 @@ class PerturbedBatch:
             self._lo, self._hi = flat.min(axis=1), flat.max(axis=1)
         self._w = np.ascontiguousarray(W1[:, self._on])
         self._in_rows = self._w.shape[1] > self._w.shape[0]
+        # a patch's pixel step is summed over the image, as crossing_step of
+        # the image-shaped gradient sums it
+        self._support = (enc.n_inputs, self._on) if carrier.mode == "patch" else None
         self._base = flat @ W1.T + b1
         self._weights_t = [np.ascontiguousarray(W.T) for W in enc.weights[1:]]
         self._all_rows = np.arange(len(images))
@@ -252,9 +257,9 @@ class PerturbedBatch:
         self._gallery = None
         d = self.delta.ravel()
         if self.carrier.mode == "patch":
-            self._shift = self._w @ clamp_unit(d[self._on])
+            self._at_delta = self._base + self._w @ clamp_unit(d[self._on])
             return
-        self._shift = self._w @ d
+        self._at_delta = self._base + self._w @ d
         # x + d cannot leave [0, 1] where even the extreme pixels stay inside;
         # floating-point addition is monotone, so the bound is exact
         self._may_clamp = (self._lo + d.min() < 0.0) | (self._hi + d.max() > 1.0)
@@ -290,28 +295,28 @@ class PerturbedBatch:
 
         The points share one product W1 . step over the pixels the carrier
         moves, and a step of None costs none. The step is trusted, not
-        checked: a finite float64 array of n_inputs values, as an attack
-        builds it from this batch's own step; set_delta checks whatever
-        the steps add up to.
+        checked: a finite float64 vector in this batch's step coordinates,
+        as an attack builds it from this batch's own step; set_delta checks
+        whatever the steps add up to.
         """
         rows = np.asarray(rows, dtype=np.intp)
-        z = self._base[rows] + self._shift
+        z = self._at_delta.take(rows, axis=0)
         if self.carrier.mode == "global":
             clamps = self._may_clamp[rows]
             if clamps.any():  # W1 (clamp(v) - v) for the pixels the clamp moved
                 raw = self._flat[rows[clamps]] + self.delta.ravel()
                 z[clamps] += (clamp_unit(raw) - raw) @ self._w.T
-        if step is None:
-            points = [z] * len(scales)
-        else:
-            shift = (self._gram @ step if self._in_rows
-                     else self._w @ step.reshape(-1)[self._on])
-            points = [z + s * shift for s in scales]
-        return _stack(self.enc, np.concatenate(points), self._weights_t)
+        if step is not None:
+            shift = self._gram @ step if self._in_rows else self._w @ step
+            # z + s * shift for each scale s, block after block
+            z = (z + np.multiply.outer(scales, shift)[:, None]).reshape(-1, z.shape[1])
+        elif len(scales) > 1:
+            z = np.tile(z, (len(scales), 1))
+        return _stack(self.enc, z, self._weights_t)
 
     def zero_step(self) -> np.ndarray:
         """The zero step in this batch's step coordinates."""
-        return np.zeros(len(self._w) if self._in_rows else self.enc.input_shape)
+        return np.zeros(self._w.shape[0] if self._in_rows else self._w.shape[1])
 
     def step(self, cache: ForwardCache, us: np.ndarray, rows,
              gap: float) -> np.ndarray | None:
@@ -322,18 +327,13 @@ class PerturbedBatch:
         u = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0)
         if self._in_rows:
             return crossing_step(u, gap, self._gram)
-        return crossing_step(self._moved(u), gap)
+        return crossing_step(u @ self._w, gap, support=self._support)
 
     def pixels(self, step: np.ndarray) -> np.ndarray:
         """The image-shaped step that a step in this batch's coordinates
-        adds to every point."""
-        return self._moved(step) if self._in_rows else step
-
-    def _moved(self, a: np.ndarray) -> np.ndarray:
-        """W1^T a over the pixels the carrier moves, image-shaped and zero
-        elsewhere (off the mask in patch mode)."""
+        adds to every point, zero off the pixels the carrier moves."""
         g = np.zeros(self.enc.n_inputs)
-        g[self._on] = a @ self._w
+        g[self._on] = step @ self._w if self._in_rows else step
         return g.reshape(self.enc.input_shape)
 
     @cached_property
@@ -383,18 +383,53 @@ def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
 
 # -- serialization ----------------------------------------------------------
 
+def _arrays(enc: Encoder) -> list[np.ndarray]:
+    """The weights and biases in the order of their files: w0, b0, w1, b1, ..."""
+    return [t for layer in zip(enc.weights, enc.biases) for t in layer]
+
+
+def _keep_digests(enc: Encoder, digests) -> Encoder:
+    """Make enc's weights read-only and keep digests, the SHA-256 of each
+    of its UAPT files in _arrays order, for encoder_hash and save_encoder."""
+    for array in _arrays(enc):
+        array.flags.writeable = False
+    object.__setattr__(enc, "_digests", tuple(digests))
+    return enc
+
+
+def _kept_digests(enc: Encoder) -> tuple[str, ...] | None:
+    """The digests enc keeps while its weights stay read-only, else None."""
+    digests = getattr(enc, "_digests", None)
+    if digests is None or any(t.flags.writeable for t in _arrays(enc)):
+        return None
+    return digests
+
+
+def freeze_encoder(enc: Encoder) -> Encoder:
+    """Hash each weight of enc once, make the weights read-only and keep
+    the digests, as load_encoder keeps the ones it verified: encoder_hash
+    and save_encoder then hash no weight again. Returns enc."""
+    if _kept_digests(enc) is None:
+        _keep_digests(enc, [tensor_io.tensor_sha256(t) for t in _arrays(enc)])
+    return enc
+
+
 def save_encoder(enc: Encoder, manifest_path) -> None:
-    """Write manifest JSON plus per-layer UAPT weight files."""
+    """Write manifest JSON plus per-layer UAPT weight files; the weights
+    of an encoder that keeps its digests are written without hashing."""
     manifest_path = Path(manifest_path)
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
+    digests = iter(_kept_digests(enc) or [None] * len(_arrays(enc)))
     layers = []
     for i, (W, b) in enumerate(zip(enc.weights, enc.biases)):
         w_name, b_name = f"w{i}.uapt", f"b{i}.uapt"
         layers.append({
             "weight": w_name,
             "bias": b_name,
-            "weight_sha256": tensor_io.write_tensor(manifest_path.parent / w_name, W),
-            "bias_sha256": tensor_io.write_tensor(manifest_path.parent / b_name, b),
+            "weight_sha256": tensor_io.write_tensor(manifest_path.parent / w_name, W,
+                                                    next(digests)),
+            "bias_sha256": tensor_io.write_tensor(manifest_path.parent / b_name, b,
+                                                  next(digests)),
         })
     tensor_io.write_json(manifest_path, enc.manifest_dict() | {"layers": layers})
 
@@ -419,22 +454,16 @@ def load_encoder(manifest_path) -> Encoder:
                       weights=weights, biases=biases)
     except (*MALFORMED_JSON_ERRORS, InvalidArgumentError) as exc:
         raise IntegrityError(f"{manifest_path}: malformed manifest ({exc!r})") from exc
-    for array in (*weights, *biases):
-        array.flags.writeable = False
-    object.__setattr__(enc, "_digests", digests)
-    return enc
+    return _keep_digests(enc, digests)
 
 
 def encoder_hash(enc: Encoder) -> str:
     """The encoder's identity: the SHA-256 of its canonical architecture JSON
     (manifest_dict, keys sorted) followed by the hex SHA-256 of each layer's
-    UAPT file in the order w0, b0, w1, b1, ... A loaded encoder reuses the
-    digests load_encoder verified while its weights stay read-only; any
-    other encoder hashes its weights the way write_tensor would."""
-    arrays = [t for layer in zip(enc.weights, enc.biases) for t in layer]
-    digests = getattr(enc, "_digests", None)
-    if digests is None or any(t.flags.writeable for t in arrays):
-        digests = [tensor_io.tensor_sha256(t) for t in arrays]
+    UAPT file in the order w0, b0, w1, b1, ... A loaded or frozen encoder
+    reuses the digests it keeps while its weights stay read-only; any other
+    encoder hashes its weights the way write_tensor would."""
+    digests = _kept_digests(enc) or [tensor_io.tensor_sha256(t) for t in _arrays(enc)]
     h = hashlib.sha256(json.dumps(enc.manifest_dict(), sort_keys=True).encode())
     for digest in digests:
         h.update(digest.encode())

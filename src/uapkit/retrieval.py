@@ -97,6 +97,14 @@ def match_ranks(sims: np.ndarray, is_match: np.ndarray) -> np.ndarray:
     """
     if is_match.shape != sims.shape:
         raise InvalidArgumentError(f"match mask {is_match.shape} does not fit {sims.shape}")
+    if len(sims) == 1:  # the same rule on one row, without the row loop
+        row, match = sims[0], is_match[0]
+        best = np.maximum.reduce(row, where=match, initial=-np.inf)
+        rank = np.count_nonzero(row > best)
+        tied = row == best
+        if np.count_nonzero(tied) > 1:
+            rank += np.count_nonzero(tied[:np.argmax(tied & match)])
+        return np.array([rank], dtype=np.intp)
     # row counts summed in uint16, exact below 2**16 columns, run several
     # times faster than a sum in intp
     count = np.uint16 if sims.shape[1] < 2 ** 16 else np.intp

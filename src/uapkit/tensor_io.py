@@ -25,22 +25,25 @@ MAGIC = b"UAPT"
 VERSION = 1
 
 
-def write_atomic(path, *chunks) -> str:
+def write_atomic(path, *chunks, sha256: str | None = None) -> str:
     """Write chunks (bytes or contiguous buffers) to a temp file beside path,
     then move it onto path, so a write that fails partway leaves the previous
-    file intact; returns the SHA-256 of the bytes written."""
+    file intact; returns the SHA-256 of the bytes written. A caller that
+    already holds that digest passes it as sha256, and the bytes are not
+    hashed again."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    h = hashlib.sha256()
+    h = hashlib.sha256() if sha256 is None else None
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
-                h.update(chunk)
+                if h is not None:
+                    h.update(chunk)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
-    return h.hexdigest()
+    return sha256 if h is None else h.hexdigest()
 
 
 def write_json(path, obj) -> str:
@@ -67,9 +70,10 @@ def tensor_sha256(tensor: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def write_tensor(path, tensor: np.ndarray) -> str:
-    """Write a UAPT file; returns the SHA-256."""
-    return write_atomic(path, *_uapt_chunks(tensor))
+def write_tensor(path, tensor: np.ndarray, sha256: str | None = None) -> str:
+    """Write a UAPT file; returns the SHA-256. sha256, when given, is
+    tensor_sha256(tensor), computed earlier, and the file is not hashed again."""
+    return write_atomic(path, *_uapt_chunks(tensor), sha256=sha256)
 
 
 def read_verified(path, sha256: str) -> bytes:

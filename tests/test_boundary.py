@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from uapkit.boundary import (CrossingReport, LinearClassifier, accumulate,
                              binary_distance, binary_min_perturbation,
-                             cross_k_boundaries,
+                             cross_k_boundaries, crossing_step,
                              k_nearest_boundaries, multiclass_min_perturbation,
                              nearest_boundary)
 from uapkit.errors import InvalidArgumentError, PreconditionError
@@ -249,6 +249,23 @@ class Counting:
         if self.none_from is not None and r[0] >= self.none_from:
             return None
         return np.ones(1)
+
+
+def test_crossing_step_on_a_support_sums_the_whole_vector():
+    # a step over 75 entries of a 3,072-vector keeps the bits of the whole
+    # vector's step; a 75-value sum of squares rounds apart in most draws
+    rng = np.random.default_rng(0)
+    index = np.sort(rng.choice(3072, 75, replace=False))
+    apart = 0
+    for _ in range(200):
+        full = np.zeros(3072)
+        full[index] = rng.standard_normal(75)
+        gap = rng.uniform(-1.0, 1.0)
+        got = crossing_step(full[index], gap, support=(3072, index))
+        assert np.array_equal(got, crossing_step(full, gap)[index])
+        apart += not np.array_equal(got, crossing_step(full[index], gap))
+    assert apart > 0
+    assert crossing_step(np.zeros(75), 0.3, support=(3072, index)) is None
 
 
 def test_accumulate_fooled_at_entry():

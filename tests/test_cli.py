@@ -5,13 +5,14 @@ import json
 import operator
 import shutil
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uapkit import attack, datagen, encoder
+from uapkit import attack, cli, datagen, encoder, tensor_io
 from uapkit.cli import _load_perturbation, main
 from uapkit.encoder import build_encoder, save_encoder
 from uapkit.errors import CorruptDatasetError, IntegrityError, InvalidArgumentError
@@ -69,6 +70,69 @@ def test_gen_hashes_the_encoder_once(tmp_path, monkeypatch):
     assert main(["gen", "--out", str(tmp_path / "toy"), "--n-images", "40",
                  "--texts-per-image", "3", "--seed", "7"]) == 0
     assert calls == ["uapkit.datagen"]
+
+
+def test_gen_hashes_each_file_once(tmp_path, monkeypatch):
+    # one SHA-256 per file written, fed each byte of it once: the built-in
+    # encoder's weights are hashed for encoder_hash and then written unhashed
+    digests, hashed = [], []
+
+    class Counting:
+        def __init__(self, data=b""):
+            self._h = hashlib.sha256()
+            digests.append(self)
+            self.update(data)
+
+        def update(self, data):
+            hashed.append(memoryview(data).nbytes)
+            self._h.update(data)
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(tensor_io, "hashlib", SimpleNamespace(sha256=Counting))
+    out = tmp_path / "toy"
+    assert main(["gen", "--out", str(out), "--n-images", "40",
+                 "--texts-per-image", "3", "--seed", "7"]) == 0
+    files = sorted(out.iterdir())
+    assert len(digests) == len(files) == 13
+    assert sum(hashed) == sum(f.stat().st_size for f in files)
+
+
+def test_two_calls_in_one_process_parse_their_own_arguments(monkeypatch):
+    # the parser is built once; no argument of one call reaches the next
+    seen = []
+    for name in ("cmd_attack", "cmd_eval", "cmd_gradcheck"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(vars(args)) or 0)
+    assert main(["gradcheck", "--trials", "3", "--seed", "5"]) == 0
+    assert main(["gradcheck"]) == 0
+    assert main(["attack", "--strategy", "tira", "--dataset", "d", "--out", "o",
+                 "--k-list", "1,3", "--mask-offset", "1", "2"]) == 0
+    assert main(["eval", "--perturbation", "p", "--dataset", "d"]) == 0
+    first, second, attack_args, eval_args = seen
+    assert (first["trials"], first["seed"]) == (3, 5)
+    assert (second["trials"], second["seed"], second["step"]) == (20, 0, 1e-5)
+    assert (attack_args["k_list"], attack_args["mask_offset"]) == ([1, 3], [1, 2])
+    assert (eval_args["k_list"], eval_args["command"]) == ([1, 5, 10], "eval")
+    assert cli._parser() is cli._parser()
+
+
+def test_eval_on_a_dataset_with_a_nan_pixel_exits_2(workspace, tmp_path, capsys):
+    # the hash of images.uapt is fixed up, so load's range check stops it
+    data = tmp_path / "data"
+    shutil.copytree(workspace / "data", data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    images = datagen.load(data / "manifest.json").images
+    images[0, 0, 0, 0] = np.nan
+    manifest["sha256"]["images"] = write_tensor(data / "images.uapt", images)
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    assert run_attack(workspace, "for_nan", []) == 0
+    capsys.readouterr()
+    assert main(["eval", "--perturbation", str(workspace / "for_nan" / "delta.json"),
+                 "--dataset", str(data / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json"), "--allow-mismatch"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data / 'images.uapt'}: image values not all in [0, 1]\n")
 
 
 def test_gen_builds_default_encoder_when_absent(tmp_path):

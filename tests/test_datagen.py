@@ -8,6 +8,7 @@ from uapkit.datagen import Dataset, DatasetParams, build_dataset, generate, load
 from uapkit.encoder import build_encoder, default_toy_encoder
 from uapkit.errors import (CorruptDatasetError, IntegrityError,
                            InvalidArgumentError)
+from uapkit.tensor_io import write_tensor
 
 SMALL = DatasetParams(n_images=20, texts_per_image=3, image_shape=(1, 8, 8),
                       embed_dim=16, class_count=4, noise_level=0.1, seed=7)
@@ -140,6 +141,20 @@ def test_load_rejects_corrupt_annotation(tmp_path):
     m["sha256"]["annotations"] = hashlib.sha256(ann_path.read_bytes()).hexdigest()
     manifest.write_text(json.dumps(m, indent=2, sort_keys=True))
     with pytest.raises(CorruptDatasetError):
+        load(manifest)
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf, -0.5, 1.5])
+def test_load_rejects_pixels_outside_the_unit_range(tmp_path, value):
+    # a NaN makes both the min and the max comparison false; the manifest
+    # records the new hash, so only load's content checks can stop it
+    manifest, _, _ = generate(SMALL, small_encoder(), tmp_path)
+    images = load(manifest).images
+    images[3, 0, 2, 5] = value
+    m = json.loads(manifest.read_text())
+    m["sha256"]["images"] = write_tensor(tmp_path / "images.uapt", images)
+    manifest.write_text(json.dumps(m, indent=2, sort_keys=True))
+    with pytest.raises(CorruptDatasetError, match="images.uapt"):
         load(manifest)
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from uapkit.attack import Perturbation
 from uapkit.core import Carrier, square_patch_mask
-from uapkit.encoder import (PerturbedBatch, _forward,
+from uapkit.boundary import crossing_step
+from uapkit.encoder import (PerturbedBatch, _forward, _layer1_gradient,
                             backward_from_cache, build_encoder,
                             default_toy_encoder, encode_batch, encoder_hash,
                             gradcheck, load_encoder, save_encoder,
@@ -175,7 +176,7 @@ FACTORED_CARRIERS = {
 def factored_case(name, kind="mlp", widths=(12, 10), act="tanh"):
     """(enc, images, carrier, delta, step, batch): six images in [0.2, 0.8],
     a delta FACTORED_CARRIERS[name] can make, the batch at that delta and a
-    random step in its step coordinates, zero off a patch's mask."""
+    random step in its step coordinates."""
     carrier, scale = FACTORED_CARRIERS[name]
     enc = build_encoder(kind, SHAPE, 8, widths, act, seed=5)
     rng = np.random.default_rng(0)
@@ -191,7 +192,9 @@ def factored_case(name, kind="mlp", widths=(12, 10), act="tanh"):
     batch = PerturbedBatch(enc, images, carrier)
     batch.set_delta(delta)
     step = np.random.default_rng(0).standard_normal(batch.zero_step().shape)
-    step = 0.3 * step * carrier.mask if step.shape == SHAPE else 0.05 * step
+    # 0.3 per pixel for a step over a patch's pixels, 0.05 per row of W1
+    on_mask = carrier.mode == "patch" and step.size == np.count_nonzero(carrier.mask)
+    step = (0.3 if on_mask else 0.05) * step
     return enc, images, carrier, delta, step, batch
 
 
@@ -323,16 +326,31 @@ def test_row_coordinate_steps_equal_pixel_steps(name):
     assert batch.step(cache, np.zeros((2, enc.embed_dim)), [2, 0], gap) is None
 
 
-def test_pixel_steps_keep_the_pixel_crossing_step_bitwise():
-    # a patch smaller than W1's rows keeps image-shaped steps, zero off the
-    # mask, and pixels returns the step itself
-    *_, carrier, _, step, batch = factored_case("patch")
-    assert batch.zero_step().shape == SHAPE
-    assert batch.pixels(step) is step
+def test_patch_steps_live_on_the_mask_pixels():
+    # a patch of at most W1's 12 rows steps over its on-mask pixels, in
+    # flatnonzero order, and pixels puts each value on its pixel
+    enc, images, carrier, delta, step, batch = factored_case("patch")
+    on = np.flatnonzero(carrier.mask)
+    assert batch.zero_step().shape == (len(on),) == (12,)
+    pixels = batch.pixels(step)
+    assert pixels.shape == SHAPE
+    assert np.array_equal(pixels.ravel()[on], step)
+    assert not pixels.ravel()[np.flatnonzero(carrier.mask == 0.0)].any()
+    # the step is the reference's masked pixel step, and keeps the bits of
+    # crossing_step of the image-shaped gradient, whose norm sums 108 values
+    reference = ReferenceBatch(enc, images, carrier)
+    reference.set_delta(delta)
     cache = batch.forward_points([4, 1, 3], step, (1.0, 1.02))
-    us = np.random.default_rng(4).standard_normal((2, batch.enc.embed_dim))
+    want = reference.forward_points([4, 1, 3], pixels, (1.0, 1.02))
+    us = np.random.default_rng(4).standard_normal((2, enc.embed_dim))
     got = batch.step(cache, us, [2, 0], 0.3)
-    assert got.shape == SHAPE and not got[carrier.mask == 0.0].any()
+    assert got.shape == (12,)
+    np.testing.assert_allclose(batch.pixels(got), reference.step(want, us, [2, 0], 0.3),
+                               rtol=1e-10)
+    image = np.zeros(enc.n_inputs)
+    w_on = np.ascontiguousarray(enc.weights[0][:, on])  # the product's own operand
+    image[on] = _layer1_gradient(enc, cache, us, [2, 0]).sum(axis=0) @ w_on
+    assert np.array_equal(batch.pixels(got).ravel(), crossing_step(image, 0.3))
 
 
 @pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))

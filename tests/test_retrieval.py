@@ -242,6 +242,22 @@ def test_match_ranks_is_the_first_match_in_ranked_indices(data):
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
+def test_match_ranks_of_one_row_follow_the_matrix_rule(data):
+    # a few distinct values, so rows repeat values and tie their matches
+    m = data.draw(st.integers(1, 12), label="gallery size")
+    row = np.array(data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25, 1.0]),
+                                      min_size=m, max_size=m)))
+    match = np.zeros(m, dtype=bool)
+    match[data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=4))] = True
+    one = match_ranks(row[None], match[None])
+    # the same row twice takes the matrix path
+    assert one.dtype == np.intp and one.shape == (1,)
+    assert one.tolist() == match_ranks(np.stack([row, row]), np.stack([match, match]))[:1].tolist()
+    assert one.tolist() == earlier_match_ranks(row[None], match[None]).tolist()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
 def test_select_nonmatching_topk_matches_ranked_indices(data):
     # dyadic galleries tie exactly, also at the cut of the sorted head
     rows = st.integers(0, len(DYADIC_UNITS) - 1)
