@@ -203,21 +203,21 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
 
 
 def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
-               cfg: AttackConfig, gallery: EmbeddingIndex):
+               cfg: AttackConfig, gallery: EmbeddingIndex, is_match: np.ndarray):
     """Text-loop body for one text: the match (row 0) and k candidates move.
 
     gallery indexes batch.gallery(), every image under the current
     perturbation; ranking candidates against it means the stopping test
     (match outranked by k candidates) certifies a full-gallery retrieval
-    miss, and its rows are the crossing's points at r = 0.
+    miss, and its rows are the crossing's points at r = 0. is_match is
+    match_mask([[0]], 1 + cfg.k), the same for every text.
     """
     t = ds.texts.embeddings[t_idx]
     y = ds.image_of_text(t_idx)
     rows = np.array([y, *select_nonmatching_topk(t, gallery, {y}, cfg.k)])
     us = np.array([t, -t])  # every step seeds f_c - f_m with these rows
     return _cross(batch, rows, (batch.gallery(), rows), lambda e: e @ t,
-                  lambda c, m: (us, [c, m]),
-                  match_mask([[0]], 1 + cfg.k), 1 + np.argsort(rows[1:]), r, cfg)
+                  lambda c, m: (us, [c, m]), is_match, 1 + np.argsort(rows[1:]), r, cfg)
 
 
 # -- commit and driver -------------------------------------------------------
@@ -386,6 +386,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
     trace = AttackTrace()
     probe = _probe_subset(ds)
     gallery_cache = None
+    ira_match = match_mask([[0]], 1 + cfg.k)
     orders = _orders(ds.params.n_texts if strategy == "ira" else ds.params.n_images, cfg)
     for epoch, order in zip(range(cfg.epochs), orders):
         for kind, samples in _halves(ds, cfg, strategy, order):
@@ -400,7 +401,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
                 if kind == "image":
                     r, iters, reason = _tra_inner(batch, ds, sid, r, cfg)
                 else:
-                    r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery)
+                    r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery, ira_match)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
             _commit(batch, r, cfg, trace, epoch)
         clean, adv = report_metrics(batch, ds, (PROBE_K,), probe).values()

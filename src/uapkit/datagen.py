@@ -95,23 +95,31 @@ def _annotation_for(params: DatasetParams) -> MatchAnnotation:
         {i: list(range(i * n, (i + 1) * n)) for i in range(params.n_images)})
 
 
+def _render_images(params: DatasetParams, rng: Lcg) -> np.ndarray:
+    """The (N, c, h, w) images: seeded unit latents through a random
+    decoder of rank decoder_rank, then 1 / (1 + exp(-decoder_scale * logits)),
+    taken in place on the logits."""
+    d, rank = params.embed_dim, params.decoder_rank
+    latents = _unit_rows(rng.fill_gaussian(params.n_images * d).reshape(-1, d))
+    left = rng.fill_gaussian(math.prod(params.image_shape) * rank).reshape(-1, rank)
+    right = rng.fill_gaussian(rank * d).reshape(rank, d)
+    decoder = left @ right
+    decoder /= math.sqrt(rank)
+    images = latents @ decoder.T
+    images *= -params.decoder_scale
+    np.exp(images, out=images)
+    images += 1.0
+    np.divide(1.0, images, out=images)
+    return images.reshape(params.n_images, *params.image_shape)
+
+
 def build_dataset(params: DatasetParams, enc: Encoder) -> Dataset:
     """Materialize the dataset in memory (no files); enforces the floor check."""
     if tuple(enc.input_shape) != params.image_shape or enc.embed_dim != params.embed_dim:
         raise InvalidArgumentError("encoder shape does not match dataset parameters")
-    c, h, w = params.image_shape
-    n_pix = c * h * w
     d = params.embed_dim
     rng = Lcg(params.seed)
-
-    latents = _unit_rows(rng.fill_gaussian(params.n_images * d).reshape(-1, d))
-    rank = params.decoder_rank
-    left = rng.fill_gaussian(n_pix * rank).reshape(n_pix, rank)
-    right = rng.fill_gaussian(rank * d).reshape(rank, d)
-    decoder = left @ right / math.sqrt(rank)
-    logits = latents @ decoder.T
-    images = (1.0 / (1.0 + np.exp(-params.decoder_scale * logits))).reshape(
-        params.n_images, c, h, w)
+    images = _render_images(params, rng)
 
     anchors = encode_batch(enc, images)  # (N, d) unit rows
     noise = rng.fill_gaussian(params.n_texts * d).reshape(-1, d)

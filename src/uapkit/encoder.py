@@ -30,6 +30,7 @@ ACTIVATIONS = ("tanh", "relu")
 # the Encoder fields an encoder.json manifest records, besides the weights
 ARCHITECTURE = ("kind", "input_shape", "embed_dim", "layer_widths", "activation", "seed")
 _ZERO_NORM = 1e-12
+_BLOCK_ROWS = 128  # images per block of a patch batch's first-layer cache
 
 
 def _layer_dims(kind, input_shape, embed_dim, layer_widths, activation) -> list[int]:
@@ -232,18 +233,31 @@ class PerturbedBatch:
         flat = self._flat = images.reshape(len(images), -1)
         if carrier.mode == "patch":
             self._on = np.flatnonzero(carrier.mask)
-            # the patch replaces the on-mask pixels, apply clamps the rest
-            flat = clamp_unit(flat)
-            flat[:, self._on] = 0.0
+            # the patch replaces the on-mask pixels, apply clamps the rest,
+            # one block of rows at a time in one buffer, so no clamped copy
+            # of every image is made. A row's product does not depend on the
+            # rows beside it, but numpy sends a one-row product to gemv,
+            # whose bits differ: the blocks are even, and none has one row
+            # unless all do.
+            n = len(flat)
+            blocks = -(-n // _BLOCK_ROWS)
+            edges = [n * i // blocks for i in range(blocks + 1)]
+            buffer = np.empty((-(-n // blocks), flat.shape[1]))
+            self._base = np.empty((n, len(b1)))
+            for lo, hi in zip(edges, edges[1:]):
+                block = np.clip(flat[lo:hi], 0.0, 1.0, out=buffer[:hi - lo])
+                block[:, self._on] = 0.0
+                np.matmul(block, W1.T, out=self._base[lo:hi])
+            self._base += b1
         else:
             self._on = slice(None)
             self._lo, self._hi = flat.min(axis=1), flat.max(axis=1)
+            self._base = flat @ W1.T + b1
         self._w = np.ascontiguousarray(W1[:, self._on])
         self._in_rows = self._w.shape[1] > self._w.shape[0]
         # a patch's pixel step is summed over the image, as crossing_step of
         # the image-shaped gradient sums it
         self._support = (enc.n_inputs, self._on) if carrier.mode == "patch" else None
-        self._base = flat @ W1.T + b1
         self._weights_t = [np.ascontiguousarray(W.T) for W in enc.weights[1:]]
         self._all_rows = np.arange(len(images))
         self._clean = None

@@ -47,7 +47,8 @@ class Lcg:
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def _uniforms(self, n: int) -> np.ndarray:
-        """The next n uniform() values; the states are built by doubling."""
+        """The next n uniform() values; the states are built by doubling in
+        one array, which then holds the values in place of the states."""
         states = np.empty(n, dtype=np.uint64)
         if n:
             states[0] = self.next_u64()
@@ -55,25 +56,40 @@ class Lcg:
             with np.errstate(over="ignore"):  # uint64 products wrap mod 2^64
                 while m < n:
                     k = min(m, n - m)
-                    states[m:m + k] = states[:k] * np.uint64(a) + np.uint64(c)
+                    block = states[m:m + k]
+                    np.multiply(states[:k], np.uint64(a), out=block)
+                    block += np.uint64(c)
                     a, c, m = (a * a) & MASK64, (a * c + c) & MASK64, 2 * m
             self.state = int(states[-1])
-        return (states >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
+        states >>= np.uint64(11)
+        # a 1-D copy between arrays of one layout runs element by element in
+        # order, so each state is read before its value overwrites it
+        values = states.view(np.float64)
+        np.copyto(values, states, casting="unsafe")
+        values *= 2.0 ** -53
+        return values
 
     def fill_uniform(self, n: int, low: float, high: float) -> np.ndarray:
         """n values of uniform_in(low, high), bit for bit."""
-        return low + (high - low) * self._uniforms(n)
+        values = self._uniforms(n)
+        values *= high - low
+        values += low
+        return values
 
     def fill_gaussian(self, n: int) -> np.ndarray:
         """n values of gaussian(), bit for bit. log and cos stay libm's
-        per value (numpy's may differ in the last bit); sqrt and the
-        products are correctly rounded either way."""
+        per value (numpy's may differ in the last bit), read one at a time
+        off memoryviews; sqrt and the products are correctly rounded either
+        way."""
         start = self.state
         u = self._uniforms(2 * n)
         u1, u2 = u[0::2], u[1::2]
         if not u1.all():  # gaussian() redraws a zero u1, which shifts the pairs
             self.state = start
             return np.array([self.gaussian() for _ in range(n)], dtype=np.float64)
-        logs = np.fromiter(map(math.log, u1.tolist()), np.float64, n)
-        cosines = np.fromiter(map(math.cos, ((2.0 * math.pi) * u2).tolist()), np.float64, n)
-        return np.sqrt(-2.0 * logs) * cosines
+        values = np.fromiter(map(math.log, memoryview(u1)), np.float64, n)
+        u2 *= 2.0 * math.pi
+        values *= -2.0
+        np.sqrt(values, out=values)
+        values *= np.fromiter(map(math.cos, memoryview(u2)), np.float64, n)
+        return values

@@ -76,37 +76,76 @@ def write_tensor(path, tensor: np.ndarray, sha256: str | None = None) -> str:
     return write_atomic(path, *_uapt_chunks(tensor), sha256=sha256)
 
 
-def read_verified(path, sha256: str) -> bytes:
-    """Read a file once and check those bytes against sha256; no file at path
-    (say a directory, or a NUL in the name) or a different hash raises IntegrityError."""
+def _open_named(path):
+    """Open the file a manifest names for reading; no file at path (say a
+    directory, or a NUL in the name) raises IntegrityError."""
     try:
-        data = Path(path).read_bytes()
+        return open(path, "rb")
     except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError) as exc:
         raise IntegrityError(f"missing file {path}") from exc
+
+
+def read_verified(path, sha256: str) -> bytes:
+    """Read a file once and check those bytes against sha256; no file at path
+    or a different hash raises IntegrityError."""
+    with _open_named(path) as fh:
+        data = fh.read()
     if hashlib.sha256(data).hexdigest() != sha256:
         raise IntegrityError(f"{path}: hash mismatch")
     return data
 
 
-def read_tensor(path, sha256: str) -> np.ndarray:
-    """Read a UAPT file whose bytes must hash to sha256; bad framing raises
-    IntegrityError."""
-    data = read_verified(path, sha256)
-    if len(data) < 6 or data[:4] != MAGIC:
-        raise IntegrityError(f"{path}: not a UAPT file")
-    version, rank = struct.unpack_from("<BB", data, 4)
+class _Framing(Exception):
+    """A UAPT file's bytes do not frame a tensor; the message says how."""
+
+
+def _read_framed(fh, h) -> np.ndarray:
+    """Parse the UAPT file open at fh into its tensor, read straight into a
+    new aligned float64 array; every byte read is fed to h as it is read.
+    Bad framing raises _Framing."""
+    size = os.fstat(fh.fileno()).st_size
+    head = fh.read(6)
+    h.update(head)
+    if len(head) < 6 or head[:4] != MAGIC:
+        raise _Framing("not a UAPT file")
+    version, rank = struct.unpack_from("<BB", head, 4)
     if version != VERSION:
-        raise IntegrityError(f"{path}: unsupported UAPT version {version}")
-    offset = 6 + 4 * rank
-    if len(data) < offset:
-        raise IntegrityError(f"{path}: truncated header")
-    dims = struct.unpack_from(f"<{rank}I", data, 6)
+        raise _Framing(f"unsupported UAPT version {version}")
+    raw_dims = fh.read(4 * rank)
+    h.update(raw_dims)
+    if len(raw_dims) < 4 * rank:
+        raise _Framing("truncated header")
+    dims = struct.unpack(f"<{rank}I", raw_dims)
     count = math.prod(dims)  # exact: np.prod wraps past 2**63
-    expected = offset + 8 * count
-    if len(data) != expected:
-        raise IntegrityError(f"{path}: expected {expected} bytes, got {len(data)}")
-    values = np.frombuffer(data, dtype="<f8", count=count, offset=offset)
+    expected = 6 + 4 * rank + 8 * count
+    if size != expected:
+        raise _Framing(f"expected {expected} bytes, got {size}")
+    values = np.empty(count, dtype="<f8")
+    got = fh.readinto(memoryview(values).cast("B"))
+    h.update(values)
+    if got != values.nbytes:  # the file shrank since fstat
+        raise _Framing(f"expected {expected} bytes, got {6 + 4 * rank + got}")
     try:
-        return values.reshape(dims).astype(np.float64, copy=True)
+        return values.reshape(dims).astype(np.float64, copy=False)
     except ValueError as exc:  # an empty array whose other dims overflow
-        raise IntegrityError(f"{path}: dims {dims} too large") from exc
+        raise _Framing(f"dims {dims} too large") from exc
+
+
+def read_tensor(path, sha256: str) -> np.ndarray:
+    """Read a UAPT file whose bytes must hash to sha256 into an aligned,
+    writable float64 array; the file is held in memory once, as that array.
+    A different hash raises IntegrityError, and so does bad framing of bytes
+    that do hash to sha256."""
+    h = hashlib.sha256()
+    with _open_named(path) as fh:
+        try:
+            values, framing = _read_framed(fh, h), None
+        except _Framing as exc:
+            values, framing = None, exc
+            for chunk in iter(lambda: fh.read(1 << 20), b""):
+                h.update(chunk)
+    if h.hexdigest() != sha256:
+        raise IntegrityError(f"{path}: hash mismatch")
+    if framing is not None:
+        raise IntegrityError(f"{path}: {framing}") from None
+    return values

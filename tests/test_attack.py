@@ -12,7 +12,7 @@ from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import PerturbedBatch, build_encoder, encode_batch
 from uapkit.errors import InvalidArgumentError
-from uapkit.retrieval import (EmbeddingIndex, indicator, recall_at_k,
+from uapkit.retrieval import (EmbeddingIndex, indicator, match_mask, recall_at_k,
                               topk_class_accuracy)
 
 from reference import ReferenceBatch
@@ -524,7 +524,8 @@ def test_ira_step_seeded_by_smallest_id_candidate():
     ds = SimpleNamespace(texts=EmbeddingIndex(t[None]), image_of_text=lambda i: 3)
     gallery = EmbeddingIndex(unit_rows(gallery_sims))
     batch = StubBatch(gallery.embeddings, unit_rows(probe_sims), (1, 2, 2))
-    r, iters, reason = _ira_inner(batch, ds, 0, R0, tiebreak_cfg(), gallery)
+    r, iters, reason = _ira_inner(batch, ds, 0, R0, tiebreak_cfg(), gallery,
+                                  match_mask([[0]], 4))
     assert (iters, reason) == (1, "max_iters")
     [(us, rows)] = batch.step_calls
     np.testing.assert_array_equal(us, np.stack([t, -t]))

@@ -363,6 +363,19 @@ def test_clean_rows_encode_the_images_as_given(name):
     assert batch.clean() is clean
 
 
+def test_patch_rows_do_not_depend_on_the_images_beside_them():
+    # a patch batch takes its first layer a block of rows at a time; numpy
+    # sends a one-row product to gemv, whose bits differ from gemm's, so no
+    # block may have one row, as one past a power-of-two block size would
+    enc = default_toy_encoder()
+    images = np.random.default_rng(3).uniform(-0.1, 1.1, size=(300, *enc.input_shape))
+    carrier = Carrier("patch", square_patch_mask(enc.input_shape, 5, (2, 3)))
+    rows = {n: PerturbedBatch(enc, images[:n], carrier).gallery().embeddings
+            for n in (65, 129, 257, 300)}
+    for n in (65, 129, 257):
+        assert rows[n].tobytes() == rows[300][:n].tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(FACTORED_CARRIERS))
 def test_gallery_rows_stand_in_for_a_forward_at_delta(name):
     # an attack reads a sample's rows at r = 0 from the gallery's cache, and

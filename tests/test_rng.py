@@ -1,5 +1,7 @@
 """The bulk fills of Lcg against its scalar methods, which are the spec."""
 
+import tracemalloc
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,22 @@ def scalar_uniform(rng, n, low, high):
 
 def scalar_gaussian(rng, n):
     return np.array([rng.gaussian() for _ in range(n)], dtype=np.float64)
+
+
+def peak_bytes(fn, *args):
+    """(fn(*args), the most memory tracemalloc, which sees numpy's arrays,
+    found allocated during the call beyond what was allocated before it)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def assert_same(bulk, spec, rng, ref):
@@ -76,3 +94,21 @@ def test_fill_gaussian_redraws_a_zero_u1_as_the_scalar_path_does():
             steps.next_u64()
         assert rng.state == steps.state
 
+
+N_BIG = 1 << 17  # values per bulk fill in the memory tests: 1 MiB of float64
+
+
+def test_fill_uniform_builds_its_values_in_the_array_of_states():
+    # the states become the values in place, so the fill peaks below two
+    # arrays of n values
+    values, peak = peak_bytes(Lcg(3).fill_uniform, N_BIG, -1.0, 1.0)
+    assert values.nbytes == 8 * N_BIG
+    assert peak < 2 * values.nbytes
+
+
+def test_fill_gaussian_builds_no_list_of_python_floats():
+    # its arrays are the 2n uniforms, the n values and the n cosines: four
+    # arrays of n values. A list of one Python float per value would add
+    # 32 bytes per value (24 per float, 8 per list slot), four more arrays.
+    values, peak = peak_bytes(Lcg(3).fill_gaussian, N_BIG)
+    assert peak < 5 * values.nbytes

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import struct
 
 import numpy as np
@@ -13,6 +14,8 @@ from uapkit.rng import Lcg
 from uapkit import tensor_io
 from uapkit.tensor_io import (MAGIC, read_tensor, read_verified, write_atomic,
                               write_json, write_tensor)
+
+from test_rng import peak_bytes
 
 
 @given(arrays(np.float64, array_shapes(min_dims=1, max_dims=4, max_side=5),
@@ -66,6 +69,16 @@ def test_read_returns_aligned_writable_float64(tmp_path, shape):
     out = read_tensor(path, sha)
     assert out.dtype == np.float64 and out.shape == shape
     assert out.flags.aligned and out.flags.writeable and out.flags.c_contiguous
+
+
+def test_read_holds_the_file_once(tmp_path):
+    # the payload is read straight into the array it returns, with no copy
+    # of the file's bytes beside it
+    path = tmp_path / "t.uapt"
+    sha = write_tensor(path, Lcg(5).fill_uniform(1 << 17, -1.0, 1.0).reshape(256, 512))
+    out, peak = peak_bytes(read_tensor, path, sha)
+    assert out.nbytes == 1 << 20
+    assert peak < out.nbytes + (64 << 10)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -181,6 +194,24 @@ def read_blob(tmp_path_factory, blob: bytes):
 
 def header(dims) -> bytes:
     return MAGIC + struct.pack("<BB", 1, len(dims)) + struct.pack(f"<{len(dims)}I", *dims)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"XAPT" + bytes(14), "not a UAPT file"),
+    (MAGIC + b"\x02\x01" + bytes(12), "unsupported UAPT version 2"),
+    (MAGIC + b"\x01\x02" + bytes(4), "truncated header"),
+    (header([3]) + bytes(16), "expected 34 bytes, got 26"),
+    (header([2]) + bytes(24), "expected 26 bytes, got 34"),
+    (header([0, 2**32 - 1, 2**32 - 1]), "dims (0, 4294967295, 4294967295) too large"),
+], ids=["bad_magic", "version", "truncated_header", "short_payload", "long_payload",
+        "overflowing_dims"])
+def test_a_hash_mismatch_takes_precedence_over_framing(tmp_path, blob, message):
+    path = tmp_path / "t.uapt"
+    path.write_bytes(blob)
+    with pytest.raises(IntegrityError, match=re.escape(f"{path}: {message}")):
+        read_tensor(path, hashlib.sha256(blob).hexdigest())
+    with pytest.raises(IntegrityError, match="hash mismatch"):
+        read_tensor(path, hashlib.sha256(blob + b"\x00").hexdigest())
 
 
 @given(st.one_of(st.binary(max_size=64),
