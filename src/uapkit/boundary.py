@@ -84,24 +84,14 @@ def binary_min_perturbation(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarra
     return -(f / sq) * w
 
 
-def crossing_step(diff: np.ndarray, gap: float, gram=None,
-                  support=None) -> np.ndarray | None:
+def crossing_step(diff: np.ndarray, gap: float, sq: float | None = None) -> np.ndarray | None:
     """Closed-form step (gap / ||diff||^2) * diff onto a linear(ized) boundary,
     with diff = grad(f_target - f_true) and gap = f_true - f_target (positive
-    while uncrossed); None when ||diff|| < DEGENERATE_DENOM.
-
-    With gram = A A^T, diff and the step are coordinates a of the vectors
-    A^T a, and ||diff||^2 is diff . gram . diff. With support = (n, index),
-    diff and the step are the entries at index of n-vectors zero elsewhere,
-    and ||diff||^2 is summed over the n-vector, bit for bit as its own
-    crossing_step sums it."""
-    if support is not None:
-        n, index = support
-        full = np.zeros(n)
-        full[index] = diff
-        sq = float(np.vdot(full, full))
-    else:
-        sq = float(np.vdot(diff, diff if gram is None else gram @ diff))
+    while uncrossed); None when ||diff|| < DEGENERATE_DENOM. sq is ||diff||^2
+    as the caller measures it, when diff stands for another vector (its
+    coordinates, or its entries on a support); vdot(diff, diff) by default."""
+    if sq is None:
+        sq = float(np.vdot(diff, diff))
     if sq < DEGENERATE_DENOM ** 2:
         return None
     return (gap / sq) * diff
@@ -186,9 +176,7 @@ def multiclass_min_perturbation(clf: LinearClassifier, x: np.ndarray, y: int) ->
 
 def k_nearest_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int) -> list[int]:
     """The k boundary indices with the smallest crossing ratios (ties: lowest index)."""
-    ratios = _boundary_ratios(clf, x, y)
-    order = np.lexsort((np.arange(clf.n_classes), ratios))
-    return [int(i) for i in order[:k]]
+    return np.argsort(_boundary_ratios(clf, x, y), kind="stable")[:k].tolist()
 
 
 def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,

@@ -106,8 +106,9 @@ def cmd_gen(args) -> int:
 
 
 def _carrier_args(args, image_shape) -> tuple[Carrier, dict]:
-    """The attack's Carrier and the sidecar's mask geometry, which is empty
-    in global mode; Carrier rejects the flags of the other mode."""
+    """The attack's Carrier and its mask geometry, which the sidecar and the
+    config record, empty in global mode; Carrier rejects the flags of the
+    other mode."""
     epsilon, mask, geometry = args.epsilon, None, {}
     if args.mode == "global" and epsilon is None:
         epsilon = EPS_L2_DEFAULT if args.norm == "l2" else EPS_LINF_DEFAULT
@@ -133,7 +134,7 @@ def cmd_attack(args) -> int:
         carrier, k=args.k, eta=args.eta, epochs=args.epochs,
         max_inner_iters=args.max_inner_iters, batch_size=args.batch_size,
         seed=args.seed, shuffle=args.shuffle)
-    config = cfg.to_json_dict()
+    config = cfg.to_json_dict() | geometry
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     check_attack(ds, cfg, args.strategy)  # before anything is written
     # one first layer for the attack and the report, whose clean rows also

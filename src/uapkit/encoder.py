@@ -255,9 +255,6 @@ class PerturbedBatch:
             self._base = flat @ W1.T + b1
         self._w = np.ascontiguousarray(W1[:, self._on])
         self._in_rows = self._w.shape[1] > self._w.shape[0]
-        # a patch's pixel step is summed over the image, as crossing_step of
-        # the image-shaped gradient sums it
-        self._support = (enc.n_inputs, self._on) if carrier.mode == "patch" else None
         self._weights_t = [np.ascontiguousarray(W.T) for W in enc.weights[1:]]
         self._all_rows = np.arange(len(images))
         self._clean = None
@@ -339,9 +336,13 @@ class PerturbedBatch:
         this batch's step coordinates: None at a degenerate boundary. rows
         names one cached row per row of us."""
         u = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0)
-        if self._in_rows:
-            return crossing_step(u, gap, self._gram)
-        return crossing_step(u @ self._w, gap, support=self._support)
+        if self._in_rows:  # ||W1^T u||^2 = u . G u
+            return crossing_step(u, gap, float(np.vdot(u, self._gram @ u)))
+        # a pixel step's norm is summed over the image, as crossing_step of
+        # the image-shaped gradient sums it
+        g = u @ self._w
+        p = self.pixels(g)
+        return crossing_step(g, gap, float(np.vdot(p, p)))
 
     def pixels(self, step: np.ndarray) -> np.ndarray:
         """The image-shaped step that a step in this batch's coordinates

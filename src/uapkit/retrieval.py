@@ -141,10 +141,10 @@ def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
     if not 0 <= k <= n - len(matches):
         raise InvalidArgumentError(
             f"k={k} outside [0, {n - len(matches)}], the non-matching candidates")
-    ranked = np.lexsort((np.arange(n), -(index.embeddings @ query)))
-    is_match = np.zeros(n, dtype=bool)
-    is_match[list(matches)] = True
-    return ranked[~is_match[ranked]][:k].tolist()
+    # a stable sort breaks ties by index; its first k + len(matches) entries
+    # hold the k best non-matches
+    ranked = np.argsort(-(index.embeddings @ query), kind="stable")[:k + len(matches)]
+    return [j for j in ranked.tolist() if j not in matches][:k]
 
 
 def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,

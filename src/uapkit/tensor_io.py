@@ -95,57 +95,38 @@ def read_verified(path, sha256: str) -> bytes:
     return data
 
 
-class _Framing(Exception):
-    """A UAPT file's bytes do not frame a tensor; the message says how."""
-
-
-def _read_framed(fh, h) -> np.ndarray:
-    """Parse the UAPT file open at fh into its tensor, read straight into a
-    new aligned float64 array; every byte read is fed to h as it is read.
-    Bad framing raises _Framing."""
-    size = os.fstat(fh.fileno()).st_size
-    head = fh.read(6)
-    h.update(head)
-    if len(head) < 6 or head[:4] != MAGIC:
-        raise _Framing("not a UAPT file")
-    version, rank = struct.unpack_from("<BB", head, 4)
-    if version != VERSION:
-        raise _Framing(f"unsupported UAPT version {version}")
-    raw_dims = fh.read(4 * rank)
-    h.update(raw_dims)
-    if len(raw_dims) < 4 * rank:
-        raise _Framing("truncated header")
-    dims = struct.unpack(f"<{rank}I", raw_dims)
-    count = math.prod(dims)  # exact: np.prod wraps past 2**63
-    expected = 6 + 4 * rank + 8 * count
-    if size != expected:
-        raise _Framing(f"expected {expected} bytes, got {size}")
-    values = np.empty(count, dtype="<f8")
-    got = fh.readinto(memoryview(values).cast("B"))
-    h.update(values)
-    if got != values.nbytes:  # the file shrank since fstat
-        raise _Framing(f"expected {expected} bytes, got {6 + 4 * rank + got}")
-    try:
-        return values.reshape(dims).astype(np.float64, copy=False)
-    except ValueError as exc:  # an empty array whose other dims overflow
-        raise _Framing(f"dims {dims} too large") from exc
-
-
 def read_tensor(path, sha256: str) -> np.ndarray:
     """Read a UAPT file whose bytes must hash to sha256 into an aligned,
-    writable float64 array; the file is held in memory once, as that array.
-    A different hash raises IntegrityError, and so does bad framing of bytes
+    writable float64 array; the file is held in memory once. Like
+    read_verified it reads the whole file, checks its hash, then parses it:
+    a different hash raises IntegrityError, and so does bad framing of bytes
     that do hash to sha256."""
-    h = hashlib.sha256()
     with _open_named(path) as fh:
-        try:
-            values, framing = _read_framed(fh, h), None
-        except _Framing as exc:
-            values, framing = None, exc
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
-    if h.hexdigest() != sha256:
+        head = fh.read(6)
+        size = max(os.fstat(fh.fileno()).st_size, len(head))
+        rank = head[5] if len(head) == 6 else 0
+        # the values start 6 + 4 * rank bytes in: the file goes into a
+        # float64 buffer (aligned, where a uint8 one need not be) at the
+        # offset that puts them on an 8-byte boundary
+        start = 6 + 4 * rank
+        pad = -start % 8
+        blob = np.empty((pad + size + 7) // 8).view(np.uint8)
+        blob[pad:pad + len(head)] = memoryview(head)
+        n = len(head) + fh.readinto(memoryview(blob)[pad + len(head):])
+    data = blob[pad:pad + n]
+    if hashlib.sha256(data).hexdigest() != sha256:
         raise IntegrityError(f"{path}: hash mismatch")
-    if framing is not None:
-        raise IntegrityError(f"{path}: {framing}") from None
-    return values
+    if n < 6 or head[:4] != MAGIC:
+        raise IntegrityError(f"{path}: not a UAPT file")
+    if head[4] != VERSION:
+        raise IntegrityError(f"{path}: unsupported UAPT version {head[4]}")
+    if n < start:
+        raise IntegrityError(f"{path}: truncated header")
+    dims = struct.unpack_from(f"<{rank}I", data, 6)
+    expected = start + 8 * math.prod(dims)  # exact: np.prod wraps past 2**63
+    if n != expected:
+        raise IntegrityError(f"{path}: expected {expected} bytes, got {n}")
+    try:
+        return data[start:].view("<f8").reshape(dims).astype(np.float64, copy=False)
+    except ValueError:  # an empty array whose other dims overflow
+        raise IntegrityError(f"{path}: dims {dims} too large") from None

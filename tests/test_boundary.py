@@ -252,8 +252,9 @@ class Counting:
 
 
 def test_crossing_step_on_a_support_sums_the_whole_vector():
-    # a step over 75 entries of a 3,072-vector keeps the bits of the whole
-    # vector's step; a 75-value sum of squares rounds apart in most draws
+    # a step over 75 entries of a 3,072-vector, given the whole vector's
+    # squared norm as sq, keeps the bits of the whole vector's step; a
+    # 75-value sum of squares rounds apart in most draws
     rng = np.random.default_rng(0)
     index = np.sort(rng.choice(3072, 75, replace=False))
     apart = 0
@@ -261,11 +262,11 @@ def test_crossing_step_on_a_support_sums_the_whole_vector():
         full = np.zeros(3072)
         full[index] = rng.standard_normal(75)
         gap = rng.uniform(-1.0, 1.0)
-        got = crossing_step(full[index], gap, support=(3072, index))
+        got = crossing_step(full[index], gap, float(np.vdot(full, full)))
         assert np.array_equal(got, crossing_step(full, gap)[index])
         apart += not np.array_equal(got, crossing_step(full[index], gap))
     assert apart > 0
-    assert crossing_step(np.zeros(75), 0.3, support=(3072, index)) is None
+    assert crossing_step(np.zeros(75), 0.3, float(np.vdot(np.zeros(3072), np.zeros(3072)))) is None
 
 
 def test_accumulate_fooled_at_entry():

@@ -195,6 +195,30 @@ def test_attack_report_matches_schema(workspace, capsys):
     jsonschema.validate(report, schema)
 
 
+def test_patch_geometry_is_part_of_the_hashed_config(workspace, capsys):
+    # the mask's side and offset change the delta an attack writes, so the
+    # config it records, hashes and hands on to eval holds them
+    runs = {"side2": ["--mask-side", "2"], "side3": ["--mask-side", "3"],
+            "side3_moved": ["--mask-side", "3", "--mask-offset", "1", "2"]}
+    hashes = {}
+    for name, extra in runs.items():
+        out = workspace / f"geometry_{name}"
+        assert run_attack(workspace, out.name, ["--epochs", "0", *extra]) == 0
+        report = json.loads(capsys.readouterr().out)
+        sidecar = json.loads((out / "delta.json").read_text())
+        assert report["config"] == sidecar["config"]
+        assert report["config"]["mask"] == sidecar["mask"]
+        assert report["hashes"]["config"] == hashlib.sha256(
+            json.dumps(report["config"], sort_keys=True).encode()).hexdigest()
+        hashes[name] = report["hashes"]["config"]
+    assert len(set(hashes.values())) == len(runs)
+    assert sidecar["mask"] == {"side": 3, "offset": [1, 2]}
+    assert main(["eval", "--perturbation", str(out / "delta.json"),
+                 "--dataset", str(workspace / "data" / "manifest.json"),
+                 "--encoder", str(workspace / "encoder.json")]) == 0
+    assert json.loads(capsys.readouterr().out)["config"] == sidecar["config"]
+
+
 def test_attack_determinism_bitwise(workspace, capsys):
     assert run_attack(workspace, "det_a", ["--seed", "5"]) == 0
     assert run_attack(workspace, "det_b", ["--seed", "5"]) == 0

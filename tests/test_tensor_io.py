@@ -59,14 +59,16 @@ def test_write_tensor_bytes_and_digest(tmp_path, tensor):
     assert sha == tensor_io.tensor_sha256(tensor) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@pytest.mark.parametrize("shape", [(5,), (2, 3), (2, 1, 3), (1, 2, 2, 2)])
+@pytest.mark.parametrize("shape", [(), (5,), (2, 3), (2, 1, 3), (1, 2, 2, 2), (2, 1, 1, 2, 1)])
 def test_read_returns_aligned_writable_float64(tmp_path, shape):
     # the values start 6 + 4 * rank bytes into the file, never at a multiple
     # of 8, so an array viewed on the file's bytes would be misaligned (and
-    # read-only), which sends numpy's float64 kernels down slow paths
+    # read-only), which sends numpy's float64 kernels down slow paths; the
+    # reader's pad depends on the rank's parity, and a scalar has no dims
+    # (write_tensor writes a 0-d array as rank 1, so the bytes are built here)
     path = tmp_path / "t.uapt"
-    sha = write_tensor(path, np.arange(math.prod(shape), dtype=np.float64).reshape(shape))
-    out = read_tensor(path, sha)
+    path.write_bytes(header(shape) + np.arange(math.prod(shape), dtype="<f8").tobytes())
+    out = read_tensor(path, hashlib.sha256(path.read_bytes()).hexdigest())
     assert out.dtype == np.float64 and out.shape == shape
     assert out.flags.aligned and out.flags.writeable and out.flags.c_contiguous
 
