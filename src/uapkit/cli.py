@@ -28,7 +28,7 @@ from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
 from .core import Carrier, as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
 from .encoder import (PerturbedBatch, default_toy_encoder, encoder_hash,
-                      freeze_encoder, gradcheck, load_encoder, save_encoder)
+                      gradcheck, load_encoder, save_encoder)
 from .errors import (MALFORMED_JSON_ERRORS, DegenerateDatasetError,
                      IntegrityError, InvalidArgumentError, UapkitError)
 from .rng import Lcg
@@ -86,9 +86,6 @@ def cmd_gen(args) -> int:
         seed=args.seed, decoder_scale=args.decoder_scale,
         decoder_rank=args.decoder_rank)
     enc = _load_encoder_arg(args.encoder)
-    if args.encoder is None:
-        # hashed once: the manifest's encoder_hash and encoder.json share the digests
-        freeze_encoder(enc)
     out = Path(args.out)
     manifest_path, manifest, dataset_hash = datagen.generate(params, enc, out)
     if args.encoder is None:

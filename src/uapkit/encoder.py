@@ -97,8 +97,11 @@ def build_encoder(kind: str, input_shape, embed_dim: int, layer_widths=(),
 
 
 def default_toy_encoder() -> Encoder:
-    """The benchmark encoder: mlp 3x32x32 -> [256, 128] -> 64, tanh, seed 42."""
-    return build_encoder("mlp", (3, 32, 32), 64, (256, 128), "tanh", 42)
+    """The benchmark encoder: mlp 3x32x32 -> [256, 128] -> 64, tanh, seed 42.
+    Like a loaded encoder, its weights are read-only and it keeps their
+    digests, so encoder_hash and save_encoder hash no weight again."""
+    enc = build_encoder("mlp", (3, 32, 32), 64, (256, 128), "tanh", 42)
+    return _keep_digests(enc, [tensor_io.tensor_sha256(t) for t in _arrays(enc)])
 
 
 def _activate(name: str, s: np.ndarray) -> np.ndarray:
@@ -107,14 +110,13 @@ def _activate(name: str, s: np.ndarray) -> np.ndarray:
     return np.maximum(s, 0.0)  # relu; subgradient at 0 taken as 0 in backward
 
 
-def _activate_grad(name: str, s: np.ndarray, a: np.ndarray, rows=None) -> np.ndarray:
-    """The activation's derivative at the rows (default: all) of a layer's
-    pre-activations s and outputs a, indexing only the one it reads."""
+def _activate_grad(name: str, s: np.ndarray, a: np.ndarray, rows) -> np.ndarray:
+    """The activation's derivative at the rows of a layer's pre-activations
+    s and outputs a, indexing only the one it reads."""
     if name == "tanh":
-        a = a if rows is None else a.take(rows, axis=0)
+        a = a.take(rows, axis=0)
         return 1.0 - a * a
-    s = s if rows is None else s.take(rows, axis=0)
-    return (s > 0.0).astype(np.float64)
+    return (s.take(rows, axis=0) > 0.0).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -131,12 +133,11 @@ class ForwardCache:
     layers: list                    # per hidden layer (s, a_out)
 
 
-def _stack(enc: Encoder, s: np.ndarray, weights_t=None) -> ForwardCache:
+def _stack(enc: Encoder, s: np.ndarray, weights_t) -> ForwardCache:
     """Run the stack on from layer 1's pre-activations s (B, n1) and normalize
-    each output row; weights_t holds W.T of each later layer (default: views
-    of enc.weights)."""
-    if weights_t is None:
-        weights_t = [W.T for W in enc.weights[1:]]
+    each output row; weights_t holds W.T of each later layer, in a layout
+    the caller picks: on a few rows, transposed views and contiguous copies
+    can give products that differ in the last bit."""
     layers = []
     for Wt, b in zip(weights_t, enc.biases[1:]):
         a = _activate(enc.activation, s)
@@ -155,7 +156,8 @@ def _forward(enc: Encoder, images: np.ndarray) -> ForwardCache:
         raise InvalidArgumentError(
             f"expected images of shape (B,)+{enc.input_shape}, got {images.shape}")
     x = images.reshape(images.shape[0], -1)
-    return _stack(enc, x @ enc.weights[0].T + enc.biases[0])
+    return _stack(enc, x @ enc.weights[0].T + enc.biases[0],
+                  [W.T for W in enc.weights[1:]])
 
 
 def encode_batch(enc: Encoder, images: np.ndarray) -> np.ndarray:
@@ -164,15 +166,11 @@ def encode_batch(enc: Encoder, images: np.ndarray) -> np.ndarray:
 
 
 def _layer1_gradient(enc: Encoder, cache: ForwardCache, us: np.ndarray,
-                     rows=None) -> np.ndarray:
-    """Gradients of u_b . normalize(pre_norm) with respect to layer 1's
-    pre-activations, one row per us row; rows selects the cached batch rows
-    (default: all, in which case us has one row per cached row)."""
-    if rows is None:
-        e, norms = cache.embeddings, cache.norms
-    else:
-        rows = np.asarray(rows, dtype=np.intp)
-        e, norms = cache.embeddings.take(rows, axis=0), cache.norms.take(rows)
+                     rows) -> np.ndarray:
+    """Gradients of u_j . normalize(pre_norm) with respect to layer 1's
+    pre-activations at cached row rows[j], one row per us row."""
+    rows = np.asarray(rows, dtype=np.intp)
+    e, norms = cache.embeddings.take(rows, axis=0), cache.norms.take(rows)
     values = np.add.reduce(us * e, axis=1)
     # normalization Jacobian: d(u.e)/dz = (u - (u.e) e) / ||z||
     g = (us - values[:, None] * e) / norms[:, None]
@@ -182,12 +180,9 @@ def _layer1_gradient(enc: Encoder, cache: ForwardCache, us: np.ndarray,
 
 
 def backward_from_cache(enc: Encoder, cache: ForwardCache, us: np.ndarray,
-                        rows=None) -> np.ndarray:
-    """Input-gradients of u_b . normalize(pre_norm(image_b)) per batch row.
-
-    us is (B', d); rows selects which cached batch rows to differentiate
-    (default: all, in which case B' must equal the cached batch size).
-    """
+                        rows) -> np.ndarray:
+    """Input-gradients of u_j . normalize(pre_norm(image)) at cached row
+    rows[j], one per row of us (B', d)."""
     g = _layer1_gradient(enc, cache, us, rows) @ enc.weights[0]
     return g.reshape((g.shape[0],) + enc.input_shape)
 
@@ -204,8 +199,9 @@ class PerturbedBatch:
     times itself to a copy of it, every image's first layer at the delta.
     clean() reads the images as given, with no delta, off the same cache.
     Layers 2 on multiply by contiguous copies of W.T, which on a few rows is
-    several times faster than the transposed views of _forward. clean and forward_points agree with _forward at those points
-    up to rounding, and step with crossing_step of backward_from_cache.
+    several times faster than the transposed views of _forward. clean and
+    forward_points agree with _forward at those points up to rounding, and
+    step with crossing_step of backward_from_cache.
 
     Every input gradient is W1^T u for a vector u over W1's rows, restricted
     to the pixels the carrier moves, and so is every sum of crossing steps.
@@ -365,7 +361,7 @@ def score_with_gradient(enc: Encoder, image: np.ndarray,
         raise InvalidArgumentError("text embedding must be unit-norm")
     cache = _forward(enc, as_tensor(image, shape=enc.input_shape)[None])
     return ScoreGradient(value=float(t @ cache.embeddings[0]),
-                         gradient=backward_from_cache(enc, cache, t[None])[0])
+                         gradient=backward_from_cache(enc, cache, t[None], [0])[0])
 
 
 def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
@@ -420,15 +416,6 @@ def _kept_digests(enc: Encoder) -> tuple[str, ...] | None:
     return digests
 
 
-def freeze_encoder(enc: Encoder) -> Encoder:
-    """Hash each weight of enc once, make the weights read-only and keep
-    the digests, as load_encoder keeps the ones it verified: encoder_hash
-    and save_encoder then hash no weight again. Returns enc."""
-    if _kept_digests(enc) is None:
-        _keep_digests(enc, [tensor_io.tensor_sha256(t) for t in _arrays(enc)])
-    return enc
-
-
 def save_encoder(enc: Encoder, manifest_path) -> None:
     """Write manifest JSON plus per-layer UAPT weight files; the weights
     of an encoder that keeps its digests are written without hashing."""
@@ -475,7 +462,7 @@ def load_encoder(manifest_path) -> Encoder:
 def encoder_hash(enc: Encoder) -> str:
     """The encoder's identity: the SHA-256 of its canonical architecture JSON
     (manifest_dict, keys sorted) followed by the hex SHA-256 of each layer's
-    UAPT file in the order w0, b0, w1, b1, ... A loaded or frozen encoder
+    UAPT file in the order w0, b0, w1, b1, ... A loaded or built-in encoder
     reuses the digests it keeps while its weights stay read-only; any other
     encoder hashes its weights the way write_tensor would."""
     digests = _kept_digests(enc) or [tensor_io.tensor_sha256(t) for t in _arrays(enc)]

@@ -55,7 +55,7 @@ def _uapt_chunks(tensor: np.ndarray) -> tuple[bytes, np.ndarray]:
     """A UAPT file's header and its payload, the contiguous little-endian
     float64 values, which reach a file or SHA-256 through the buffer
     protocol without a copy of their own."""
-    t = np.ascontiguousarray(tensor, dtype="<f8")
+    t = np.asarray(tensor, dtype="<f8", order="C")  # keeps rank 0
     if t.ndim > 255:
         raise InvalidArgumentError("rank exceeds u8")
     header = MAGIC + struct.pack("<BB", VERSION, t.ndim)

@@ -100,7 +100,7 @@ def test_score_requires_unit_text():
 
 def input_gradient(enc, image, u):
     """Input-gradient of u . E(image) for any embedding-space vector u."""
-    return backward_from_cache(enc, _forward(enc, image[None]), u[None])[0]
+    return backward_from_cache(enc, _forward(enc, image[None]), u[None], [0])[0]
 
 
 def test_input_gradient_accepts_difference_vectors():
@@ -470,10 +470,19 @@ def test_encoder_hash_sees_the_last_bit_and_the_architecture(tmp_path):
         assert encoder_hash(dataclasses.replace(base, activation="relu")) != encoder_hash(enc)
 
 
-def test_loaded_encoder_hash_hashes_no_weight_bytes(tmp_path, monkeypatch):
-    enc = small_mlp(9)
-    save_encoder(enc, tmp_path / "encoder.json")
-    loaded = load_encoder(tmp_path / "encoder.json")
+def loaded_small_mlp(tmp_path):
+    """A loaded encoder and a writable one with the same weights."""
+    save_encoder(small_mlp(9), tmp_path / "encoder.json")
+    return load_encoder(tmp_path / "encoder.json"), small_mlp(9)
+
+
+def built_in(tmp_path):
+    return default_toy_encoder(), build_encoder("mlp", (3, 32, 32), 64, (256, 128), "tanh", 42)
+
+
+@pytest.mark.parametrize("make", [loaded_small_mlp, built_in], ids=["loaded", "built_in"])
+def test_loaded_encoder_hash_hashes_no_weight_bytes(tmp_path, monkeypatch, make):
+    loaded, enc = make(tmp_path)
     assert not any(t.flags.writeable for t in (*loaded.weights, *loaded.biases))
     hashed, sha256 = [], hashlib.sha256
 
