@@ -27,12 +27,12 @@ deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .boundary import FOOLED, STOP_REASONS, accumulate
-from .core import Carrier, as_tensor
+from .core import PATCH_AREA_DEFAULT, Carrier, as_tensor  # noqa: F401 (re-exported)
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch
 from .errors import InvalidArgumentError
@@ -42,7 +42,7 @@ from .rng import Lcg
 
 EPS_L2_DEFAULT = 2000.0 / 255.0
 EPS_LINF_DEFAULT = 10.0 / 255.0
-PATCH_AREA_DEFAULT = 0.03
+K_LIST_DEFAULT = (1, 5, 10)  # the R@k of a report
 PROBE_K = 10  # the R@k of the epoch metrics, taken over _probe_subset
 PROBE_LIMIT = 32  # the most images _probe_subset takes
 
@@ -73,11 +73,8 @@ class AttackConfig:
             raise InvalidArgumentError(f"seed {self.seed} not in [0, 2^63)")
 
     def to_json_dict(self) -> dict:
-        return {
-            "k": self.k, "eta": self.eta, "epochs": self.epochs,
-            "max_inner_iters": self.max_inner_iters, "batch_size": self.batch_size,
-            "seed": self.seed, "shuffle": self.shuffle, **self.carrier.to_json_dict(),
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "carrier"} | self.carrier.to_json_dict()
 
 
 @dataclass
@@ -226,25 +223,16 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
 def _commit(batch: PerturbedBatch, r: np.ndarray, cfg: AttackConfig,
             trace: AttackTrace, epoch: int) -> None:
     """Move batch.delta by one half's r, in batch's step coordinates, taken
-    to an image-shaped step once, here, by batch.pixels. A zero r leaves
-    delta as it is:
-    every delta here is a projection's output (or zero), which the
-    projection maps to itself bit for bit, so neither it nor set_delta runs,
-    and the norms are those of the last commit (taken afresh only on the
-    first)."""
+    to an image-shaped step once, here, by batch.pixels, and record the
+    norms of delta as it then is. A zero r leaves delta as it is: every
+    delta here is a projection's output (or zero), which the projection
+    maps to itself bit for bit, so neither it nor set_delta runs."""
     if r.any():
         step = (1.0 + cfg.eta) * batch.pixels(r)
         batch.set_delta(cfg.carrier.commit(batch.delta, step))
-    elif trace.commits:
-        last = trace.commits[-1]
-        trace.commits.append(CommitRecord(epoch, last.norm_l2, last.norm_linf))
-        return
     delta = batch.delta
-    trace.commits.append(CommitRecord(
-        epoch=epoch,
-        norm_l2=float(np.linalg.norm(delta)),
-        norm_linf=float(np.abs(delta).max()) if delta.size else 0.0,
-    ))
+    trace.commits.append(CommitRecord(epoch, float(np.linalg.norm(delta)),
+                                      float(np.abs(delta).max())))
 
 
 def _orders(n: int, cfg: AttackConfig):
@@ -261,7 +249,7 @@ def _orders(n: int, cfg: AttackConfig):
         yield idx
 
 
-def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=(1, 5, 10),
+def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=K_LIST_DEFAULT,
                    image_subset=None) -> dict:
     """{"clean": ..., "adversarial": ...}: TR/IR R@k for each k and
     Top-1/Top-5 of the images image_subset (default: all) of ds, as given
@@ -303,7 +291,7 @@ def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=(1, 5, 10),
 
 
 def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | None,
-                     k_list=(1, 5, 10), image_subset=None) -> dict:
+                     k_list=K_LIST_DEFAULT, image_subset=None) -> dict:
     """report_metrics' block of the images under perturbation, or its clean
     block when that is None, optionally over an image subset."""
     # clean rows are the same under any carrier

@@ -17,14 +17,14 @@ import hashlib
 import json
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, datagen, tensor_io
-from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, PATCH_AREA_DEFAULT,
-                     AttackConfig, Perturbation, check_attack, report_metrics,
-                     run_attack)
+from .attack import (EPS_L2_DEFAULT, EPS_LINF_DEFAULT, K_LIST_DEFAULT, AttackConfig,
+                     Perturbation, check_attack, report_metrics, run_attack)
 from .core import Carrier, as_tensor, patch_side_for_area, square_patch_mask
 from .datagen import DatasetParams
 from .encoder import (PerturbedBatch, default_toy_encoder, encoder_hash,
@@ -79,12 +79,7 @@ def _emit_report(report: dict, out_path: Path | None):
 
 
 def cmd_gen(args) -> int:
-    params = DatasetParams(
-        n_images=args.n_images, texts_per_image=args.texts_per_image,
-        image_shape=tuple(args.image_shape), embed_dim=args.embed_dim,
-        class_count=args.class_count, noise_level=args.noise_level,
-        seed=args.seed, decoder_scale=args.decoder_scale,
-        decoder_rank=args.decoder_rank)
+    params = DatasetParams(**{f.name: getattr(args, f.name) for f in fields(DatasetParams)})
     enc = _load_encoder_arg(args.encoder)
     out = Path(args.out)
     manifest_path, manifest, dataset_hash = datagen.generate(params, enc, out)
@@ -112,7 +107,7 @@ def _carrier_args(args, image_shape) -> tuple[Carrier, dict]:
     if args.mode == "patch" or args.mask_side is not None or args.mask_offset is not None:
         side = args.mask_side
         if side is None:
-            side = patch_side_for_area(image_shape, PATCH_AREA_DEFAULT)
+            side = patch_side_for_area(image_shape)
         offset = args.mask_offset or [0, 0]
         mask = square_patch_mask(image_shape, side, tuple(offset))
         geometry = {"mask": {"side": side, "offset": offset}}
@@ -127,10 +122,8 @@ def cmd_attack(args) -> int:
         raise IntegrityError("dataset was generated against a different encoder")
     _check_k_list(args.k_list, ds)
     carrier, geometry = _carrier_args(args, ds.params.image_shape)
-    cfg = AttackConfig(
-        carrier, k=args.k, eta=args.eta, epochs=args.epochs,
-        max_inner_iters=args.max_inner_iters, batch_size=args.batch_size,
-        seed=args.seed, shuffle=args.shuffle)
+    cfg = AttackConfig(carrier, **{f.name: getattr(args, f.name)
+                                   for f in fields(AttackConfig) if f.name != "carrier"})
     config = cfg.to_json_dict() | geometry
     config_hash = hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
     check_attack(ds, cfg, args.strategy)  # before anything is written
@@ -278,42 +271,42 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("gen", help="generate a synthetic dataset")
     g.add_argument("--out", required=True)
     g.add_argument("--encoder", help="encoder manifest (default: built-in toy mlp)")
-    g.add_argument("--n-images", type=int, default=200)
-    g.add_argument("--texts-per-image", type=int, default=5)
-    g.add_argument("--image-shape", type=int, nargs=3, default=[3, 32, 32],
+    g.add_argument("--n-images", type=int, default=DatasetParams.n_images)
+    g.add_argument("--texts-per-image", type=int, default=DatasetParams.texts_per_image)
+    g.add_argument("--image-shape", type=int, nargs=3, default=DatasetParams.image_shape,
                    metavar=("C", "H", "W"))
-    g.add_argument("--embed-dim", type=int, default=64)
-    g.add_argument("--class-count", type=int, default=10)
-    g.add_argument("--noise-level", type=float, default=0.1)
-    g.add_argument("--decoder-scale", type=float, default=0.15)
-    g.add_argument("--decoder-rank", type=int, default=8)
-    g.add_argument("--seed", type=int, default=7)
+    g.add_argument("--embed-dim", type=int, default=DatasetParams.embed_dim)
+    g.add_argument("--class-count", type=int, default=DatasetParams.class_count)
+    g.add_argument("--noise-level", type=float, default=DatasetParams.noise_level)
+    g.add_argument("--decoder-scale", type=float, default=DatasetParams.decoder_scale)
+    g.add_argument("--decoder-rank", type=int, default=DatasetParams.decoder_rank)
+    g.add_argument("--seed", type=int, default=DatasetParams.seed)
 
     a = sub.add_parser("attack", help="synthesize a universal perturbation")
     a.add_argument("--strategy", choices=("tra", "ira", "tira"), required=True)
     a.add_argument("--mode", choices=("patch", "global"), default="patch")
-    a.add_argument("--k", type=int, default=10)
-    a.add_argument("--eta", type=float, default=0.02)
-    a.add_argument("--epochs", type=int, default=10)
-    a.add_argument("--batch-size", type=int, default=16)
-    a.add_argument("--max-inner-iters", type=int, default=50)
+    a.add_argument("--k", type=int, default=AttackConfig.k)
+    a.add_argument("--eta", type=float, default=AttackConfig.eta)
+    a.add_argument("--epochs", type=int, default=AttackConfig.epochs)
+    a.add_argument("--batch-size", type=int, default=AttackConfig.batch_size)
+    a.add_argument("--max-inner-iters", type=int, default=AttackConfig.max_inner_iters)
     a.add_argument("--mask-side", type=int, help="patch side (default: 3%% area)")
     a.add_argument("--mask-offset", type=int, nargs=2, metavar=("DY", "DX"),
                    help="offset from the bottom-right corner (default: 0 0)")
     a.add_argument("--norm", choices=("l2", "linf"))
     a.add_argument("--epsilon", type=float)
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--shuffle", action="store_true")
+    a.add_argument("--seed", type=int, default=AttackConfig.seed)
+    a.add_argument("--shuffle", action="store_true", default=AttackConfig.shuffle)
     a.add_argument("--encoder")
     a.add_argument("--dataset", required=True, help="dataset manifest path")
     a.add_argument("--out", required=True)
-    a.add_argument("--k-list", type=_int_list, default=[1, 5, 10])
+    a.add_argument("--k-list", type=_int_list, default=list(K_LIST_DEFAULT))
 
     e = sub.add_parser("eval", help="evaluate a saved perturbation")
     e.add_argument("--perturbation", required=True, help="sidecar JSON path")
     e.add_argument("--dataset", required=True)
     e.add_argument("--encoder")
-    e.add_argument("--k-list", type=_int_list, default=[1, 5, 10])
+    e.add_argument("--k-list", type=_int_list, default=list(K_LIST_DEFAULT))
     e.add_argument("--allow-mismatch", action="store_true")
     e.add_argument("--out")
 

@@ -14,6 +14,9 @@ import numpy as np
 
 from .errors import InvalidArgumentError
 
+PATCH_AREA_DEFAULT = 0.03  # the default patch's share of the image plane
+NORM_SLACK = 1e-12  # relative budget slack: Carrier.check accepts what project_l2 returns
+
 
 def as_tensor(values, shape=None) -> np.ndarray:
     """Coerce to a finite, C-contiguous float64 array; optionally enforce a shape."""
@@ -38,7 +41,7 @@ def project_l2(delta: np.ndarray, epsilon: float) -> np.ndarray:
     norm = np.linalg.norm(delta)
     # the relative slack makes the projection an exact fixed point: rescaling
     # can leave the recomputed norm a few ulps above epsilon
-    if norm > epsilon * (1.0 + 1e-12):
+    if norm > epsilon * (1.0 + NORM_SLACK):
         return delta * (epsilon / norm)
     return delta.copy()
 
@@ -123,7 +126,7 @@ class Carrier:
         with np.errstate(over="ignore"):  # a huge finite delta has norm inf
             size = (np.linalg.norm(delta) if self.norm == "l2"
                     else np.abs(delta).max(initial=0.0))
-        if size > self.epsilon * (1.0 + 1e-12):
+        if size > self.epsilon * (1.0 + NORM_SLACK):
             raise InvalidArgumentError(
                 f"global delta {self.norm} norm {size} exceeds epsilon {self.epsilon}")
 
@@ -165,7 +168,8 @@ def square_patch_mask(image_shape: tuple[int, int, int], side: int,
     return mask
 
 
-def patch_side_for_area(image_shape: tuple[int, int, int], area_fraction: float = 0.03) -> int:
+def patch_side_for_area(image_shape: tuple[int, int, int],
+                        area_fraction: float = PATCH_AREA_DEFAULT) -> int:
     """Side length of a square covering area_fraction of the h*w plane."""
     _, h, w = image_shape
     side = int(math.floor(math.sqrt(area_fraction * h * w)))

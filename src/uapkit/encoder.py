@@ -366,7 +366,9 @@ def score_with_gradient(enc: Encoder, image: np.ndarray,
 
 def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
               n_probes: int = 50, step: float = 1e-5, seed: int = 0) -> float:
-    """Max relative error between analytic and central-difference gradients."""
+    """Max relative error between analytic and central-difference gradients
+    at n_probes coordinates, drawn with numpy's default_rng(seed), the one
+    draw outside rng.Lcg."""
     if n_probes < 1:
         raise InvalidArgumentError(f"n_probes must be at least 1, got {n_probes}")
     if not 0 < step < np.inf:  # False for NaN

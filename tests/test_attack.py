@@ -288,15 +288,14 @@ def test_a_zero_r_commit_keeps_delta_as_it_is(enc, ds, cfg):
     assert fixed == [batch.delta] and not np.array_equal(batch.delta, delta)
 
 
-def test_a_zero_r_commit_reuses_the_last_norms(monkeypatch):
-    # delta is unchanged, so the norms of the last commit stand: they are not
-    # taken again (the stand-in values below are not delta's norms)
+def test_a_zero_r_commit_records_the_norms_of_delta():
+    # every record reads its norms off delta, not off the last record (the
+    # stand-in values below are not delta's norms)
     delta = np.full(SHAPE, 0.5)
     batch = SimpleNamespace(delta=delta)
     trace = AttackTrace(commits=[CommitRecord(2, 1.25, 0.75)])
-    monkeypatch.setattr(np.linalg, "norm", None)
     _commit(batch, np.zeros(SHAPE), patch_cfg(), trace, 3)
-    assert trace.commits[-1] == CommitRecord(3, 1.25, 0.75)
+    assert trace.commits[-1] == CommitRecord(3, float(np.linalg.norm(delta)), 0.5)
     assert batch.delta is delta
 
 

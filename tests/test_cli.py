@@ -117,6 +117,22 @@ def test_two_calls_in_one_process_parse_their_own_arguments(monkeypatch):
     assert cli._parser() is cli._parser()
 
 
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    gen_args = vars(parser.parse_args(["gen", "--out", "x"]))
+    params = datagen.DatasetParams
+    assert params(**{f.name: gen_args[f.name] for f in dataclasses.fields(params)}) == params()
+    # every hyper-parameter of the config is an option, with the field's default
+    attack_args = vars(parser.parse_args(["attack", "--strategy", "tira",
+                                          "--dataset", "d", "--out", "o"]))
+    for f in dataclasses.fields(attack.AttackConfig):
+        if f.name != "carrier":
+            value = attack_args[f.name]
+            assert (value, type(value)) == (f.default, type(f.default)), f.name
+    eval_args = parser.parse_args(["eval", "--perturbation", "p", "--dataset", "d"])
+    assert eval_args.k_list == list(attack.K_LIST_DEFAULT)
+
+
 def test_eval_on_a_dataset_with_a_nan_pixel_exits_2(workspace, tmp_path, capsys):
     # the hash of images.uapt is fixed up, so load's range check stops it
     data = tmp_path / "data"
