@@ -36,7 +36,7 @@ from .core import PATCH_AREA_DEFAULT, Carrier, as_tensor  # noqa: F401 (re-expor
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch
 from .errors import InvalidArgumentError
-from .retrieval import (EmbeddingIndex, hit_rate, match_mask, match_ranks,
+from .retrieval import (EmbeddingIndex, hit_rate, match_mask, match_ranks, rank_rows,
                         select_nonmatching_topk)
 from .rng import Lcg
 
@@ -258,8 +258,8 @@ def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=K_LIST_DEFAULT,
     batch is a PerturbedBatch of ds.images. The adversarial rows are its
     gallery at batch.delta, the rows the attack ranks against, and the clean
     rows its clean(), off the same cached first layer. Both are ranked on one
-    set of text ids and match masks: each direction once, with one
-    match_ranks vector, and every k read off it.
+    set of text ids and match masks: each direction once, through
+    rank_rows, and every k read off its one rank vector.
     """
     n = ds.params.n_images
     rows = range(n) if image_subset is None else list(image_subset)
@@ -268,20 +268,23 @@ def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=K_LIST_DEFAULT,
     img_pos = {v: i for i, v in enumerate(rows)}
     text_ids = sorted(t for v in rows for t in ds.matches_of_image(v))
     owner = np.array([img_pos[ds.image_of_text(t)] for t in text_ids])
-    texts = ds.texts.embeddings[text_ids]
+    # every text, in id order, is ranked in place, not copied
+    texts = ds.texts.embeddings
+    if len(text_ids) < len(texts):
+        texts = texts[text_ids]
     tr_match = owner == np.arange(len(rows))[:, None]  # (images, texts)
     ir_match = np.ascontiguousarray(tr_match.T)  # a contiguous where= reads faster
     protos = ds.prototypes.embeddings
     cls_match = np.array([ds.labels[v] for v in rows])[:, None] == np.arange(len(protos))
 
     def metrics(img: np.ndarray) -> dict:
-        tr = match_ranks(img @ texts.T, tr_match)
-        ir = match_ranks(texts @ img.T, ir_match)
+        tr = rank_rows(img, texts, tr_match)
+        ir = rank_rows(texts, img, ir_match)
         out = {}
         for k in k_list:
             out[f"tr_r{k}"] = hit_rate(tr, k, len(texts))
             out[f"ir_r{k}"] = hit_rate(ir, k, len(img))
-        cls = match_ranks(img @ protos.T, cls_match)
+        cls = rank_rows(img, protos, cls_match)
         out["top1"] = hit_rate(cls, 1, len(protos))
         out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
         return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import inspect
 import json
 import sys
 import time
@@ -313,8 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     c.add_argument("--encoder")
     c.add_argument("--trials", type=int, default=20)
-    c.add_argument("--step", type=float, default=1e-5)
-    c.add_argument("--seed", type=int, default=0)
+    audit = inspect.signature(gradcheck).parameters  # the library's defaults
+    c.add_argument("--step", type=float, default=audit["step"].default)
+    c.add_argument("--seed", type=int, default=audit["seed"].default)
     return p
 
 

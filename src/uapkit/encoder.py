@@ -110,13 +110,13 @@ def _activate(name: str, s: np.ndarray) -> np.ndarray:
     return np.maximum(s, 0.0)  # relu; subgradient at 0 taken as 0 in backward
 
 
-def _activate_grad(name: str, s: np.ndarray, a: np.ndarray, rows) -> np.ndarray:
-    """The activation's derivative at the rows of a layer's pre-activations
-    s and outputs a, indexing only the one it reads."""
+def _activate_grad(name: str, a: np.ndarray, rows) -> np.ndarray:
+    """The activation's derivative at the rows of a layer's outputs a: for
+    relu, a = max(s, 0) > 0 exactly where its pre-activation s > 0."""
+    a = a.take(rows, axis=0)
     if name == "tanh":
-        a = a.take(rows, axis=0)
         return 1.0 - a * a
-    return (s.take(rows, axis=0) > 0.0).astype(np.float64)
+    return (a > 0.0).astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ class ForwardCache:
     """Batched forward state kept around for a later backward pass."""
     embeddings: np.ndarray          # (B, d) unit rows
     norms: np.ndarray               # (B,) pre-normalization norms
-    layers: list                    # per hidden layer (s, a_out)
+    layers: list                    # per hidden layer, its activations
 
 
 def _stack(enc: Encoder, s: np.ndarray, weights_t) -> ForwardCache:
@@ -141,7 +141,7 @@ def _stack(enc: Encoder, s: np.ndarray, weights_t) -> ForwardCache:
     layers = []
     for Wt, b in zip(weights_t, enc.biases[1:]):
         a = _activate(enc.activation, s)
-        layers.append((s, a))
+        layers.append(a)
         s = a @ Wt + b
     norms = np.sqrt(np.add.reduce(s * s, axis=1))  # np.linalg.norm's own sum
     if np.count_nonzero(norms < _ZERO_NORM):
@@ -175,7 +175,7 @@ def _layer1_gradient(enc: Encoder, cache: ForwardCache, us: np.ndarray,
     # normalization Jacobian: d(u.e)/dz = (u - (u.e) e) / ||z||
     g = (us - values[:, None] * e) / norms[:, None]
     for i in range(len(enc.weights) - 1, 0, -1):
-        g = (g @ enc.weights[i]) * _activate_grad(enc.activation, *cache.layers[i - 1], rows)
+        g = (g @ enc.weights[i]) * _activate_grad(enc.activation, cache.layers[i - 1], rows)
     return g
 
 

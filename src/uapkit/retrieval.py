@@ -16,6 +16,7 @@ from .core import as_tensor
 from .errors import CorruptDatasetError, InvalidArgumentError
 
 _ROW_NORM_TOL = 1e-9
+_BLOCK_SCORES = 64 * 1024  # scores per block of rank_rows: 512 KiB of float64
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,30 @@ def match_ranks(sims: np.ndarray, is_match: np.ndarray) -> np.ndarray:
     return ranks
 
 
+def rank_rows(queries: np.ndarray, gallery: np.ndarray, is_match: np.ndarray) -> np.ndarray:
+    """match_ranks(queries @ gallery.T, is_match), without the whole score
+    matrix: the queries are scored in even row blocks of at most
+    _BLOCK_SCORES scores, one block after another in one buffer.
+
+    A product of at most _BLOCK_SCORES scores is one block, and a larger one
+    is cut into as few blocks as fit, so no block is cut small: BLAS can
+    give a row other last bits in a product of a few rows than in the whole
+    (a small-matrix kernel, or gemv for one row). On the standard dataset's
+    shapes every block holds the whole product's rows bit for bit.
+    """
+    q, m = len(queries), len(gallery)
+    if is_match.shape != (q, m):
+        raise InvalidArgumentError(f"match mask {is_match.shape} does not fit {(q, m)}")
+    blocks = max(1, min(q, -(-q * m // _BLOCK_SCORES)))
+    edges = [q * i // blocks for i in range(blocks + 1)]
+    buffer = np.empty((-(-q // blocks), m))
+    ranks = np.empty(q, dtype=np.intp)
+    for lo, hi in zip(edges, edges[1:]):
+        sims = np.matmul(queries[lo:hi], gallery.T, out=buffer[:hi - lo])
+        ranks[lo:hi] = match_ranks(sims, is_match[lo:hi])
+    return ranks
+
+
 def hit_rate(ranks: np.ndarray, k: int, n: int) -> float:
     """R@k of match_ranks over a gallery of n entries: the share of ranks
     below k, for k in [1, n]."""
@@ -152,8 +177,8 @@ def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,
     """Mean indicator over queries."""
     if len(matches_per_query) != len(queries):
         raise InvalidArgumentError("one match set per query required")
-    ranks = match_ranks(queries.embeddings @ gallery.embeddings.T,
-                        match_mask(matches_per_query, len(gallery)))
+    ranks = rank_rows(queries.embeddings, gallery.embeddings,
+                      match_mask(matches_per_query, len(gallery)))
     return hit_rate(ranks, k, len(gallery))
 
 

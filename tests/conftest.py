@@ -1,4 +1,7 @@
-"""The standard benchmark's runs, made once per session for every module."""
+"""The standard benchmark's runs, made once per session for every module,
+and peak_bytes, the tests' memory probe."""
+
+import tracemalloc
 
 import pytest
 
@@ -51,3 +54,19 @@ def benchmark_epochs(standard):
             counts = dict.fromkeys(("gallery", "at_delta", "step", "backward"), 0)
             out[strategy] = (*run_attack(enc, ds, cfg, strategy), counts)
     return out
+
+
+def peak_bytes(fn, *args):
+    """(fn(*args), the most memory tracemalloc, which sees numpy's arrays,
+    found allocated during the call beyond what was allocated before it)."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()

@@ -15,6 +15,7 @@ from uapkit.errors import InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, indicator, match_mask, recall_at_k,
                               topk_class_accuracy)
 
+from conftest import peak_bytes
 from reference import ReferenceBatch
 from test_boundary import plain_accumulate
 
@@ -619,6 +620,17 @@ def test_stop_reasons_of_an_ira_epoch(benchmark_epochs):
                        "degenerate": 0}
     assert sum(reasons.values()) == trace.summary()["samples_visited"]
     assert reasons["fooled_at_entry"] + reasons["fooled"] == trace.summary()["converged"]
+
+
+def test_report_metrics_holds_no_whole_score_matrix(standard):
+    # with the batch's rows cached, a report allocates its match masks, one
+    # rank block's scores and the image rows it reads: about 1 MiB, where
+    # each whole 200 x 1,000 score matrix alone takes 1.6 MB
+    enc, ds, configs = standard
+    batch = PerturbedBatch(enc, ds.images, configs["tira"].carrier)
+    batch.clean(), batch.gallery()
+    _, peak = peak_bytes(report_metrics, batch, ds)
+    assert peak < 1.25 * 2 ** 20
 
 
 def test_tira_epoch_equals_the_plain_crossing_loop(standard, benchmark_epochs, monkeypatch):

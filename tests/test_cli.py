@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import operator
 import shutil
@@ -131,6 +132,12 @@ def test_cli_defaults_are_the_library_defaults():
             assert (value, type(value)) == (f.default, type(f.default)), f.name
     eval_args = parser.parse_args(["eval", "--perturbation", "p", "--dataset", "d"])
     assert eval_args.k_list == list(attack.K_LIST_DEFAULT)
+    # gradcheck's step and seed are encoder.gradcheck's
+    gradcheck_args = vars(parser.parse_args(["gradcheck"]))
+    for name in ("step", "seed"):
+        default = inspect.signature(encoder.gradcheck).parameters[name].default
+        value = gradcheck_args[name]
+        assert (value, type(value)) == (default, type(default)), name
 
 
 def test_eval_on_a_dataset_with_a_nan_pixel_exits_2(workspace, tmp_path, capsys):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from uapkit.attack import Perturbation
 from uapkit.core import Carrier, square_patch_mask
 from uapkit.boundary import crossing_step
-from uapkit.encoder import (PerturbedBatch, _forward, _layer1_gradient,
+from uapkit.encoder import (PerturbedBatch, _forward, _layer1_gradient, _stack,
                             backward_from_cache, build_encoder,
                             default_toy_encoder, encode_batch, encoder_hash,
                             gradcheck, load_encoder, save_encoder,
@@ -128,6 +128,22 @@ def test_gradient_linearity_in_u():
     g2 = input_gradient(enc, image, u2)
     g12 = input_gradient(enc, image, u1 + u2)
     np.testing.assert_allclose(g12, g1 + g2, atol=1e-12)
+
+
+def test_relu_passes_no_gradient_at_a_zero_pre_activation():
+    # a cache keeps only activations, and relu's derivative is read off
+    # them: a = max(s, 0) > 0 exactly where s > 0, so a unit whose
+    # pre-activation is 0.0 or -0.0 takes derivative 0, as a negative one does
+    enc = build_encoder("mlp", (1, 2, 2), 3, (4,), "relu", 1)
+    s = np.array([[0.0, -0.0, 0.5, -0.5]])
+    assert np.signbit(s[0, 1])
+    cache = _stack(enc, s, [W.T for W in enc.weights[1:]])
+    u = np.array([0.3, -1.0, 0.7])
+    g = _layer1_gradient(enc, cache, u[None], [0])[0]
+    assert g[[0, 1, 3]].tolist() == [0.0, 0.0, 0.0]
+    e, norm = cache.embeddings[0], cache.norms[0]
+    expected = ((u - (u @ e) * e) / norm) @ enc.weights[1]
+    assert g[2] == pytest.approx(expected[2], rel=1e-12) and g[2] != 0.0
 
 
 def test_default_toy_encoder_shape():
@@ -361,6 +377,15 @@ def test_clean_rows_encode_the_images_as_given(name):
     assert not clean.embeddings.flags.writeable
     batch.set_delta(np.zeros(SHAPE))
     assert batch.clean() is clean
+
+
+def test_a_cache_keeps_only_the_hidden_activations(standard):
+    # no backward reads a pre-activation, so a 200-row cache holds
+    # 200 x (256 + 128) float64 values besides its embeddings and norms
+    enc, ds, configs = standard
+    cache = PerturbedBatch(enc, ds.images, configs["tira"].carrier).clean()
+    assert [a.shape for a in cache.layers] == [(200, 256), (200, 128)]
+    assert sum(a.nbytes for a in cache.layers) == 8 * 200 * (256 + 128)
 
 
 def test_patch_rows_do_not_depend_on_the_images_beside_them():

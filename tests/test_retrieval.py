@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uapkit import retrieval
+from uapkit.attack import _probe_subset
+from uapkit.encoder import PerturbedBatch
 from uapkit.errors import CorruptDatasetError, InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, MatchAnnotation, indicator,
                               match_mask, match_ranks, recall_at_k,
@@ -142,6 +145,53 @@ def test_match_ranks_at_report_scale_with_exact_ties(shape, matches):
     # the ties decide the rank in many rows
     above = (sims > np.where(is_match, sims, -np.inf).max(axis=1, keepdims=True)).sum(axis=1)
     assert np.count_nonzero(expected != above) > q // 20
+
+
+@pytest.mark.parametrize("pair, blocks", [
+    ("images-texts", 4), ("texts-images", 4), ("images-prototypes", 1),
+    ("probe-texts", 1), ("texts-probe", 1)])
+def test_rank_rows_scores_the_standard_shapes_as_the_whole_product(
+        standard, monkeypatch, pair, blocks):
+    # a product is cut only above the score budget, into as few even row
+    # blocks as fit it: blocks of a few rows can take other last bits than
+    # the whole product (gemv, small-matrix kernels). So on the shapes that
+    # reports and the floor check rank, each block's scores are the whole
+    # product's rows, and the ranks are match_ranks of the whole
+    enc, ds, configs = standard
+    img = PerturbedBatch(enc, ds.images, configs["tira"].carrier).clean().embeddings
+    texts, probe = ds.texts.embeddings, _probe_subset(ds)
+    probe_texts = texts[sorted(t for v in probe for t in ds.matches_of_image(v))]
+    queries, gallery = {
+        "images-texts": (img, texts), "texts-images": (texts, img),
+        "images-prototypes": (img, ds.prototypes.embeddings),
+        "probe-texts": (img[probe], probe_texts), "texts-probe": (probe_texts, img[probe]),
+    }[pair]
+    whole = queries @ gallery.T
+    rng = np.random.default_rng(8)
+    is_match = rng.random(whole.shape) < 0.01
+    is_match[np.arange(len(whole)), rng.integers(whole.shape[1], size=len(whole))] = True
+    scored = []
+
+    def recording_match_ranks(sims, block_match):
+        scored.append(sims.copy())
+        return match_ranks(sims, block_match)
+
+    monkeypatch.setattr(retrieval, "match_ranks", recording_match_ranks)
+    ranks = retrieval.rank_rows(queries, gallery, is_match)
+    assert np.array_equal(ranks, match_ranks(whole, is_match))
+    assert b"".join(block.tobytes() for block in scored) == whole.tobytes()
+    budget = retrieval._BLOCK_SCORES
+    sizes = [len(block) for block in scored]
+    assert len(sizes) == blocks == -(-whole.size // budget)
+    assert max(sizes) - min(sizes) <= 1 and max(sizes) * whole.shape[1] <= budget
+
+
+def test_rank_rows_checks_its_match_mask():
+    # a mask with rows to spare would fit every block it is sliced into
+    rng = np.random.default_rng(2)
+    queries, gallery = unit_rows(rng.standard_normal((3, 4))), unit_rows(rng.standard_normal((5, 4)))
+    with pytest.raises(InvalidArgumentError):
+        retrieval.rank_rows(queries, gallery, np.ones((4, 5), dtype=bool))
 
 
 @pytest.mark.parametrize("rank_at", [

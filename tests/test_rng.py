@@ -1,12 +1,12 @@
 """The bulk fills of Lcg against its scalar methods, which are the spec."""
 
-import tracemalloc
-
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uapkit.rng import Lcg
+
+from conftest import peak_bytes
 
 seeds = st.integers(0, 2 ** 64 - 1)
 sizes = st.integers(0, 3000)
@@ -25,22 +25,6 @@ def scalar_uniform(rng, n, low, high):
 
 def scalar_gaussian(rng, n):
     return np.array([rng.gaussian() for _ in range(n)], dtype=np.float64)
-
-
-def peak_bytes(fn, *args):
-    """(fn(*args), the most memory tracemalloc, which sees numpy's arrays,
-    found allocated during the call beyond what was allocated before it)."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        out = fn(*args)
-        return out, tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def assert_same(bulk, spec, rng, ref):

@@ -15,7 +15,7 @@ from uapkit import tensor_io
 from uapkit.tensor_io import (MAGIC, read_tensor, read_verified, write_atomic,
                               write_json, write_tensor)
 
-from test_rng import peak_bytes
+from conftest import peak_bytes
 
 
 @given(arrays(np.float64, array_shapes(min_dims=0, max_dims=4, max_side=5),
