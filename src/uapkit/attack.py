@@ -43,8 +43,7 @@ from .rng import Lcg
 EPS_L2_DEFAULT = 2000.0 / 255.0
 EPS_LINF_DEFAULT = 10.0 / 255.0
 K_LIST_DEFAULT = (1, 5, 10)  # the R@k of a report
-PROBE_K = 10  # the R@k of the epoch metrics, taken over _probe_subset
-PROBE_LIMIT = 32  # the most images _probe_subset takes
+PROBE_K = 10  # the R@k of the epoch metrics, taken over all images
 
 
 @dataclass(frozen=True)
@@ -249,33 +248,24 @@ def _orders(n: int, cfg: AttackConfig):
         yield idx
 
 
-def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=K_LIST_DEFAULT,
-                   image_subset=None) -> dict:
+def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=K_LIST_DEFAULT) -> dict:
     """{"clean": ..., "adversarial": ...}: TR/IR R@k for each k and
-    Top-1/Top-5 of the images image_subset (default: all) of ds, as given
-    and under batch.delta, against the texts of those images.
+    Top-1/Top-5 of the images of ds, as given and under batch.delta,
+    against all its texts.
 
     batch is a PerturbedBatch of ds.images. The adversarial rows are its
     gallery at batch.delta, the rows the attack ranks against, and the clean
     rows its clean(), off the same cached first layer. Both are ranked on one
-    set of text ids and match masks: each direction once, through
-    rank_rows, and every k read off its one rank vector.
+    set of match masks: each direction once, through rank_rows, and every k
+    read off its one rank vector.
     """
     n = ds.params.n_images
-    rows = range(n) if image_subset is None else list(image_subset)
-    if not rows or len(set(rows)) < len(rows) or not set(rows) <= set(range(n)):
-        raise InvalidArgumentError(f"image_subset must be distinct ids in [0, {n}), at least one")
-    img_pos = {v: i for i, v in enumerate(rows)}
-    text_ids = sorted(t for v in rows for t in ds.matches_of_image(v))
-    owner = np.array([img_pos[ds.image_of_text(t)] for t in text_ids])
-    # every text, in id order, is ranked in place, not copied
-    texts = ds.texts.embeddings
-    if len(text_ids) < len(texts):
-        texts = texts[text_ids]
-    tr_match = owner == np.arange(len(rows))[:, None]  # (images, texts)
+    owner = np.array([ds.image_of_text(t) for t in range(ds.params.n_texts)])
+    texts = ds.texts.embeddings  # in id order, as datagen.load checks
+    tr_match = owner == np.arange(n)[:, None]  # (images, texts)
     ir_match = np.ascontiguousarray(tr_match.T)  # a contiguous where= reads faster
     protos = ds.prototypes.embeddings
-    cls_match = np.array([ds.labels[v] for v in rows])[:, None] == np.arange(len(protos))
+    cls_match = np.asarray(ds.labels)[:, None] == np.arange(len(protos))
 
     def metrics(img: np.ndarray) -> dict:
         tr = rank_rows(img, texts, tr_match)
@@ -289,27 +279,21 @@ def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=K_LIST_DEFAULT,
         out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
         return out
 
-    return {"clean": metrics(batch.clean().embeddings[rows]),
-            "adversarial": metrics(batch.gallery().embeddings[rows])}
+    return {"clean": metrics(batch.clean().embeddings),
+            "adversarial": metrics(batch.gallery().embeddings)}
 
 
 def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | None,
-                     k_list=K_LIST_DEFAULT, image_subset=None) -> dict:
+                     k_list=K_LIST_DEFAULT) -> dict:
     """report_metrics' block of the images under perturbation, or its clean
-    block when that is None, optionally over an image subset."""
+    block when that is None."""
     # clean rows are the same under any carrier
     p = perturbation or Perturbation(np.zeros(ds.params.image_shape),
                                      Carrier("global", norm="linf", epsilon=1.0))
     batch = PerturbedBatch(enc, ds.images, p.carrier)
     batch.set_delta(p.delta)
-    report = report_metrics(batch, ds, k_list, image_subset)
+    report = report_metrics(batch, ds, k_list)
     return report["clean" if perturbation is None else "adversarial"]
-
-
-def _probe_subset(ds: Dataset) -> list[int]:
-    n = ds.params.n_images
-    stride = max(1, n // PROBE_LIMIT)
-    return list(range(0, n, stride))[:PROBE_LIMIT]
 
 
 def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, order: list[int]):
@@ -335,15 +319,14 @@ def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, order: list[int]):
 def check_attack(ds: Dataset, cfg: AttackConfig, strategy: str) -> None:
     """Raise InvalidArgumentError unless run_attack can run strategy on ds:
     the strategy suits the carrier, the per-epoch R@PROBE_K probe fits its
-    image subset, and k fits every candidate gallery a half ranks."""
+    image gallery, and k fits every candidate gallery a half ranks."""
     if strategy not in ("tra", "ira", "tira"):
         raise InvalidArgumentError(f"unknown strategy {strategy!r}")
     if strategy == "tira" and cfg.carrier.mode != "patch":
         raise InvalidArgumentError("tira is defined for patch mode")
-    n_probe = len(_probe_subset(ds))
-    if n_probe < PROBE_K:
+    if ds.params.n_images < PROBE_K:
         raise InvalidArgumentError(
-            f"the per-epoch R@{PROBE_K} probe ranks {n_probe} images; "
+            f"the per-epoch R@{PROBE_K} probe ranks all {ds.params.n_images} images; "
             f"it needs n_images >= {PROBE_K}")
     galleries = {}  # the non-matching candidates of an image or a text
     if strategy != "ira":
@@ -375,7 +358,6 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
             "batch must be a PerturbedBatch of enc over ds.images under cfg.carrier")
     batch.set_delta(np.zeros(ds.params.image_shape))
     trace = AttackTrace()
-    probe = _probe_subset(ds)
     gallery_cache = None
     ira_match = match_mask([[0]], 1 + cfg.k)
     orders = _orders(ds.params.n_texts if strategy == "ira" else ds.params.n_images, cfg)
@@ -395,7 +377,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
                     r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery, ira_match)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
             _commit(batch, r, cfg, trace, epoch)
-        clean, adv = report_metrics(batch, ds, (PROBE_K,), probe).values()
+        clean, adv = report_metrics(batch, ds, (PROBE_K,)).values()
         trace.epoch_metrics.append({
             "epoch": epoch,
             "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],

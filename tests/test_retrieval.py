@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uapkit import retrieval
-from uapkit.attack import _probe_subset
 from uapkit.encoder import PerturbedBatch
 from uapkit.errors import CorruptDatasetError, InvalidArgumentError
 from uapkit.retrieval import (EmbeddingIndex, MatchAnnotation, indicator,
@@ -148,8 +147,7 @@ def test_match_ranks_at_report_scale_with_exact_ties(shape, matches):
 
 
 @pytest.mark.parametrize("pair, blocks", [
-    ("images-texts", 4), ("texts-images", 4), ("images-prototypes", 1),
-    ("probe-texts", 1), ("texts-probe", 1)])
+    ("images-texts", 4), ("texts-images", 4), ("images-prototypes", 1)])
 def test_rank_rows_scores_the_standard_shapes_as_the_whole_product(
         standard, monkeypatch, pair, blocks):
     # a product is cut only above the score budget, into as few even row
@@ -159,12 +157,10 @@ def test_rank_rows_scores_the_standard_shapes_as_the_whole_product(
     # product's rows, and the ranks are match_ranks of the whole
     enc, ds, configs = standard
     img = PerturbedBatch(enc, ds.images, configs["tira"].carrier).clean().embeddings
-    texts, probe = ds.texts.embeddings, _probe_subset(ds)
-    probe_texts = texts[sorted(t for v in probe for t in ds.matches_of_image(v))]
+    texts = ds.texts.embeddings
     queries, gallery = {
         "images-texts": (img, texts), "texts-images": (texts, img),
         "images-prototypes": (img, ds.prototypes.embeddings),
-        "probe-texts": (img[probe], probe_texts), "texts-probe": (probe_texts, img[probe]),
     }[pair]
     whole = queries @ gallery.T
     rng = np.random.default_rng(8)
