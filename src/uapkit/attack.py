@@ -27,11 +27,12 @@ deterministic.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .boundary import FOOLED, STOP_REASONS, accumulate
+from .boundary import FOOLED, STOP_REASONS, accumulate, topk_pair
 from .core import PATCH_AREA_DEFAULT, Carrier, as_tensor  # noqa: F401 (re-exported)
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch
@@ -62,12 +63,15 @@ class AttackConfig:
         if not isinstance(self.carrier, Carrier):
             raise InvalidArgumentError(f"carrier must be a Carrier, got {self.carrier!r}")
         for name, low in {"k": 1, "epochs": 0, "max_inner_iters": 1, "batch_size": 1}.items():
-            if (value := getattr(self, name)) < low:
+            # counts must be integers (operator.index raises TypeError for 2.5)
+            object.__setattr__(self, name, value := operator.index(getattr(self, name)))
+            if value < low:
                 raise InvalidArgumentError(f"{name} must be >= {low}, got {value}")
         if not 0 < self.eta < np.inf:  # False for NaN
             raise InvalidArgumentError(f"eta must be positive and finite, got {self.eta}")
         # the shuffle draws from Lcg(seed), which reads the seed mod 2^64;
         # [0, 2^63) is attack's documented seed range, so no seed aliases
+        object.__setattr__(self, "seed", operator.index(self.seed))
         if not 0 <= self.seed < 2 ** 63:
             raise InvalidArgumentError(f"seed {self.seed} not in [0, 2^63)")
 
@@ -137,7 +141,7 @@ def _cross(batch: PerturbedBatch, rows, entry, sims_of, seeds, is_match, candida
     sims_of maps the embeddings of the batch rows that move to query-gallery
     similarities, and is_match is the gallery's (1, M) match_mask. The
     matches and candidates are gallery positions in ascending gallery id, so
-    the first argmax/argmin breaks ties toward the smallest id. seeds(c, m)
+    topk_pair breaks ties toward the smallest id. seeds(c, m)
     gives the backward's (us, positions) for f_c - f_m, positions indexing
     rows.
 
@@ -166,8 +170,7 @@ def _cross(batch: PerturbedBatch, rows, entry, sims_of, seeds, is_match, candida
 
         def step_at():
             sims = sims_of(cache.embeddings[read_r])
-            m = matches[sims[matches].argmax()]
-            c = candidates[sims[candidates].argmin()]
+            m, c = topk_pair(sims, matches, candidates)
             us, positions = seeds(c, m)
             return batch.step(cache, us, at_r[positions], float(sims[m] - sims[c]))
 
@@ -377,10 +380,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
                     r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery, ira_match)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
             _commit(batch, r, cfg, trace, epoch)
-        clean, adv = report_metrics(batch, ds, (PROBE_K,)).values()
-        trace.epoch_metrics.append({
-            "epoch": epoch,
-            "clean_tr_r10": clean["tr_r10"], "adv_tr_r10": adv["tr_r10"],
-            "clean_ir_r10": clean["ir_r10"], "adv_ir_r10": adv["ir_r10"],
-        })
+        adv = report_metrics(batch, ds, (PROBE_K,))["adversarial"]
+        trace.epoch_metrics.append(
+            {"epoch": epoch, "adv_tr_r10": adv["tr_r10"], "adv_ir_r10": adv["ir_r10"]})
     return Perturbation(batch.delta, cfg.carrier), trace

@@ -2,11 +2,15 @@
 
 Covers the binary point-to-plane case, the multiclass nearest-boundary
 minimal perturbation, and the iterative boundary crossing loop
-(`accumulate`) that the top-k crossing here and both attack inner loops run.
+(`accumulate`). The top-k crossing here and both attack inner loops run it
+under one step rule, from the best-scoring match toward the lowest-scoring
+candidate (topk_pair), and one stopping rule: the match scores strictly
+below every candidate (retrieval.match_ranks' rank rule).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +101,13 @@ def crossing_step(diff: np.ndarray, gap: float, sq: float | None = None) -> np.n
     return (gap / sq) * diff
 
 
+def topk_pair(scores: np.ndarray, matches, candidates):
+    """The (match, candidate) a top-k crossing steps between: the best-scoring
+    match and the lowest-scoring candidate, each tie broken toward the first
+    in the order given (ascending id, as every caller gives them)."""
+    return matches[scores[matches].argmax()], candidates[scores[candidates].argmin()]
+
+
 def accumulate(r: np.ndarray, probe, max_iters: int):
     """Sum crossing steps onto r until it is fooled; returns (r, iterations,
     reason), reason being why the loop stopped: "fooled_at_entry" (at the
@@ -143,19 +154,6 @@ def _check_correctly_classified(clf: LinearClassifier, x: np.ndarray, y: int) ->
     return s
 
 
-def _boundary_ratios(clf: LinearClassifier, x: np.ndarray, y: int):
-    """(f_y - f_i) / ||w_y - w_i|| for every i != y; degenerate rows get +inf."""
-    s = clf.scores(x)
-    diffs = clf.weights[y][None, :] - clf.weights
-    denoms = np.linalg.norm(diffs, axis=1)
-    gaps = s[y] - s
-    ratios = np.full(clf.n_classes, np.inf)
-    ok = denoms >= DEGENERATE_DENOM
-    ok[y] = False
-    ratios[ok] = gaps[ok] / denoms[ok]
-    return ratios
-
-
 def nearest_boundary(clf: LinearClassifier, x: np.ndarray, y: int) -> int:
     """Index of the closest decision boundary by gap-over-gradient-norm ratio."""
     x = as_tensor(x)
@@ -175,58 +173,58 @@ def multiclass_min_perturbation(clf: LinearClassifier, x: np.ndarray, y: int) ->
 
 
 def k_nearest_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int) -> list[int]:
-    """The k boundary indices with the smallest crossing ratios (ties: lowest index)."""
-    return np.argsort(_boundary_ratios(clf, x, y), kind="stable")[:k].tolist()
+    """The k boundary indices i != y with the smallest crossing ratios
+    (f_y - f_i) / ||w_y - w_i|| (degenerate rows last; ties: lowest index)."""
+    s = clf.scores(x)
+    denoms = np.linalg.norm(clf.weights[y][None, :] - clf.weights, axis=1)
+    ratios = np.full(clf.n_classes, np.inf)
+    ok = denoms >= DEGENERATE_DENOM
+    ok[y] = False
+    ratios[ok] = (s[y] - s[ok]) / denoms[ok]
+    order = np.argsort(ratios, kind="stable")
+    return order[order != y][:k].tolist()
 
 
 def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
                        eta: float = 0.02, max_iters: int | None = None) -> CrossingReport:
-    """Iteratively accumulate r until the true class scores below all k targets.
+    """Accumulate r until the true class scores strictly below all k targets.
 
     The target set L is the k nearest boundaries at the initial point and is
-    frozen; each iteration steps toward the not-yet-crossed member of L with
-    the smallest remaining crossing distance. The returned perturbation is
-    (1 + eta) * r, the overshoot applied exactly once.
+    frozen. The library and the attack share one step and one stopping rule
+    (see the module docstring): each iteration steps from y toward the member
+    of L that scores lowest at x + r, a degenerate one ending the crossing,
+    and the stopping test reads the overshoot x + (1 + eta) r. The returned
+    perturbation is (1 + eta) * r, the overshoot applied exactly once.
     """
     x = as_tensor(x)
     _check_correctly_classified(clf, x, y)
+    k = operator.index(k)
     if not 1 <= k <= clf.n_classes - 1:
         raise InvalidArgumentError(f"k={k} outside [1, C-1]")
-    if eta <= 0:
-        raise InvalidArgumentError("eta must be positive")
-    if max_iters is None:
-        max_iters = 50 * k
+    if not 0 < eta < np.inf:  # False for NaN
+        raise InvalidArgumentError(f"eta must be positive and finite, got {eta}")
+    max_iters = operator.index(50 * k if max_iters is None else max_iters)
     if max_iters <= 0:
         raise InvalidArgumentError("max_iters must be positive")
 
-    targets = k_nearest_boundaries(clf, x, y, k)
+    targets = sorted(k_nearest_boundaries(clf, x, y, k))
     scored = {}  # each probed r's bytes -> its scores at the overshoot
 
     def probe(r_vec):
         s_probe = scored[r_vec.tobytes()] = clf.scores(x + (1.0 + eta) * r_vec)
-        left = [l for l in targets if s_probe[y] > s_probe[l]]
 
         def step_at():
-            # step toward the uncrossed target with the smallest crossing ratio
-            # at x + r; degenerate boundaries are skipped for this step
-            ratios = _boundary_ratios(clf, x + r_vec, y)
-            best = min(left, key=lambda l: ratios[l])
-            if ratios[best] == np.inf:
-                return None  # every remaining boundary degenerate
             s = clf.scores(x + r_vec)
-            return crossing_step(clf.weights[best] - clf.weights[y], float(s[y] - s[best]))
+            m, c = topk_pair(s, [y], targets)
+            return crossing_step(clf.weights[c] - clf.weights[m], float(s[m] - s[c]))
 
-        return not left, step_at
+        return s_probe[y] < s_probe[targets].min(), step_at
 
     r, iterations, reason = accumulate(np.zeros_like(x), probe, max_iters)
-
-    # accumulate returns an r it probed; a tie is neither crossed here nor
-    # left uncrossed above
-    s_final = scored[r.tobytes()]
-    crossed = {l for l in targets if s_final[y] < s_final[l]}
+    s_final = scored[r.tobytes()]  # accumulate returns an r it probed
     return CrossingReport(
         perturbation=(1.0 + eta) * r,
         iterations=iterations,
-        crossed_indices=crossed,
+        crossed_indices={l for l in targets if s_final[y] < s_final[l]},
         converged=reason in FOOLED,
     )

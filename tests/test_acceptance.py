@@ -150,12 +150,14 @@ def test_criterion_3_topk_crossing():
     t0 = time.monotonic()
     converged = 0
     rank_ok = 0
+    iterations = 0
     for _ in range(200):
         clf = LinearClassifier(rng.normal(size=(50, 20)), rng.normal(size=50))
         x = rng.normal(size=20)
         y = clf.predict(x)
         report = cross_k_boundaries(clf, x, y, k=5, eta=0.02)
         converged += report.converged
+        iterations += report.iterations
         # oracle: full sort of the scores at the overshot point
         s = clf.scores(x + report.perturbation)
         rank = int(np.sum(s > s[y]))  # classes strictly above the true class
@@ -163,7 +165,7 @@ def test_criterion_3_topk_crossing():
     elapsed = time.monotonic() - t0
     ok = converged == 200 and rank_ok == 200 and elapsed < 10.0
     _report(3, ok, f"converged {converged}/200, rank>5 on {rank_ok}/200, "
-                   f"{elapsed:.2f}s")
+                   f"mean iterations {iterations / 200:.3f}, {elapsed:.2f}s")
 
 
 def test_criterion_4_gradient_soundness():

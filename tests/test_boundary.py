@@ -3,12 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uapkit import boundary
 from uapkit.boundary import (CrossingReport, LinearClassifier, accumulate,
                              binary_distance, binary_min_perturbation,
                              cross_k_boundaries, crossing_step,
                              k_nearest_boundaries, multiclass_min_perturbation,
                              nearest_boundary)
 from uapkit.errors import InvalidArgumentError, PreconditionError
+from uapkit.retrieval import match_mask, match_ranks
 
 
 def random_classifier(rng, n_classes, n_features):
@@ -218,8 +220,80 @@ def test_cross_k_invalid_args():
         cross_k_boundaries(clf, x, y, k=0)
     with pytest.raises(InvalidArgumentError):
         cross_k_boundaries(clf, x, y, k=5)
-    with pytest.raises(InvalidArgumentError):
-        cross_k_boundaries(clf, x, y, k=1, eta=0.0)
+    for eta in (0.0, float("nan"), float("inf")):
+        with pytest.raises(InvalidArgumentError, match="eta"):
+            cross_k_boundaries(clf, x, y, k=1, eta=eta)
+    # counts must be integers
+    with pytest.raises(TypeError):
+        cross_k_boundaries(clf, x, y, k=2.0)
+    with pytest.raises(TypeError):
+        cross_k_boundaries(clf, x, y, k=2, max_iters=2.5)
+
+
+def test_cross_k_steps_toward_the_lowest_scoring_target(monkeypatch):
+    # each step's diff is w_c - w_y for the target c that scores lowest at
+    # x + r (ties: lowest id), the candidate attack._cross steps toward
+    diffs = []
+    monkeypatch.setattr(boundary, "crossing_step",
+                        lambda diff, gap: diffs.append(diff) or crossing_step(diff, gap))
+    rng = np.random.default_rng(10)
+    for _ in range(40):
+        clf = random_classifier(rng, 30, 10)
+        x = rng.standard_normal(10)
+        y = clf.predict(x)
+        targets = k_nearest_boundaries(clf, x, y, 5)
+        diffs.clear()
+        rep = cross_k_boundaries(clf, x, y, k=5, eta=0.02)
+        assert rep.converged and len(diffs) == rep.iterations
+        r = np.zeros(10)  # replay the crossing from the oracle's choices
+        for diff in diffs:
+            s = clf.scores(x + r)
+            c = min(targets, key=lambda l: (s[l], l))
+            np.testing.assert_array_equal(diff, clf.weights[c] - clf.weights[y])
+            r = r + crossing_step(diff, float(s[y] - s[c]))
+        np.testing.assert_array_equal(rep.perturbation, 1.02 * r)
+
+
+def test_cross_k_ends_at_a_degenerate_lowest_target():
+    # target 2 runs parallel to class 0 (||w_2 - w_0|| < DEGENERATE_DENOM) and
+    # scores lowest, so the first step, toward it, is degenerate; y itself is
+    # never a target, though its ratio is +inf like a degenerate row's
+    clf = LinearClassifier(np.array([[1.0, 0.0], [0.0, 1.0], [1.0 + 1e-13, 0.0]]),
+                           np.array([5.0, 0.0, -5.0]))
+    assert k_nearest_boundaries(clf, np.zeros(2), 0, 2) == [1, 2]
+    rep = cross_k_boundaries(clf, np.zeros(2), 0, k=2)
+    assert (rep.iterations, rep.converged, rep.crossed_indices) == (0, False, set())
+    assert not rep.perturbation.any()
+
+
+def test_cross_k_fooled_test_is_the_rank_rule(monkeypatch):
+    # with W = I, b = 0 and eta = 1 the probe's scores are x + 2r exactly, so
+    # small integer points force ties with f_y; r is fooled iff y, ranked
+    # first among its targets, is outranked by all k (match_ranks' rule)
+    probes = []
+
+    def capture(r, probe, max_iters):
+        probes.append(probe)
+        probe(r)
+        return r, 0, "max_iters"
+
+    monkeypatch.setattr(boundary, "accumulate", capture)
+    rng = np.random.default_rng(11)
+    C, k = 8, 3
+    clf = LinearClassifier(np.eye(C), np.zeros(C))
+    ties = 0
+    for _ in range(300):
+        y = int(rng.integers(C))
+        x = rng.integers(-2, 3, C).astype(float)
+        x[y] = 3.0
+        targets = sorted(k_nearest_boundaries(clf, x, y, k))
+        cross_k_boundaries(clf, x, y, k=k, eta=1.0)
+        r = rng.integers(-2, 3, C).astype(float)
+        s = x + 2.0 * r
+        fooled, _ = probes[-1](r)
+        ties += bool(np.any(s[targets] == s[y]))
+        assert fooled == (match_ranks(s[[y, *targets]][None], match_mask([[0]], k + 1))[0] >= k)
+    assert ties >= 50
 
 
 # -- accumulate --------------------------------------------------------------
