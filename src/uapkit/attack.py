@@ -19,10 +19,10 @@ delta.
 
 The carrier (core.Carrier) owns the patch/global rules: where delta sits on
 an image and how a commit is projected. Every forward and backward of the
-inner loops, and every metric report_metrics reports, goes through one
-encoder.PerturbedBatch, which computes the encoder's first layer only over
-the pixels the carrier moves. All loops are sequential and fully
-deterministic.
+inner loops, and each epoch's metrics, go through one encoder.PerturbedBatch,
+which computes the encoder's first layer only over the pixels the carrier
+moves; report_metrics ranks the image rows it is given. All loops are
+sequential and fully deterministic.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .boundary import FOOLED, STOP_REASONS, accumulate, topk_pair
 from .core import PATCH_AREA_DEFAULT, Carrier, as_tensor  # noqa: F401 (re-exported)
 from .datagen import Dataset
-from .encoder import Encoder, PerturbedBatch
+from .encoder import Encoder, PerturbedBatch, encode_batch
 from .errors import InvalidArgumentError
 from .retrieval import (EmbeddingIndex, hit_rate, match_mask, match_ranks, rank_rows,
                         select_nonmatching_topk)
@@ -251,52 +251,44 @@ def _orders(n: int, cfg: AttackConfig):
         yield idx
 
 
-def report_metrics(batch: PerturbedBatch, ds: Dataset, k_list=K_LIST_DEFAULT) -> dict:
-    """{"clean": ..., "adversarial": ...}: TR/IR R@k for each k and
-    Top-1/Top-5 of the images of ds, as given and under batch.delta,
-    against all its texts.
+def report_metrics(ds: Dataset, rows: np.ndarray, k_list=K_LIST_DEFAULT) -> dict:
+    """TR/IR R@k for each k and Top-1/Top-5 of rows, one embedding per
+    image of ds in id order, against all its texts and class prototypes.
 
-    batch is a PerturbedBatch of ds.images. The adversarial rows are its
-    gallery at batch.delta, the rows the attack ranks against, and the clean
-    rows its clean(), off the same cached first layer. Both are ranked on one
-    set of match masks: each direction once, through rank_rows, and every k
-    read off its one rank vector.
+    Each direction is ranked once, through rank_rows, and every k read off
+    its one rank vector. A caller that wants two blocks, such as the clean
+    and the perturbed images, calls once per block.
     """
-    n = ds.params.n_images
-    owner = np.array([ds.image_of_text(t) for t in range(ds.params.n_texts)])
+    n, m = ds.params.n_images, ds.params.n_texts
     texts = ds.texts.embeddings  # in id order, as datagen.load checks
-    tr_match = owner == np.arange(n)[:, None]  # (images, texts)
-    ir_match = np.ascontiguousarray(tr_match.T)  # a contiguous where= reads faster
+    owner, text_ids = np.array([ds.image_of_text(t) for t in range(m)]), np.arange(m)
+    tr_match = np.zeros((n, m), dtype=bool)  # (images, texts)
+    tr_match[owner, text_ids] = True
+    ir_match = np.zeros((m, n), dtype=bool)  # not tr_match.T: a contiguous where= reads faster
+    ir_match[text_ids, owner] = True
     protos = ds.prototypes.embeddings
-    cls_match = np.asarray(ds.labels)[:, None] == np.arange(len(protos))
-
-    def metrics(img: np.ndarray) -> dict:
-        tr = rank_rows(img, texts, tr_match)
-        ir = rank_rows(texts, img, ir_match)
-        out = {}
-        for k in k_list:
-            out[f"tr_r{k}"] = hit_rate(tr, k, len(texts))
-            out[f"ir_r{k}"] = hit_rate(ir, k, len(img))
-        cls = rank_rows(img, protos, cls_match)
-        out["top1"] = hit_rate(cls, 1, len(protos))
-        out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
-        return out
-
-    return {"clean": metrics(batch.clean().embeddings),
-            "adversarial": metrics(batch.gallery().embeddings)}
+    tr = rank_rows(rows, texts, tr_match)
+    ir = rank_rows(texts, rows, ir_match)
+    out = {}
+    for k in k_list:
+        out[f"tr_r{k}"] = hit_rate(tr, k, m)
+        out[f"ir_r{k}"] = hit_rate(ir, k, n)
+    cls = rank_rows(rows, protos, np.asarray(ds.labels)[:, None] == np.arange(len(protos)))
+    out["top1"] = hit_rate(cls, 1, len(protos))
+    out["top5"] = hit_rate(cls, min(5, len(protos)), len(protos))
+    return out
 
 
 def evaluate_metrics(enc: Encoder, ds: Dataset, perturbation: Perturbation | None,
                      k_list=K_LIST_DEFAULT) -> dict:
-    """report_metrics' block of the images under perturbation, or its clean
-    block when that is None."""
-    # clean rows are the same under any carrier
-    p = perturbation or Perturbation(np.zeros(ds.params.image_shape),
-                                     Carrier("global", norm="linf", epsilon=1.0))
-    batch = PerturbedBatch(enc, ds.images, p.carrier)
-    batch.set_delta(p.delta)
-    report = report_metrics(batch, ds, k_list)
-    return report["clean" if perturbation is None else "adversarial"]
+    """report_metrics of the images of ds under perturbation, the rows a
+    PerturbedBatch at its delta ranks against, or of encode_batch of the
+    images as given when that is None."""
+    if perturbation is None:
+        return report_metrics(ds, encode_batch(enc, ds.images), k_list)
+    batch = PerturbedBatch(enc, ds.images, perturbation.carrier)
+    batch.set_delta(perturbation.delta)
+    return report_metrics(ds, batch.gallery().embeddings, k_list)
 
 
 def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, order: list[int]):
@@ -380,7 +372,7 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
                     r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery, ira_match)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
             _commit(batch, r, cfg, trace, epoch)
-        adv = report_metrics(batch, ds, (PROBE_K,))["adversarial"]
+        adv = report_metrics(ds, batch.gallery().embeddings, (PROBE_K,))
         trace.epoch_metrics.append(
             {"epoch": epoch, "adv_tr_r10": adv["tr_r10"], "adv_ir_r10": adv["ir_r10"]})
     return Perturbation(batch.delta, cfg.carrier), trace

@@ -51,11 +51,13 @@ def _load_encoder_arg(path: str | None):
 
 def _report(command: str, start: float, batch: PerturbedBatch, ds, k_list,
             **fields) -> dict:
-    """Clean and adversarial metrics from batch's one first layer at
-    batch.delta, the wall clock since start and the fields every report
+    """The report_metrics blocks of batch.clean() ("clean") and of
+    batch.gallery() at batch.delta ("adversarial"), both off batch's one
+    first layer, the wall clock since start and the fields every report
     has, plus the command's own fields."""
     return {"schema": "uapkit-report-v1", "command": command,
-            **report_metrics(batch, ds, tuple(k_list)),
+            "clean": report_metrics(ds, batch.clean().embeddings, k_list),
+            "adversarial": report_metrics(ds, batch.gallery().embeddings, k_list),
             "wall_clock_seconds": time.monotonic() - start,
             "library_version": __version__, **fields}
 

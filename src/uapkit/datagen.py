@@ -59,7 +59,7 @@ class DatasetParams:
             raise InvalidArgumentError(f"noise_level {self.noise_level} not in [0, inf)")
         if not 0 < self.decoder_scale < math.inf:
             raise InvalidArgumentError(f"decoder_scale {self.decoder_scale} not in (0, inf)")
-        if not 0 <= self.seed < 2 ** 64:  # Lcg reads the seed mod 2^64
+        if not 0 <= operator.index(self.seed) < 2 ** 64:  # Lcg reads the seed mod 2^64
             raise InvalidArgumentError(f"seed {self.seed} not in [0, 2^64)")
 
     @property

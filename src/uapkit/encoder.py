@@ -85,6 +85,8 @@ def build_encoder(kind: str, input_shape, embed_dim: int, layer_widths=(),
     input_shape = tuple(int(v) for v in input_shape)
     layer_widths = tuple(int(v) for v in layer_widths)
     dims = _layer_dims(kind, input_shape, embed_dim, layer_widths, activation)
+    if not 0 <= operator.index(seed) < 2 ** 64:  # Lcg reads the seed mod 2^64
+        raise InvalidArgumentError(f"seed {seed} not in [0, 2^64)")
     rng = Lcg(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -369,11 +371,11 @@ def gradcheck(enc: Encoder, image: np.ndarray, text_embedding: np.ndarray,
     """Max relative error between analytic and central-difference gradients
     at n_probes coordinates, drawn with numpy's default_rng(seed), the one
     draw outside rng.Lcg."""
-    if n_probes < 1:
+    if operator.index(n_probes) < 1:
         raise InvalidArgumentError(f"n_probes must be at least 1, got {n_probes}")
     if not 0 < step < np.inf:  # False for NaN
         raise InvalidArgumentError(f"step must be positive and finite, got {step}")
-    if seed < 0:
+    if operator.index(seed) < 0:
         raise InvalidArgumentError(f"seed must be nonnegative, got {seed}")
     sg = score_with_gradient(enc, image, text_embedding)
     flat_grad = sg.gradient.ravel()

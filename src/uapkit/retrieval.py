@@ -8,6 +8,7 @@ ties deterministically toward the smallest index.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,8 +145,8 @@ def rank_rows(queries: np.ndarray, gallery: np.ndarray, is_match: np.ndarray) ->
 
 def hit_rate(ranks: np.ndarray, k: int, n: int) -> float:
     """R@k of match_ranks over a gallery of n entries: the share of ranks
-    below k, for k in [1, n]."""
-    if not 1 <= k <= n:
+    below k, for an integer k in [1, n]."""
+    if not 1 <= operator.index(k) <= n:
         raise InvalidArgumentError(f"k={k} outside [1, {n}]")
     return int(np.count_nonzero(ranks < k)) / len(ranks)
 

@@ -371,7 +371,7 @@ def test_epoch_metrics_are_the_full_set_r10(enc, strategy, cfg):
     ds = build_dataset(dataclasses.replace(PARAMS, n_images=40), enc)
     batch = PerturbedBatch(enc, ds.images, cfg.carrier)
     _, trace = run_attack(enc, ds, cfg, strategy, batch)
-    adv = report_metrics(batch, ds, (10,))["adversarial"]
+    adv = report_metrics(ds, batch.gallery().embeddings, (10,))
     assert [m["epoch"] for m in trace.epoch_metrics] == [0, 1]
     # the clean R@10 does not move with delta: the report records it once
     assert trace.epoch_metrics[-1] == {
@@ -437,10 +437,14 @@ def test_report_metrics_equal_the_apply_encode_oracle(enc, ds, name):
     batch, reference = (cls(enc, ds.images, carrier) for cls in (PerturbedBatch, ReferenceBatch))
     for b in (batch, reference):
         b.set_delta(pert.delta)
-    report = report_metrics(batch, ds, k_list)
-    assert report == report_metrics(reference, ds, k_list)
+
+    def blocks(b):  # the report's clean and adversarial blocks
+        return [report_metrics(ds, cache.embeddings, k_list) for cache in (b.clean(), b.gallery())]
+
+    report = blocks(batch)
+    assert report == blocks(reference)
     # the batch, still at delta, gives the same report again
-    assert report_metrics(batch, ds, k_list) == report
+    assert blocks(batch) == report
 
 
 @pytest.mark.parametrize("k", [0, 21])
@@ -448,6 +452,33 @@ def test_evaluate_metrics_k_beyond_the_image_gallery(enc, ds, k):
     # 20 images and 60 texts: the image gallery holds 20
     with pytest.raises(InvalidArgumentError):
         evaluate_metrics(enc, ds, None, (1, k))
+
+
+def test_evaluate_metrics_k_must_be_an_integer(enc, ds):
+    # R@2.5 would read as R@3 under a key of its own
+    with pytest.raises(TypeError):
+        evaluate_metrics(enc, ds, None, (2.5,))
+
+
+def test_clean_metrics_encode_the_images_as_given(enc, ds, monkeypatch):
+    # the clean block needs no carrier: it ranks encode_batch of the images,
+    # the rows gen's floor check and the per-k oracle encode
+    expected = report_metrics(ds, encode_batch(enc, ds.images))
+    monkeypatch.setattr(PerturbedBatch, "__init__",
+                        lambda *args: pytest.fail("a PerturbedBatch was built"))
+    assert evaluate_metrics(enc, ds, None) == expected
+
+
+@pytest.mark.parametrize("strategy, cfg", [
+    ("tira", patch_cfg(epochs=1)), ("ira", global_cfg(norm="linf", epsilon=0.05, epochs=1))],
+    ids=["tira_patch", "ira_global_linf"])
+def test_run_attack_never_ranks_the_clean_rows(enc, ds, monkeypatch, strategy, cfg):
+    # each epoch's metrics rank delta's rows only; the clean rows do not
+    # move with delta, and the report records them once
+    monkeypatch.setattr(PerturbedBatch, "clean",
+                        lambda self: pytest.fail("the clean rows were encoded"))
+    _, trace = run_attack(enc, ds, cfg, strategy)
+    assert len(trace.epoch_metrics) == 1
 
 
 # -- inner-loop tie-breaks ---------------------------------------------------
@@ -630,14 +661,14 @@ def test_stop_reasons_of_an_ira_epoch(benchmark_epochs):
 
 
 def test_report_metrics_holds_no_whole_score_matrix(standard):
-    # with the batch's rows cached, a report allocates its match masks, one
-    # rank block's scores and the image rows it reads: about 1 MiB, where
+    # a block of the report, clean or at delta, allocates its match masks,
+    # one rank block's scores and the ranks it reads: under 1 MiB, where
     # each whole 200 x 1,000 score matrix alone takes 1.6 MB
     enc, ds, configs = standard
     batch = PerturbedBatch(enc, ds.images, configs["tira"].carrier)
-    batch.clean(), batch.gallery()
-    _, peak = peak_bytes(report_metrics, batch, ds)
-    assert peak < 1.25 * 2 ** 20
+    for cache in (batch.clean(), batch.gallery()):
+        _, peak = peak_bytes(report_metrics, ds, cache.embeddings)
+        assert peak < 1.25 * 2 ** 20
 
 
 def test_tira_epoch_equals_the_plain_crossing_loop(standard, benchmark_epochs, monkeypatch):

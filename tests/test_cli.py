@@ -666,7 +666,7 @@ def test_eval_sidecar_with_unknown_mode_exit_2(workspace, zero_epoch_runs, tmp_p
     assert out == "" and "unknown mode 'bogus'" in err
 
 
-@pytest.mark.parametrize("field", ["n_images", "texts_per_image"])
+@pytest.mark.parametrize("field", ["n_images", "texts_per_image", "seed"])
 def test_eval_dataset_manifest_with_float_size_exit_5(workspace, zero_epoch_runs, tmp_path,
                                                       capsys, field):
     data = tmp_path / "data"

@@ -52,7 +52,8 @@ def test_params_seed_must_fit_the_lcg_state(seed):
 
 
 @pytest.mark.parametrize("field, value", [("n_images", 20.0), ("texts_per_image", 3.0),
-                                          ("decoder_rank", 8.0), ("image_shape", (3, 32.0, 32))])
+                                          ("decoder_rank", 8.0), ("image_shape", (3, 32.0, 32)),
+                                          ("seed", 7.0)])
 def test_params_sizes_must_be_integers(field, value):
     with pytest.raises(TypeError):
         DatasetParams(**{field: value})

@@ -46,6 +46,20 @@ def test_build_encoder_deterministic():
     assert encoder_hash(a) != encoder_hash(small_mlp(4))
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64, 2 ** 64 + 3])
+def test_build_encoder_seed_must_fit_the_lcg_state(seed):
+    # Lcg reads its seed mod 2^64: -1 would draw seed 2^64 - 1's weights
+    # under an encoder_hash of its own
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        small_mlp(seed)
+    assert small_mlp(2 ** 64 - 1).seed == 2 ** 64 - 1
+
+
+def test_build_encoder_seed_must_be_an_integer():
+    with pytest.raises(TypeError):
+        small_mlp(3.0)
+
+
 def test_xavier_bounds():
     enc = build_encoder("linear", (1, 4, 4), 8, seed=0)
     a = np.sqrt(6.0 / (16 + 8))
@@ -446,12 +460,16 @@ def test_set_delta_keeps_its_own_read_only_copy(name):
 @pytest.mark.parametrize("kwargs", [{"n_probes": 0}, {"n_probes": -3},
                                     {"step": 0.0}, {"step": -1e-5},
                                     {"step": float("nan")}, {"step": float("inf")},
-                                    {"seed": -1}])
+                                    {"seed": -1}, {"n_probes": 2.5}, {"seed": 2.5}])
 def test_gradcheck_rejects_empty_or_invalid_audits(kwargs):
     enc = small_mlp()
     image = np.full((1, 4, 4), 0.5)
     t = unit(np.arange(1.0, 9.0))
-    with pytest.raises(InvalidArgumentError, match=next(iter(kwargs))):
+    (name, value), = kwargs.items()
+    # a count or a seed must be an integer (operator.index raises TypeError)
+    error, match = ((TypeError, "integer") if name != "step" and isinstance(value, float)
+                    else (InvalidArgumentError, name))
+    with pytest.raises(error, match=match):
         gradcheck(enc, image, t, **kwargs)
 
 

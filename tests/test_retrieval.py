@@ -202,6 +202,9 @@ def test_k_must_fit_the_gallery(rank_at):
     for k in (0, -1, 6):
         with pytest.raises(InvalidArgumentError):
             rank_at(index, k)
+    # R@2.5 is no R@k: every k goes through hit_rate's operator.index
+    with pytest.raises(TypeError):
+        rank_at(index, 2.5)
 
 
 def test_recall_at_k_hand_case():
