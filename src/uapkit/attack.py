@@ -139,8 +139,9 @@ def _cross(batch: PerturbedBatch, rows, entry, sims_of, seeds, is_match, candida
     """One sample's top-k crossing; returns (r, iterations, reason).
 
     sims_of maps the embeddings of the batch rows that move to query-gallery
-    similarities, and is_match is the gallery's (1, M) match_mask. The
-    matches and candidates are gallery positions in ascending gallery id, so
+    similarities, and is_match is the (1, M) boolean mask of the query's
+    matches in that gallery. The matches (its nonzero positions) and the
+    candidates are gallery positions in ascending gallery id, so
     topk_pair breaks ties toward the smallest id. seeds(c, m)
     gives the backward's (us, positions) for f_c - f_m, positions indexing
     rows.
@@ -187,18 +188,20 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
     batch), in batch's step coordinates: for the default patch, its values
     on the 75 on-mask pixels. Every step is a gradient with respect to the
     pixels the carrier moves, so batch.pixels(r) is exactly zero elsewhere
-    and needs no masking of its own.
+    and needs no masking of its own. The image's matches are the texts t
+    with ds.text_image[t] == v_idx.
     """
     texts = ds.texts.embeddings
-    match_set = ds.matches_of_image(v_idx)
+    is_match = (ds.text_image == v_idx)[None]
     # candidate non-matching texts are the nearest to the image as it looks
     # under the current perturbation, so the stopping test tracks the metric;
     # that forward is also the crossing's point at r = 0
     entry = batch.forward_points([v_idx])
-    y_prime = select_nonmatching_topk(entry.embeddings[0], ds.texts, match_set, cfg.k)
+    y_prime = select_nonmatching_topk(entry.embeddings[0], ds.texts,
+                                      np.flatnonzero(is_match[0]), cfg.k)
     return _cross(batch, [v_idx], (entry, np.array([0])), lambda e: texts @ e[0],
                   lambda c, m: ((texts[c] - texts[m])[None], [0]),
-                  match_mask([match_set], len(texts)), sorted(y_prime), r, cfg)
+                  is_match, sorted(y_prime), r, cfg)
 
 
 def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
@@ -212,7 +215,7 @@ def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
     match_mask([[0]], 1 + cfg.k), the same for every text.
     """
     t = ds.texts.embeddings[t_idx]
-    y = ds.image_of_text(t_idx)
+    y = int(ds.text_image[t_idx])
     rows = np.array([y, *select_nonmatching_topk(t, gallery, {y}, cfg.k)])
     us = np.array([t, -t])  # every step seeds f_c - f_m with these rows
     return _cross(batch, rows, (batch.gallery(), rows), lambda e: e @ t,
@@ -255,17 +258,14 @@ def report_metrics(ds: Dataset, rows: np.ndarray, k_list=K_LIST_DEFAULT) -> dict
     """TR/IR R@k for each k and Top-1/Top-5 of rows, one embedding per
     image of ds in id order, against all its texts and class prototypes.
 
-    Each direction is ranked once, through rank_rows, and every k read off
-    its one rank vector. A caller that wants two blocks, such as the clean
-    and the perturbed images, calls once per block.
+    Each direction is ranked once, through rank_rows, on the match masks
+    ds.match_masks scatters from ds.text_image, and every k read off its
+    one rank vector. A caller that wants two blocks, such as the clean and
+    the perturbed images, calls once per block.
     """
     n, m = ds.params.n_images, ds.params.n_texts
     texts = ds.texts.embeddings  # in id order, as datagen.load checks
-    owner, text_ids = np.array([ds.image_of_text(t) for t in range(m)]), np.arange(m)
-    tr_match = np.zeros((n, m), dtype=bool)  # (images, texts)
-    tr_match[owner, text_ids] = True
-    ir_match = np.zeros((m, n), dtype=bool)  # not tr_match.T: a contiguous where= reads faster
-    ir_match[text_ids, owner] = True
+    tr_match, ir_match = ds.match_masks()
     protos = ds.prototypes.embeddings
     tr = rank_rows(rows, texts, tr_match)
     ir = rank_rows(texts, rows, ir_match)
@@ -308,7 +308,7 @@ def _halves(ds: Dataset, cfg: AttackConfig, strategy: str, order: list[int]):
     for start in range(0, len(order), cfg.batch_size):
         batch = order[start:start + cfg.batch_size]
         yield "image", batch
-        yield "text", sorted(t for v in batch for t in ds.matches_of_image(v))
+        yield "text", np.flatnonzero(np.isin(ds.text_image, batch)).tolist()
 
 
 def check_attack(ds: Dataset, cfg: AttackConfig, strategy: str) -> None:
@@ -325,7 +325,7 @@ def check_attack(ds: Dataset, cfg: AttackConfig, strategy: str) -> None:
             f"it needs n_images >= {PROBE_K}")
     galleries = {}  # the non-matching candidates of an image or a text
     if strategy != "ira":
-        most = max(map(len, ds.annotation.image_to_texts.values()))
+        most = int(np.bincount(ds.text_image).max())
         galleries["n_texts - texts of one image"] = ds.params.n_texts - most
     if strategy != "tra":
         galleries["n_images - 1"] = ds.params.n_images - 1

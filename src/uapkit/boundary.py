@@ -79,13 +79,13 @@ def binary_distance(w: np.ndarray, b: float, x: np.ndarray) -> float:
 
 
 def binary_min_perturbation(w: np.ndarray, b: float, x: np.ndarray) -> np.ndarray:
-    """Shortest r with w.(x+r) + b = 0: the orthogonal drop onto the plane."""
+    """Shortest r with w.(x+r) + b = 0: the orthogonal drop onto the plane,
+    crossing_step's closed form; ||w|| < DEGENERATE_DENOM is rejected."""
     w = as_tensor(w)
-    sq = float(w @ w)
-    if sq == 0.0:
-        raise InvalidArgumentError("weight vector is zero")
-    f = float(w @ x) + b
-    return -(f / sq) * w
+    step = crossing_step(w, -(float(w @ x) + b))
+    if step is None:
+        raise InvalidArgumentError("weight vector is (numerically) zero")
+    return step
 
 
 def crossing_step(diff: np.ndarray, gap: float, sq: float | None = None) -> np.ndarray | None:

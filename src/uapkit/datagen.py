@@ -24,7 +24,7 @@ from .encoder import Encoder, encode_batch, encoder_hash
 from .errors import (MALFORMED_JSON_ERRORS, CorruptDatasetError,
                      DegenerateDatasetError, IntegrityError,
                      InvalidArgumentError)
-from .retrieval import EmbeddingIndex, MatchAnnotation, recall_at_k
+from .retrieval import EmbeddingIndex, hit_rate, rank_rows
 from .rng import Lcg
 
 FLOOR_K = 10
@@ -72,27 +72,25 @@ class Dataset:
     params: DatasetParams
     images: np.ndarray            # (N, c, h, w) in [0, 1]
     texts: EmbeddingIndex         # (M, d)
-    annotation: MatchAnnotation
+    text_image: np.ndarray        # (M,) read-only intp: the one image each text matches
     prototypes: EmbeddingIndex    # (C, d)
     labels: list[int]             # per image
     encoder_hash: str = ""
     dataset_hash: str = ""
 
-    def matches_of_image(self, v: int) -> frozenset[int]:
-        return self.annotation.image_to_texts[v]
-
-    def image_of_text(self, t: int) -> int:
-        return self.annotation.text_to_image[t]
+    def match_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (N, M) mask of each image's texts and the (M, N) mask of each
+        text's image, both scattered from text_image and C-contiguous (not
+        a transpose: a contiguous where= reads faster)."""
+        n, m = self.params.n_images, len(self.text_image)
+        by_image, by_text = np.zeros((n, m), dtype=bool), np.zeros((m, n), dtype=bool)
+        by_image[self.text_image, np.arange(m)] = True
+        by_text[np.arange(m), self.text_image] = True
+        return by_image, by_text
 
 
 def _unit_rows(mat: np.ndarray) -> np.ndarray:
     return mat / np.linalg.norm(mat, axis=1, keepdims=True)
-
-
-def _annotation_for(params: DatasetParams) -> MatchAnnotation:
-    n = params.texts_per_image
-    return MatchAnnotation.from_image_lists(
-        {i: list(range(i * n, (i + 1) * n)) for i in range(params.n_images)})
 
 
 def _render_images(params: DatasetParams, rng: Lcg) -> np.ndarray:
@@ -130,9 +128,10 @@ def build_dataset(params: DatasetParams, enc: Encoder) -> Dataset:
     protos = _unit_rows(rng.fill_gaussian(params.class_count * d).reshape(-1, d))
     labels = [int(i) for i in np.argmax(anchors @ protos.T, axis=1)]
 
-    annotation = _annotation_for(params)
+    text_image = np.repeat(np.arange(params.n_images, dtype=np.intp), params.texts_per_image)
+    text_image.setflags(write=False)
     ds = Dataset(params=params, images=images, texts=EmbeddingIndex(texts),
-                 annotation=annotation, prototypes=EmbeddingIndex(protos),
+                 text_image=text_image, prototypes=EmbeddingIndex(protos),
                  labels=labels, encoder_hash=encoder_hash(enc))
     floor_check(ds, anchors)
     return ds
@@ -141,10 +140,11 @@ def build_dataset(params: DatasetParams, enc: Encoder) -> Dataset:
 def floor_check(ds: Dataset, image_embeddings: np.ndarray) -> None:
     """Raise DegenerateDatasetError if the clean TR R@FLOOR_K of
     image_embeddings, the encoded ds.images, is below FLOOR_MULTIPLIER times
-    chance."""
+    chance. It ranks the texts through rank_rows on the image-by-text mask
+    of ds.match_masks, the ranks report_metrics' TR R@k reads."""
     k = min(FLOOR_K, len(ds.texts))
-    matches = [ds.matches_of_image(i) for i in range(ds.params.n_images)]
-    r = recall_at_k(EmbeddingIndex(image_embeddings), ds.texts, matches, k)
+    ranks = rank_rows(image_embeddings, ds.texts.embeddings, ds.match_masks()[0])
+    r = hit_rate(ranks, k, len(ds.texts))
     # a recall cannot exceed 1, so neither may the floor on a small dataset
     threshold = min(1.0, FLOOR_MULTIPLIER * k / len(ds.texts))
     if r < threshold:
@@ -165,7 +165,8 @@ def generate(params: DatasetParams, enc: Encoder, out_dir) -> tuple[Path, dict, 
                          ("prototypes", ds.prototypes.embeddings)):
         files[name] = f"{name}.uapt"
         sha256[name] = tensor_io.write_tensor(out_dir / files[name], tensor)
-    annotations = {str(v): sorted(ts) for v, ts in ds.annotation.image_to_texts.items()}
+    annotations = {str(v): np.flatnonzero(ds.text_image == v).tolist()
+                   for v in range(params.n_images)}  # ascending text ids
     for name, text in (("annotations", json.dumps(annotations, sort_keys=True)),
                        ("labels", json.dumps(ds.labels))):
         files[name] = f"{name}.json"
@@ -182,17 +183,25 @@ def _is_int_list(values) -> bool:
     return isinstance(values, list) and all(type(v) is int for v in values)
 
 
-def _annotation_from(raw, params: DatasetParams) -> MatchAnnotation:
-    """Parse annotations.json, which maps image ids (as keys) to text id lists."""
-    if not isinstance(raw, dict) or not all(
-            key.isdecimal() and _is_int_list(ts) for key, ts in raw.items()):
-        raise CorruptDatasetError("annotations must map image ids to text id lists")
-    annotation = MatchAnnotation.from_image_lists(
-        {int(key): ts for key, ts in raw.items()})
-    if (set(annotation.image_to_texts) != set(range(params.n_images))
-            or set(annotation.text_to_image) != set(range(params.n_texts))):
-        raise CorruptDatasetError("annotation does not cover every image and text")
-    return annotation
+def _text_image_from(raw, params: DatasetParams) -> np.ndarray:
+    """Parse annotations.json into Dataset.text_image. Its keys must be
+    exactly str(v) for each image id v, each value a nonempty list of ints,
+    and the lists together a permutation of the text ids. All of that is
+    tested on the parsed JSON, so no id reaches numpy before it is known to
+    be in range."""
+    keys = [str(v) for v in range(params.n_images)]
+    if not (isinstance(raw, dict) and raw.keys() == set(keys)
+            and all(_is_int_list(raw[key]) and raw[key] for key in keys)):
+        raise CorruptDatasetError("annotations must map each image id to a nonempty "
+                                  "text id list")
+    lists = [raw[key] for key in keys]
+    text_ids = [t for ts in lists for t in ts]
+    if sorted(text_ids) != list(range(params.n_texts)):
+        raise CorruptDatasetError("annotation does not match each text to one image")
+    text_image = np.empty(params.n_texts, dtype=np.intp)
+    text_image[text_ids] = np.repeat(np.arange(params.n_images), list(map(len, lists)))
+    text_image.setflags(write=False)
+    return text_image
 
 
 def load(manifest_path) -> Dataset:
@@ -227,7 +236,7 @@ def load(manifest_path) -> Dataset:
             or any(not 0 <= y < params.class_count for y in labels)):
         raise CorruptDatasetError("bad label list")
 
-    annotation = _annotation_from(raw_annotations, params)
+    text_image = _text_image_from(raw_annotations, params)
     try:
         texts_index = EmbeddingIndex(texts)
         protos_index = EmbeddingIndex(protos)
@@ -235,7 +244,7 @@ def load(manifest_path) -> Dataset:
         raise CorruptDatasetError(str(exc)) from exc
 
     return Dataset(params=params, images=images, texts=texts_index,
-                   annotation=annotation, prototypes=protos_index,
+                   text_image=text_image, prototypes=protos_index,
                    labels=labels,
                    encoder_hash=manifest.get("encoder_hash", ""),
                    dataset_hash=hashlib.sha256(raw).hexdigest())

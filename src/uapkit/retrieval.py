@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import as_tensor
-from .errors import CorruptDatasetError, InvalidArgumentError
+from .errors import InvalidArgumentError
 
 _ROW_NORM_TOL = 1e-9
 _BLOCK_SCORES = 64 * 1024  # scores per block of rank_rows: 512 KiB of float64
@@ -39,34 +39,6 @@ class EmbeddingIndex:
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
-
-
-@dataclass(frozen=True)
-class MatchAnnotation:
-    """Bidirectional image/text match structure: one image, many texts."""
-
-    image_to_texts: dict[int, frozenset[int]]
-    text_to_image: dict[int, int]
-
-    def __post_init__(self):
-        seen_texts = set()
-        for v, texts in self.image_to_texts.items():
-            if not texts:
-                raise CorruptDatasetError(f"image {v} has no matching texts")
-            for t in texts:
-                if t in seen_texts:
-                    raise CorruptDatasetError(f"text {t} matches more than one image")
-                seen_texts.add(t)
-                if self.text_to_image.get(t) != v:
-                    raise CorruptDatasetError(f"inconsistent annotation for text {t}")
-        if seen_texts != set(self.text_to_image):
-            raise CorruptDatasetError("text_to_image and image_to_texts disagree")
-
-    @classmethod
-    def from_image_lists(cls, image_to_texts: dict[int, list[int]]) -> "MatchAnnotation":
-        t2i = {t: v for v, ts in image_to_texts.items() for t in ts}
-        i2t = {v: frozenset(ts) for v, ts in image_to_texts.items()}
-        return cls(i2t, t2i)
 
 
 def match_mask(matches_per_query, n: int) -> np.ndarray:

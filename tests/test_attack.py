@@ -238,9 +238,9 @@ def unfooled_at_commit(enc, ds, strategy, carrier, monkeypatch):
         reference.set_delta(delta)
         if strategy == "tra":
             image = reference.forward_points([v]).embeddings[0]
-            return not indicator(image, ds.texts, ds.matches_of_image(v), 3)
+            return not indicator(image, ds.texts, np.flatnonzero(ds.text_image == v), 3)
         gallery = EmbeddingIndex(reference.gallery().embeddings)
-        return not indicator(ds.texts.embeddings[v], gallery, [ds.image_of_text(v)], 3)
+        return not indicator(ds.texts.embeddings[v], gallery, [ds.text_image[v]], 3)
 
     stepped = [(r.sample_id, delta) for r, delta in zip(trace.records, deltas, strict=True)
                if r.converged and r.inner_iterations > 0]
@@ -386,12 +386,12 @@ def per_k_metrics(enc, ds, perturbation, k_list, image_ids):
     if perturbation is not None:
         images = perturbation.carrier.apply(images, perturbation.delta)
     img = EmbeddingIndex(encode_batch(enc, images))
-    text_ids = sorted(t for v in image_ids for t in ds.matches_of_image(v))
+    text_ids = [t for t in range(len(ds.texts)) if ds.text_image[t] in image_ids]
     text_pos = {t: i for i, t in enumerate(text_ids)}
     img_pos = {v: i for i, v in enumerate(image_ids)}
     texts = EmbeddingIndex(ds.texts.embeddings[text_ids])
-    tr_matches = [{text_pos[t] for t in ds.matches_of_image(v)} for v in image_ids]
-    ir_matches = [{img_pos[ds.image_of_text(t)]} for t in text_ids]
+    tr_matches = [{text_pos[t] for t in text_ids if ds.text_image[t] == v} for v in image_ids]
+    ir_matches = [{img_pos[ds.text_image[t]]} for t in text_ids]
     out = {}
     for k in k_list:
         out[f"tr_r{k}"] = recall_at_k(img, texts, tr_matches, k)
@@ -542,7 +542,7 @@ def test_tra_step_seeded_by_smallest_id_candidate_and_match():
     texts[np.arange(8), np.arange(8) + 2] = np.sqrt(
         1.0 - np.square(entry_sims) - np.square(probe_sims))
     ds = SimpleNamespace(texts=EmbeddingIndex(texts),
-                         matches_of_image=lambda v: frozenset({2, 5, 6}))
+                         text_image=np.array([1, 1, 0, 1, 1, 0, 0, 1]))
     e0, e1 = np.eye(10)[:2]
     batch = StubBatch(e0[None], e1[None], (1, 2, 2))
     r, iters, reason = _tra_inner(batch, ds, 0, R0, tiebreak_cfg())
@@ -559,7 +559,7 @@ def test_ira_step_seeded_by_smallest_id_candidate():
     gallery_sims = [0.1, 0.0, 0.5, 0.3, 0.4, 0.2, 0.6]
     probe_sims = [0.0, 0.0, 0.2, 0.7, 0.5, 0.0, 0.2]
     t = np.eye(8)[0]
-    ds = SimpleNamespace(texts=EmbeddingIndex(t[None]), image_of_text=lambda i: 3)
+    ds = SimpleNamespace(texts=EmbeddingIndex(t[None]), text_image=np.array([3]))
     gallery = EmbeddingIndex(unit_rows(gallery_sims))
     batch = StubBatch(gallery.embeddings, unit_rows(probe_sims), (1, 2, 2))
     r, iters, reason = _ira_inner(batch, ds, 0, R0, tiebreak_cfg(), gallery,

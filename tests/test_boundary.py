@@ -59,8 +59,10 @@ def test_binary_minimality_random_direction_oracle():
 
 
 def test_binary_zero_weight_rejected():
-    with pytest.raises(InvalidArgumentError):
-        binary_min_perturbation(np.zeros(3), 1.0, np.ones(3))
+    # a norm below DEGENERATE_DENOM counts as zero, as in multiclass_min_perturbation
+    for norm in (0.0, 1e-13):
+        with pytest.raises(InvalidArgumentError):
+            binary_min_perturbation(np.array([norm, 0.0, 0.0]), 1.0, np.ones(3))
 
 
 # -- multiclass --------------------------------------------------------------

@@ -547,6 +547,18 @@ CORRUPT_DATASET_FILES = [
                                                               for k, v in a.items()}),
     ("annotation_value_not_int", "annotations.json", lambda a: {**a, "0": ["a", 1, 2]}),
     ("annotations_as_list", "annotations.json", lambda a: list(a.values())),
+    ("annotation_text_listed_twice", "annotations.json",
+     lambda a: {**a, "0": [a["0"][0], *a["0"]]}),
+    ("annotation_image_under_two_keys", "annotations.json", lambda a: {**a, "01": a["1"]}),
+    # str.isdecimal accepts the Arabic-Indic one, and int() reads it as 1
+    ("annotation_key_arabic_indic", "annotations.json",
+     lambda a: {"\u0661" if k == "1" else k: v for k, v in a.items()}),
+    ("annotation_text_of_two_images", "annotations.json",
+     lambda a: {**a, "1": [*a["1"], a["0"][0]]}),
+    ("annotation_empty_list", "annotations.json", lambda a: {**a, "0": []}),
+    # an id no intp holds must not reach numpy before the permutation test
+    ("annotation_text_id_2_70", "annotations.json",
+     lambda a: {**a, "0": [2 ** 70, *a["0"][1:]]}),
     ("label_string", "labels.json", lambda labels: ["a", *labels[1:]]),
     ("label_list", "labels.json", lambda labels: [[0], *labels[1:]]),
     ("labels_bare_int", "labels.json", lambda labels: 3),

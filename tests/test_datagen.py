@@ -66,8 +66,9 @@ def test_build_dataset_shapes_and_ranges():
     assert len(ds.texts) == 60
     assert len(ds.prototypes) == 4
     assert len(ds.labels) == 20
-    assert ds.matches_of_image(0) == frozenset({0, 1, 2})
-    assert ds.image_of_text(5) == 1
+    # text t matches image t // texts_per_image, in one read-only intp array
+    np.testing.assert_array_equal(ds.text_image, np.arange(60) // 3)
+    assert ds.text_image.dtype == np.intp and not ds.text_image.flags.writeable
 
 
 def test_encoder_shape_mismatch_rejected():
@@ -105,7 +106,8 @@ def test_generate_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.prototypes.embeddings,
                                   built.prototypes.embeddings)
     assert loaded.labels == built.labels
-    assert loaded.annotation == built.annotation
+    np.testing.assert_array_equal(loaded.text_image, built.text_image)
+    assert loaded.text_image.dtype == np.intp and not loaded.text_image.flags.writeable
     assert loaded.dataset_hash == manifest_hash
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from uapkit import retrieval
 from uapkit.encoder import PerturbedBatch
-from uapkit.errors import CorruptDatasetError, InvalidArgumentError
-from uapkit.retrieval import (EmbeddingIndex, MatchAnnotation, indicator,
+from uapkit.errors import InvalidArgumentError
+from uapkit.retrieval import (EmbeddingIndex, indicator,
                               match_mask, match_ranks, recall_at_k,
                               select_nonmatching_topk, topk_class_accuracy)
 
@@ -320,17 +320,3 @@ def test_select_nonmatching_topk_matches_ranked_indices(data):
     assert select_nonmatching_topk(query, gallery, matches, k) == expected
 
 
-def test_annotation_rejects_shared_text():
-    with pytest.raises(CorruptDatasetError):
-        MatchAnnotation.from_image_lists({0: [0, 1], 1: [1, 2]})
-
-
-def test_annotation_rejects_empty_image():
-    with pytest.raises(CorruptDatasetError):
-        MatchAnnotation.from_image_lists({0: []})
-
-
-def test_annotation_roundtrip():
-    ann = MatchAnnotation.from_image_lists({0: [0, 1], 1: [2, 3]})
-    assert ann.text_to_image[3] == 1
-    assert ann.image_to_texts[0] == frozenset({0, 1})
