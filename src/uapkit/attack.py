@@ -11,7 +11,7 @@ Strategies:
 run_attack drives all three as a sequence of halves (groups of samples that
 share one r and one commit); tra and ira differ only in which side of one
 top-k crossing (_cross) moves, and boundary.accumulate is its loop. Each
-distinct visited r costs one forward of both points the crossing needs
+visited r costs one forward of both points the crossing needs
 (none at r = 0, where both are delta and a forward at delta exists) and,
 only for a step that is taken, one backward. The inner loop checks nothing
 per call: check_attack checks the sizes once, at entry, and set_delta every
@@ -149,9 +149,7 @@ def _cross(batch: PerturbedBatch, rows, entry, sims_of, seeds, is_match, candida
     Each visited r is encoded once at both of its points: r itself, where the
     step linearises (the cache's first len(rows) rows), and the probe
     (1 + eta) r. At r = 0 both points are delta, and entry = (cache, at)
-    already holds them: cache row at[j] is rows[j] at delta. delta, rows and
-    entry stay fixed for the call, so the probe is a pure function of r, as
-    accumulate requires.
+    already holds them: cache row at[j] is rows[j] at delta.
     """
     n = len(rows)
     matches = np.flatnonzero(is_match[0])

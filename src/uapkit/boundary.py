@@ -19,8 +19,9 @@ from .core import as_tensor
 from .errors import InvalidArgumentError, PreconditionError
 
 DEGENERATE_DENOM = 1e-12
+STALL_RATIO = 1e-6  # accumulate stops at a step shorter than this times ||r||
 # why accumulate stops; the first two are the converged ones
-STOP_REASONS = ("fooled_at_entry", "fooled", "max_iters", "degenerate")
+STOP_REASONS = ("fooled_at_entry", "fooled", "max_iters", "degenerate", "stalled")
 FOOLED = STOP_REASONS[:2]
 
 
@@ -70,11 +71,12 @@ class CrossingReport:
 
 
 def binary_distance(w: np.ndarray, b: float, x: np.ndarray) -> float:
-    """Point-to-plane distance |w.x + b| / ||w||."""
+    """Point-to-plane distance |w.x + b| / ||w||; ||w|| < DEGENERATE_DENOM is
+    rejected, as in binary_min_perturbation."""
     w = as_tensor(w)
     norm = np.linalg.norm(w)
-    if norm == 0.0:
-        raise InvalidArgumentError("weight vector is zero")
+    if norm < DEGENERATE_DENOM:
+        raise InvalidArgumentError("weight vector is (numerically) zero")
     return float(abs(float(w @ x) + b) / norm)
 
 
@@ -111,27 +113,21 @@ def topk_pair(scores: np.ndarray, matches, candidates):
 def accumulate(r: np.ndarray, probe, max_iters: int):
     """Sum crossing steps onto r until it is fooled; returns (r, iterations,
     reason), reason being why the loop stopped: "fooled_at_entry" (at the
-    incoming r), "fooled", "max_iters" or "degenerate".
+    incoming r), "fooled", "max_iters", "degenerate" or "stalled".
 
     probe(r) returns (fooled, step): step() gives the crossing step from r,
     or None at a degenerate boundary, and is called only for a step the loop
     takes, so never once r is fooled or max_iters steps are spent.
 
-    probe must be a pure function of r's bytes. Then an r that repeats an
-    earlier one bit for bit starts an unfooled cycle that the loop would
-    replay until max_iters; accumulate returns what that loop returns
-    without probing again. So probe is called once per distinct visited r,
-    and iterations counts the loop-equivalent iterations, not the probes,
-    and the r returned is always one probe saw. The visited r's (at most
-    max_iters + 1) are kept until the call returns.
+    A step shorter than STALL_RATIO * ||r|| ends the loop as "stalled", at
+    the r it was taken from; at r = 0 no step stalls. Both norms are taken
+    in r's own coordinates: for the attack, its batch's step coordinates
+    (75 patch values, or 256 values over W1's rows in global mode, where
+    the ratio is not the ratio in pixels). iterations counts the steps
+    taken, and the r returned is always the last one probe saw.
     """
-    path, seen = [], {}  # the visited r's, and each one's index by its bytes
     iterations = 0
     while True:
-        j = seen.setdefault(r.tobytes(), iterations)
-        if j < iterations:
-            return path[j + (max_iters - j) % (iterations - j)], max_iters, "max_iters"
-        path.append(r)
         fooled, step_at = probe(r)
         if fooled:
             return r, iterations, "fooled" if iterations else "fooled_at_entry"
@@ -140,6 +136,8 @@ def accumulate(r: np.ndarray, probe, max_iters: int):
         step = step_at()
         if step is None:
             return r, iterations, "degenerate"
+        if np.linalg.norm(step) < STALL_RATIO * np.linalg.norm(r):
+            return r, iterations, "stalled"
         r = r + step
         iterations += 1
 
@@ -208,10 +206,11 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
         raise InvalidArgumentError("max_iters must be positive")
 
     targets = sorted(k_nearest_boundaries(clf, x, y, k))
-    scored = {}  # each probed r's bytes -> its scores at the overshoot
+    s_probe = None  # the scores at the overshoot of the last r probed
 
     def probe(r_vec):
-        s_probe = scored[r_vec.tobytes()] = clf.scores(x + (1.0 + eta) * r_vec)
+        nonlocal s_probe
+        s_probe = clf.scores(x + (1.0 + eta) * r_vec)
 
         def step_at():
             s = clf.scores(x + r_vec)
@@ -221,10 +220,10 @@ def cross_k_boundaries(clf: LinearClassifier, x: np.ndarray, y: int, k: int,
         return s_probe[y] < s_probe[targets].min(), step_at
 
     r, iterations, reason = accumulate(np.zeros_like(x), probe, max_iters)
-    s_final = scored[r.tobytes()]  # accumulate returns an r it probed
     return CrossingReport(
         perturbation=(1.0 + eta) * r,
         iterations=iterations,
-        crossed_indices={l for l in targets if s_final[y] < s_final[l]},
+        # accumulate returns the r it probed last, so s_probe is r's
+        crossed_indices={l for l in targets if s_probe[y] < s_probe[l]},
         converged=reason in FOOLED,
     )

@@ -68,8 +68,8 @@ def test_config_names_each_bound_it_checks(field, value, bound):
 
 @pytest.mark.parametrize("field", ["k", "epochs", "max_inner_iters", "batch_size", "seed"])
 def test_config_integer_fields_reject_floats(field):
-    # a float max_inner_iters would reach accumulate, which indexes by it, and
-    # a float seed the shuffle's Lcg
+    # a float max_inner_iters would reach accumulate's iteration cap, where
+    # 2.5 would allow a third step, and a float seed the shuffle's Lcg
     for value in (2.5, 2.0):
         with pytest.raises(TypeError):
             patch_cfg(**{field: value})
@@ -630,32 +630,32 @@ def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
     ("ira", 698, {"gallery": 119, "at_delta": 0, "step": 579, "backward": 579,
                   "iterations": 579}),
     # tra: each image's entry forward is also its probe at r = 0, and the
-    # epoch's R@10 probe reads the gallery at the committed delta; an r that
-    # repeats is neither probed nor stepped from again
-    ("tra", 622, {"gallery": 1, "at_delta": 200, "step": 421, "backward": 422,
-                  "iterations": 460}),
+    # epoch's R@10 probe reads the gallery at the committed delta; two
+    # images stall, each after a backward whose step is not taken
+    ("tra", 610, {"gallery": 1, "at_delta": 200, "step": 409, "backward": 411,
+                  "iterations": 409}),
     # tira patch: delta moves before each of the 13 text halves, so each
     # encodes a gallery, and the R@10 probe one more; 25 of the 26 halves
-    # commit a nonzero r, and most of the samples that stop at max_iters
-    # repeat an r within a few iterations
-    ("tira", 3420, {"gallery": 14, "at_delta": 200, "step": 3206, "backward": 2247,
-                    "iterations": 6351}),
+    # commit a nonzero r, and 100 of the 108 samples that do not converge
+    # stall, most of them within a few iterations
+    ("tira", 3026, {"gallery": 14, "at_delta": 200, "step": 2812, "backward": 1857,
+                    "iterations": 1757}),
 ])
 def test_global_linf_epoch_work_is_pinned(benchmark_epochs, strategy, forwards, work):
     _, trace, counts = benchmark_epochs[strategy]
-    iterations = trace.summary()["total_inner_iterations"]
-    assert {**counts, "iterations": iterations} == work
+    summary = trace.summary()
+    assert {**counts, "iterations": summary["total_inner_iterations"]} == work
     assert counts["gallery"] + counts["at_delta"] + counts["step"] == forwards
-    # inner_iterations counts loop-equivalent iterations: a backward is
-    # made for each one evaluated, not for those a repeat skips
-    assert counts["backward"] <= iterations
+    # inner_iterations counts the steps taken: a backward is made for each
+    # one, and one more for each stalled sample, whose step is not taken
+    assert counts["backward"] == work["iterations"] + summary["stop_reasons"]["stalled"]
 
 
 def test_stop_reasons_of_an_ira_epoch(benchmark_epochs):
     _, trace, _ = benchmark_epochs["ira"]
     reasons = trace.summary()["stop_reasons"]
     assert reasons == {"fooled_at_entry": 882, "fooled": 114, "max_iters": 4,
-                       "degenerate": 0}
+                       "degenerate": 0, "stalled": 0}
     assert sum(reasons.values()) == trace.summary()["samples_visited"]
     assert reasons["fooled_at_entry"] + reasons["fooled"] == trace.summary()["converged"]
 
@@ -671,20 +671,22 @@ def test_report_metrics_holds_no_whole_score_matrix(standard):
         assert peak < 1.25 * 2 ** 20
 
 
-def test_tira_epoch_equals_the_plain_crossing_loop(standard, benchmark_epochs, monkeypatch):
-    # skipping an r's repeats leaves delta, every record and the trace as
-    # the loop that probes each iteration makes them
+@pytest.mark.parametrize("strategy", ["ira", "tra", "tira"])
+def test_epoch_equals_the_plain_crossing_loop(standard, benchmark_epochs, monkeypatch,
+                                             strategy):
+    # the loop without the stall rule runs a stalled sample on to max_iters;
+    # it fools no sample the stall rule gives up on, and keeps every epoch's
+    # R@10, and delta within 1e-5
     enc, ds, configs = standard
     monkeypatch.setattr("uapkit.attack.accumulate", plain_accumulate)
-    plain, plain_trace = run_attack(enc, ds, configs["tira"], "tira")
-    perturbation, trace, counts = benchmark_epochs["tira"]
-    assert perturbation.delta.tobytes() == plain.delta.tobytes()
-    assert trace.records == plain_trace.records
-    assert trace.commits == plain_trace.commits
+    plain, plain_trace = run_attack(enc, ds, configs[strategy], strategy)
+    perturbation, trace, _ = benchmark_epochs[strategy]
+    got, want = trace.summary()["stop_reasons"], plain_trace.summary()["stop_reasons"]
+    for reason in ("fooled", "fooled_at_entry", "degenerate"):
+        assert got[reason] == want[reason]
+    assert got["max_iters"] + got["stalled"] == want["max_iters"]
     assert trace.epoch_metrics == plain_trace.epoch_metrics
-    assert trace.summary() == plain_trace.summary()
-    # the run reaches the rule: repeats skip some iterations' backwards
-    assert counts["backward"] < trace.summary()["total_inner_iterations"]
+    np.testing.assert_allclose(perturbation.delta, plain.delta, rtol=0, atol=1e-5)
 
 
 def assert_same_run(fast, trace, plain, plain_trace):

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from uapkit import boundary
 from uapkit.boundary import (CrossingReport, LinearClassifier, accumulate,
@@ -61,8 +59,9 @@ def test_binary_minimality_random_direction_oracle():
 def test_binary_zero_weight_rejected():
     # a norm below DEGENERATE_DENOM counts as zero, as in multiclass_min_perturbation
     for norm in (0.0, 1e-13):
-        with pytest.raises(InvalidArgumentError):
-            binary_min_perturbation(np.array([norm, 0.0, 0.0]), 1.0, np.ones(3))
+        for fn in (binary_min_perturbation, binary_distance):
+            with pytest.raises(InvalidArgumentError):
+                fn(np.array([norm, 0.0, 0.0]), 1.0, np.ones(3))
 
 
 # -- multiclass --------------------------------------------------------------
@@ -384,7 +383,8 @@ def test_accumulate_probes_each_visited_r_once(n_to_fool, max_iters):
 
 
 def plain_accumulate(r, probe, max_iters):
-    """The crossing loop without repeat detection: one probe per iteration."""
+    """The crossing loop without the stall rule: it steps on, however short
+    the step, until r is fooled, degenerate or out of iterations."""
     iterations = 0
     while True:
         fooled, step_at = probe(r)
@@ -399,54 +399,55 @@ def plain_accumulate(r, probe, max_iters):
         iterations += 1
 
 
-class Scripted:
-    """Fake crossing probe, a pure function of r: from each r, the step leads
-    to the next value of path. Values are small integers, so r + step is
-    exact, and a value that recurs in path starts a bitwise cycle."""
+class Stepping:
+    """Fake crossing probe that is never fooled: from each r it steps by
+    step_of(r); it records r[0] of every r probed, and counts the steps."""
 
-    def __init__(self, path, fooled=(), degenerate=()):
-        self.next = dict(zip(path, path[1:]))
-        self.fooled, self.degenerate = set(fooled), set(degenerate)
-        self.probed, self.stepped = [], []
+    def __init__(self, step_of):
+        self.step_of, self.probed, self.steps = step_of, [], 0
 
     def probe(self, r):
-        v = float(r[0])
-        self.probed.append(v)
+        self.probed.append(float(r[0]))
+        return False, lambda: self.step(r)
 
-        def step_at():
-            self.stepped.append(v)
-            return None if v in self.degenerate else np.array([self.next[v] - v])
-
-        return v in self.fooled, step_at
+    def step(self, r):
+        self.steps += 1
+        return self.step_of(r)
 
 
-@st.composite
-def scripted_paths(draw):
-    """(path, fooled, degenerate): a drawn transient of distinct values, then
-    a fixed point (period 1), a cycle of period 2-6, or values that never
-    repeat; optionally one distinct value of it is fooled or degenerate."""
-    transient = [float(v) for v in range(1, 1 + draw(st.integers(0, 8)))]
-    period = draw(st.none() | st.integers(1, 6))
-    path = transient + [100.0 + (v if period is None else v % period) for v in range(62)]
-    distinct = list(dict.fromkeys(path))
-    marked = draw(st.none() | st.sampled_from(distinct))
-    marks = [] if marked is None else [marked]
-    if draw(st.booleans()):
-        return path, marks, []
-    return path, [], marks
+def test_accumulate_stalls_at_a_zero_step_away_from_zero():
+    fake = Stepping(lambda r: np.zeros(2))
+    start = np.array([3.0, 4.0])
+    r, iterations, reason = accumulate(start, fake.probe, 5)
+    assert (r.tobytes(), iterations, reason) == (start.tobytes(), 0, "stalled")
+    assert (len(fake.probed), fake.steps) == (1, 1)
 
 
-@settings(max_examples=200, deadline=None)
-@given(scripted_paths())
-def test_accumulate_equals_the_plain_loop_and_probes_each_r_once(script):
-    start = script[0][0]
-    for max_iters in range(1, 61):
-        ref, fake = Scripted(*script), Scripted(*script)
-        want = plain_accumulate(np.array([start]), ref.probe, max_iters)
-        r, iterations, reason = accumulate(np.array([start]), fake.probe, max_iters)
-        assert (r.tobytes(), iterations, reason) == (want[0].tobytes(), *want[1:])
-        # each distinct r the plain loop visits is probed once, in its order
-        assert fake.probed == list(dict.fromkeys(ref.probed))
-        assert fake.stepped == list(dict.fromkeys(ref.stepped))
-        assert float(r[0]) in fake.probed  # callers may reuse its probe
+def test_accumulate_never_stalls_at_zero():
+    # at r = 0 a zero step is not short against ||r||, so the loop runs on
+    # to max_iters at r = 0
+    fake = Stepping(lambda r: np.zeros(2))
+    r, iterations, reason = accumulate(np.zeros(2), fake.probe, 3)
+    assert (iterations, reason) == (3, "max_iters")
+    assert not r.any() and (len(fake.probed), fake.steps) == (4, 3)
 
+
+@pytest.mark.parametrize("scale, stalls", [(1.0 - 1e-9, True), (1.0, False)])
+def test_accumulate_stalls_strictly_below_the_ratio(scale, stalls):
+    # ||r|| = 1, so a step of norm scale * STALL_RATIO stalls iff scale < 1
+    start = np.array([1.0, 0.0])
+    step = np.array([0.0, scale * boundary.STALL_RATIO])
+    r, iterations, reason = accumulate(start, Stepping(lambda r: step).probe, 1)
+    if stalls:
+        assert (r.tobytes(), iterations, reason) == (start.tobytes(), 0, "stalled")
+    else:
+        assert (r.tobytes(), iterations, reason) == ((start + step).tobytes(), 1, "max_iters")
+
+
+def test_accumulate_returns_the_last_r_probed_when_it_stalls():
+    # unit steps up to r = 3, then a zero step; the Counting tests above
+    # cover the other reasons
+    fake = Stepping(lambda r: np.ones(1) if r[0] < 3 else np.zeros(1))
+    r, iterations, reason = accumulate(np.zeros(1), fake.probe, 5)
+    assert (r[0], iterations, reason) == (3.0, 3, "stalled")
+    assert fake.probed == [0.0, 1.0, 2.0, 3.0] and fake.steps == 4
