@@ -340,7 +340,10 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
 
     Each half accumulates one r over its samples on top of the current delta,
     then commits it once. batch, a PerturbedBatch of enc over ds.images
-    under cfg.carrier, is built here when None.
+    under cfg.carrier, is built here when None. After each epoch,
+    report_metrics' R@PROBE_K of batch.gallery(), every image at the
+    epoch's delta against every text, is the trace's epoch_metrics entry,
+    so the last entry is the final report's R@10.
     """
     check_attack(ds, cfg, strategy)
     if batch is None:

@@ -175,7 +175,9 @@ def cmd_attack(args) -> int:
 
 def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, dict]:
     """Read a sidecar and its delta: a malformed sidecar raises IntegrityError,
-    a delta that does not fit the images or its mode InvalidArgumentError."""
+    a delta that does not fit the images or its mode InvalidArgumentError,
+    as does a patch delta that is not zero off its mask, as an attack writes
+    it (Carrier.check, which apply_patch shares, leaves those pixels be)."""
     try:
         sidecar = json.loads(sidecar_path.read_bytes())
         delta = as_tensor(tensor_io.read_tensor(sidecar_path.parent / sidecar["delta_file"],
@@ -184,6 +186,8 @@ def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, d
             geometry = sidecar["mask"]
             carrier = Carrier("patch", square_patch_mask(
                 image_shape, geometry["side"], tuple(geometry["offset"])))
+            if np.any(delta[carrier.mask == 0.0]):
+                raise InvalidArgumentError("a patch delta must be zero off its mask")
         else:
             carrier = Carrier(sidecar["mode"], norm=sidecar["norm"],
                               epsilon=sidecar["epsilon"])
@@ -194,6 +198,9 @@ def _load_perturbation(sidecar_path: Path, image_shape) -> tuple[Perturbation, d
 
 
 def cmd_eval(args) -> int:
+    """Report a saved perturbation: one PerturbedBatch, built at a zero
+    delta and then set to the sidecar's, whose two report blocks are the
+    only forwards."""
     enc = _load_encoder_arg(args.encoder)
     enc_hash = encoder_hash(enc)
     ds = datagen.load(args.dataset)

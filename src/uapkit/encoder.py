@@ -129,7 +129,9 @@ class ScoreGradient:
 
 @dataclass
 class ForwardCache:
-    """Batched forward state kept around for a later backward pass."""
+    """Batched forward state kept around for a later backward pass: only
+    what a backward reads, each hidden layer's activations a and not its
+    pre-activations, since tanh's derivative is 1 - a^2 and relu's a > 0."""
     embeddings: np.ndarray          # (B, d) unit rows
     norms: np.ndarray               # (B,) pre-normalization norms
     layers: list                    # per hidden layer, its activations
@@ -190,20 +192,25 @@ def backward_from_cache(enc: Encoder, cache: ForwardCache, us: np.ndarray,
 
 
 class PerturbedBatch:
-    """The images of one attack under a carrier, encoded with the first layer
-    factored around the pixels the carrier moves.
+    """The images of one attack or eval under a carrier, encoded with the
+    first layer factored around the pixels the carrier moves.
 
     Every point it encodes is carrier.apply(images[row], delta) + pixels(step),
     for delta = self.delta, the read-only copy the last set_delta kept (zero
     at first), and a step in the batch's step coordinates. Layer 1's
     pre-activation W1.x + b1 is cached per image once; in patch mode it leaves
-    out the on-mask pixels, which every image shares. Each delta adds W1
-    times itself to a copy of it, every image's first layer at the delta.
-    clean() reads the images as given, with no delta, off the same cache.
-    Layers 2 on multiply by contiguous copies of W.T, which on a few rows is
-    several times faster than the transposed views of _forward. clean and
-    forward_points agree with _forward at those points up to rounding, and
-    step with crossing_step of backward_from_cache.
+    out the on-mask pixels, which every image shares, and is built in even
+    blocks of rows, so no clamped copy of every image is held. Each delta
+    adds W1 times itself to a copy of it, every image's first layer at the
+    delta. In global mode a forward corrects those rows exactly for the
+    pixels the [0, 1] clamp moves; per-image pixel bounds skip the
+    correction where no pixel can clamp. clean() reads the images as given,
+    with no delta, off the same cache. Layers 2 on multiply by contiguous
+    copies of W.T, which on a few rows is several times faster than the
+    transposed views of _forward. clean and forward_points agree with
+    _forward at those points up to rounding, and step with crossing_step of
+    backward_from_cache: tests/reference.py's ReferenceBatch computes each
+    from that definition.
 
     Every input gradient is W1^T u for a vector u over W1's rows, restricted
     to the pixels the carrier moves, and so is every sum of crossing steps.
@@ -214,8 +221,17 @@ class PerturbedBatch:
     rows, such as the default 75) a step is the vector of its values on the
     moved pixels, in np.flatnonzero(mask) order, and a call adds W1 times
     it over those pixels. Either way the scales of one step share one
-    product, and a step of None costs none; only pixels, once per commit,
-    and set_delta reach every pixel of the image.
+    product, and a step of None costs none. zero_step() is a half's
+    starting r, and accumulate's r + step and its stall test work in these
+    coordinates; only pixels, once per commit, and set_delta reach every
+    pixel of the image. So in global mode no step multiplies by the whole
+    W1 save the clamp correction, in patch mode no step reads an off-mask
+    pixel, and an eval, which takes no step, never builds G.
+
+    self.delta is the one delta of an attack: attack._commit, the reports
+    and run_attack's result read it, and only set_delta changes it. The
+    checks sit where a delta is made: set_delta checks every delta, and
+    forward_points and step trust the steps the attack builds with step.
     """
 
     def __init__(self, enc: Encoder, images: np.ndarray, carrier: Carrier):
@@ -260,7 +276,9 @@ class PerturbedBatch:
 
     def set_delta(self, delta: np.ndarray) -> None:
         """Check delta and keep a read-only copy of it as self.delta, the one
-        delta of the calls that follow."""
+        delta of the calls that follow, which the caller cannot alias. A
+        non-finite or misshapen delta raises InvalidArgumentError, so a bad
+        step fails at the commit that adds it, before any delta is written."""
         self.delta = as_tensor(delta, shape=self.enc.input_shape).copy()
         self.delta.flags.writeable = False
         self._gallery = None
@@ -276,7 +294,11 @@ class PerturbedBatch:
     def gallery(self) -> ForwardCache:
         """Every image under delta, encoded once per delta with the state
         step differentiates; the embeddings are read-only. Its rows at delta
-        stand in for the rows of any point at a zero step."""
+        stand in for the rows of any point at a zero step: a gallery row is
+        bitwise the row forward_points encodes in any batch of two or more
+        rows, and within rounding of a one-row forward, which numpy sends to
+        gemv. So an ira text reads its rows at r = 0 here, and tra's r = 0
+        probe is its own one-row entry forward."""
         if self._gallery is None:
             self._gallery = self.forward_points(self._all_rows)
             self._gallery.embeddings.flags.writeable = False
@@ -303,7 +325,8 @@ class PerturbedBatch:
         rows of scales[0] first, then those of scales[1], and so on.
 
         The points share one product W1 . step over the pixels the carrier
-        moves, and a step of None costs none. The step is trusted, not
+        moves, and a step of None costs none: gallery() and tra's entry
+        forward are that case. The step is trusted, not
         checked: a finite float64 vector in this batch's step coordinates,
         as an attack builds it from this batch's own step; set_delta checks
         whatever the steps add up to.
@@ -332,7 +355,12 @@ class PerturbedBatch:
         """boundary.crossing_step along the gradient of sum_j us[j] .
         e[rows[j]] with respect to the pixels every row shares, and gap, in
         this batch's step coordinates: None at a degenerate boundary. rows
-        names one cached row per row of us."""
+        names one cached row per row of us; the attack calls it only for a
+        step it takes. The rows' layer-1 gradients sum to one u over W1's
+        rows; a row step's u.Gu is ||W1^T u||^2, so the degenerate test is
+        the pixel one, and a patch step's norm is summed over pixels(g),
+        since a sum over the mask's values rounds apart and would move
+        delta's bytes."""
         u = _layer1_gradient(self.enc, cache, us, rows).sum(axis=0)
         if self._in_rows:  # ||W1^T u||^2 = u . G u
             return crossing_step(u, gap, float(np.vdot(u, self._gram @ u)))

@@ -101,6 +101,8 @@ def rank_rows(queries: np.ndarray, gallery: np.ndarray, is_match: np.ndarray) ->
     give a row other last bits in a product of a few rows than in the whole
     (a small-matrix kernel, or gemv for one row). On the standard dataset's
     shapes every block holds the whole product's rows bit for bit.
+    recall_at_k, and so the dataset's clean-retrieval floor check, and the
+    report metrics rank through it.
     """
     q, m = len(queries), len(gallery)
     if is_match.shape != (q, m):

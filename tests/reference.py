@@ -2,7 +2,19 @@
 for PerturbedBatch. DeepFool and UAP Alg. 1 define the attack on the image
 as the model sees it, carrier.apply(x, delta) encoded whole; this batch
 computes each member run_attack reads from that, with _forward's full first
-layer and pixel steps from backward_from_cache."""
+layer and pixel steps from backward_from_cache.
+
+Outside the attack and its reports, encode_batch, score_with_gradient and
+gradcheck run the whole stack through _forward, which hands _stack the
+transposed views of the later layers' weights; gen encodes its text
+anchors with them, and gradcheck audits them. PerturbedBatch's factored
+rows, gallery and clean rows must match this batch's to 1e-12 and its
+steps to rtol 1e-10 (test_batch_matches_the_reference and test_encoder.py's
+factored-layer tests). A whole attack run on either must give the same
+records and epoch metrics, and delta and each commit's norms within
+1e-12 (test_attack_matches_the_reference, and
+test_global_epoch_equals_the_pixel_step_reference on the standard
+benchmark, whose global steps PerturbedBatch takes over W1's rows)."""
 
 import numpy as np
 

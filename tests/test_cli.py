@@ -402,8 +402,16 @@ def run_eval(workspace, out):
                  "--encoder", str(workspace / "encoder.json")])
 
 
+def set_off_mask_pixel(d):
+    """d with pixel [0, 0, 0], off the default bottom-right patch, set to 0.7."""
+    d = d.copy()
+    d[0, 0, 0] = 0.7
+    return d
+
+
 FORGED_DELTAS = [
     ("patch_out_of_range", [], lambda d: np.full_like(d, 5.0)),
+    ("patch_off_mask", [], set_off_mask_pixel),
     ("wrong_shape", [], lambda d: d[0]),
     ("global_over_budget", ["--mode", "global", "--norm", "linf", "--epsilon", "0.05"],
      lambda d: d + 1.0),
