@@ -21,7 +21,7 @@ from .encoder import (Encoder, PerturbedBatch, build_encoder, default_toy_encode
 from .errors import (CorruptDatasetError, DegenerateDatasetError,
                      DegenerateEncodingError, IntegrityError,
                      InvalidArgumentError, PreconditionError, UapkitError)
-from .retrieval import (EmbeddingIndex, indicator, recall_at_k,
-                        select_nonmatching_topk, topk_class_accuracy)
+from .retrieval import (EmbeddingIndex, hit_rate, match_ranks, rank_rows,
+                        select_nonmatching_topk)
 
 __version__ = "0.1.0"

@@ -37,8 +37,7 @@ from .core import PATCH_AREA_DEFAULT, Carrier, as_tensor  # noqa: F401 (re-expor
 from .datagen import Dataset
 from .encoder import Encoder, PerturbedBatch, encode_batch
 from .errors import InvalidArgumentError
-from .retrieval import (EmbeddingIndex, hit_rate, match_mask, match_ranks, rank_rows,
-                        select_nonmatching_topk)
+from .retrieval import hit_rate, match_ranks, rank_rows, select_nonmatching_topk
 from .rng import Lcg
 
 EPS_L2_DEFAULT = 2000.0 / 255.0
@@ -195,7 +194,7 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
     # under the current perturbation, so the stopping test tracks the metric;
     # that forward is also the crossing's point at r = 0
     entry = batch.forward_points([v_idx])
-    y_prime = select_nonmatching_topk(entry.embeddings[0], ds.texts,
+    y_prime = select_nonmatching_topk(entry.embeddings[0], texts,
                                       np.flatnonzero(is_match[0]), cfg.k)
     return _cross(batch, [v_idx], (entry, np.array([0])), lambda e: texts @ e[0],
                   lambda c, m: ((texts[c] - texts[m])[None], [0]),
@@ -203,20 +202,21 @@ def _tra_inner(batch: PerturbedBatch, ds: Dataset, v_idx: int, r: np.ndarray,
 
 
 def _ira_inner(batch: PerturbedBatch, ds: Dataset, t_idx: int, r: np.ndarray,
-               cfg: AttackConfig, gallery: EmbeddingIndex, is_match: np.ndarray):
+               cfg: AttackConfig, is_match: np.ndarray):
     """Text-loop body for one text: the match (row 0) and k candidates move.
 
-    gallery indexes batch.gallery(), every image under the current
-    perturbation; ranking candidates against it means the stopping test
-    (match outranked by k candidates) certifies a full-gallery retrieval
-    miss, and its rows are the crossing's points at r = 0. is_match is
-    match_mask([[0]], 1 + cfg.k), the same for every text.
+    The candidates rank against batch.gallery(), every image under the
+    current perturbation, so the stopping test (match outranked by k
+    candidates) certifies a full-gallery retrieval miss, and its rows are
+    the crossing's points at r = 0. is_match is the (1, 1 + cfg.k) mask of
+    row 0 alone, the same for every text.
     """
     t = ds.texts.embeddings[t_idx]
     y = int(ds.text_image[t_idx])
-    rows = np.array([y, *select_nonmatching_topk(t, gallery, {y}, cfg.k)])
+    gallery = batch.gallery()
+    rows = np.array([y, *select_nonmatching_topk(t, gallery.embeddings, {y}, cfg.k)])
     us = np.array([t, -t])  # every step seeds f_c - f_m with these rows
-    return _cross(batch, rows, (batch.gallery(), rows), lambda e: e @ t,
+    return _cross(batch, rows, (gallery, rows), lambda e: e @ t,
                   lambda c, m: (us, [c, m]), is_match, 1 + np.argsort(rows[1:]), r, cfg)
 
 
@@ -349,28 +349,21 @@ def run_attack(enc: Encoder, ds: Dataset, cfg: AttackConfig, strategy: str,
     if batch is None:
         batch = PerturbedBatch(enc, ds.images, cfg.carrier)
     elif (batch.carrier is not cfg.carrier or batch.enc is not enc
-          or not np.array_equal(batch.images, ds.images)):
+          or not np.array_equal(batch.images, ds.images) or batch.delta.any()):
         raise InvalidArgumentError(
-            "batch must be a PerturbedBatch of enc over ds.images under cfg.carrier")
-    batch.set_delta(np.zeros(ds.params.image_shape))
+            "batch must be a PerturbedBatch of enc over ds.images under cfg.carrier, "
+            "at its zero delta")
     trace = AttackTrace()
-    gallery_cache = None
-    ira_match = match_mask([[0]], 1 + cfg.k)
+    ira_match = (np.arange(1 + cfg.k) == 0)[None]
     orders = _orders(ds.params.n_texts if strategy == "ira" else ds.params.n_images, cfg)
     for epoch, order in zip(range(cfg.epochs), orders):
         for kind, samples in _halves(ds, cfg, strategy, order):
             r = batch.zero_step()
-            if kind == "text":
-                # gallery() encodes again only after delta moved, and only a
-                # new gallery needs a new index
-                cache = batch.gallery()
-                if cache is not gallery_cache:
-                    gallery_cache, gallery = cache, EmbeddingIndex(cache.embeddings)
             for sid in samples:
                 if kind == "image":
                     r, iters, reason = _tra_inner(batch, ds, sid, r, cfg)
                 else:
-                    r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, gallery, ira_match)
+                    r, iters, reason = _ira_inner(batch, ds, sid, r, cfg, ira_match)
                 trace.records.append(SampleRecord(kind, sid, epoch, iters, reason))
             _commit(batch, r, cfg, trace, epoch)
         adv = report_metrics(ds, batch.gallery().embeddings, (PROBE_K,))

@@ -104,8 +104,11 @@ def _render_images(params: DatasetParams, rng: Lcg) -> np.ndarray:
     decoder = left @ right
     decoder /= math.sqrt(rank)
     images = latents @ decoder.T
-    images *= -params.decoder_scale
-    np.exp(images, out=images)
+    # a large decoder_scale overflows the product or exp to inf, which is
+    # only the sigmoid saturating: 1 / (1 + inf) is exactly 0
+    with np.errstate(over="ignore"):
+        images *= -params.decoder_scale
+        np.exp(images, out=images)
     images += 1.0
     np.divide(1.0, images, out=images)
     return images.reshape(params.n_images, *params.image_shape)

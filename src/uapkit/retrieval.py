@@ -1,9 +1,13 @@
-"""Retrieval-side evaluation: indicator function, candidate selection, R@k,
-and top-k classification accuracy over unit-norm embeddings.
+"""Retrieval-side ranking over unit-norm embeddings: one rank rule, R@k,
+and the crossing's candidate selection.
 
-Similarity is the dot product of unit vectors (= cosine). Inputs are
-validated unit-norm instead of silently renormalized. All rankings break
-ties deterministically toward the smallest index.
+Similarity is the dot product of unit vectors (= cosine). Embeddings that
+enter from outside (a dataset's texts and prototypes) are validated
+unit-norm by EmbeddingIndex instead of silently renormalized. All rankings
+break ties deterministically toward the smallest index.
+
+R@k of queries against a gallery, under their (Q, M) match mask, is
+hit_rate(rank_rows(queries, gallery, is_match), k, len(gallery)).
 """
 
 from __future__ import annotations
@@ -39,18 +43,6 @@ class EmbeddingIndex:
 
     def __len__(self) -> int:
         return self.embeddings.shape[0]
-
-
-def match_mask(matches_per_query, n: int) -> np.ndarray:
-    """(Q, n) boolean mask of each query's matches; every match set must be
-    nonempty indices in [0, n)."""
-    is_match = np.zeros((len(matches_per_query), n), dtype=bool)
-    for row, matches in zip(is_match, matches_per_query):
-        cols = [int(j) for j in matches]
-        if not cols or not all(0 <= j < n for j in cols):
-            raise InvalidArgumentError(f"matches must be nonempty indices in [0, {n})")
-        row[cols] = True
-    return is_match
 
 
 def match_ranks(sims: np.ndarray, is_match: np.ndarray) -> np.ndarray:
@@ -101,8 +93,8 @@ def rank_rows(queries: np.ndarray, gallery: np.ndarray, is_match: np.ndarray) ->
     give a row other last bits in a product of a few rows than in the whole
     (a small-matrix kernel, or gemv for one row). On the standard dataset's
     shapes every block holds the whole product's rows bit for bit.
-    recall_at_k, and so the dataset's clean-retrieval floor check, and the
-    report metrics rank through it.
+    The dataset's clean-retrieval floor check and the report metrics rank
+    through it.
     """
     q, m = len(queries), len(gallery)
     if is_match.shape != (q, m):
@@ -125,16 +117,11 @@ def hit_rate(ranks: np.ndarray, k: int, n: int) -> float:
     return int(np.count_nonzero(ranks < k)) / len(ranks)
 
 
-def indicator(query: np.ndarray, index: EmbeddingIndex, matches, k: int) -> int:
-    """1 iff any matched index survives in the top-k retrieval results."""
-    ranks = match_ranks((index.embeddings @ query)[None], match_mask([matches], len(index)))
-    return int(hit_rate(ranks, k, len(index)))
-
-
-def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
+def select_nonmatching_topk(query: np.ndarray, gallery: np.ndarray,
                             matches, k: int) -> list[int]:
-    """The k most-similar gallery indices excluding matches, descending."""
-    n = len(index)
+    """The k indices of the (M, d) gallery rows most similar to query,
+    excluding matches, descending."""
+    n = len(gallery)
     matches = set(matches)
     if not all(0 <= j < n for j in matches):
         raise InvalidArgumentError(f"matches must be indices in [0, {n})")
@@ -143,22 +130,5 @@ def select_nonmatching_topk(query: np.ndarray, index: EmbeddingIndex,
             f"k={k} outside [0, {n - len(matches)}], the non-matching candidates")
     # a stable sort breaks ties by index; its first k + len(matches) entries
     # hold the k best non-matches
-    ranked = np.argsort(-(index.embeddings @ query), kind="stable")[:k + len(matches)]
+    ranked = np.argsort(-(gallery @ query), kind="stable")[:k + len(matches)]
     return [j for j in ranked.tolist() if j not in matches][:k]
-
-
-def recall_at_k(queries: EmbeddingIndex, gallery: EmbeddingIndex,
-                matches_per_query, k: int) -> float:
-    """Mean indicator over queries."""
-    if len(matches_per_query) != len(queries):
-        raise InvalidArgumentError("one match set per query required")
-    ranks = rank_rows(queries.embeddings, gallery.embeddings,
-                      match_mask(matches_per_query, len(gallery)))
-    return hit_rate(ranks, k, len(gallery))
-
-
-def topk_class_accuracy(image_embeddings: EmbeddingIndex,
-                        class_prototypes: EmbeddingIndex,
-                        labels, k: int) -> float:
-    """Fraction of images whose true prototype ranks in the top k."""
-    return recall_at_k(image_embeddings, class_prototypes, [[y] for y in labels], k)

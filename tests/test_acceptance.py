@@ -25,9 +25,7 @@ from uapkit.core import (Carrier, apply_patch, patch_side_for_area, project_l2,
                          project_linf, square_patch_mask)
 from uapkit.datagen import (DatasetParams, FLOOR_K, FLOOR_MULTIPLIER,
                             build_dataset)
-from uapkit.encoder import (build_encoder, default_toy_encoder, encode_batch,
-                            gradcheck)
-from uapkit.retrieval import EmbeddingIndex, recall_at_k
+from uapkit.encoder import build_encoder, default_toy_encoder, gradcheck
 
 BENCH_SHAPE = (3, 32, 32)
 BENCH_MASK = square_patch_mask(BENCH_SHAPE, patch_side_for_area(BENCH_SHAPE))

@@ -12,8 +12,7 @@ from uapkit.core import Carrier, square_patch_mask
 from uapkit.datagen import DatasetParams, build_dataset
 from uapkit.encoder import PerturbedBatch, build_encoder, encode_batch
 from uapkit.errors import InvalidArgumentError
-from uapkit.retrieval import (EmbeddingIndex, indicator, match_mask, recall_at_k,
-                              topk_class_accuracy)
+from uapkit.retrieval import EmbeddingIndex, hit_rate, match_ranks, rank_rows
 
 from conftest import peak_bytes
 from reference import ReferenceBatch
@@ -120,10 +119,15 @@ def test_run_attack_runs_only_on_a_batch_of_its_own_inputs(enc, ds):
         with pytest.raises(InvalidArgumentError, match="batch must be"):
             run_attack(enc, ds, cfg, "tra", batch)
     # a batch over an equal copy of the images runs as the one built inside
-    pert, trace = run_attack(enc, ds, cfg, "tra", PerturbedBatch(enc, ds.images.copy(),
-                                                                 cfg.carrier))
+    batch = PerturbedBatch(enc, ds.images.copy(), cfg.carrier)
+    pert, trace = run_attack(enc, ds, cfg, "tra", batch)
     ref, ref_trace = run_attack(enc, ds, cfg, "tra")
     assert pert.delta.tobytes() == ref.delta.tobytes() and trace == ref_trace
+    # the attack starts at the batch's delta, which must be its zero one:
+    # a batch the attack has moved does not run again
+    assert batch.delta.any()
+    with pytest.raises(InvalidArgumentError, match="at its zero delta"):
+        run_attack(enc, ds, cfg, "tra", batch)
 
 
 # -- trivial cases -----------------------------------------------------------
@@ -238,9 +242,12 @@ def unfooled_at_commit(enc, ds, strategy, carrier, monkeypatch):
         reference.set_delta(delta)
         if strategy == "tra":
             image = reference.forward_points([v]).embeddings[0]
-            return not indicator(image, ds.texts, np.flatnonzero(ds.text_image == v), 3)
-        gallery = EmbeddingIndex(reference.gallery().embeddings)
-        return not indicator(ds.texts.embeddings[v], gallery, [ds.text_image[v]], 3)
+            sims, is_match = ds.texts.embeddings @ image, ds.text_image == v
+        else:
+            sims = reference.gallery().embeddings @ ds.texts.embeddings[v]
+            is_match = np.arange(len(sims)) == ds.text_image[v]
+        # no match in the top 3
+        return match_ranks(sims[None], is_match[None])[0] >= 3
 
     stepped = [(r.sample_id, delta) for r, delta in zip(trace.records, deltas, strict=True)
                if r.converged and r.inner_iterations > 0]
@@ -379,26 +386,34 @@ def test_epoch_metrics_are_the_full_set_r10(enc, strategy, cfg):
 
 
 def per_k_metrics(enc, ds, perturbation, k_list, image_ids):
-    """evaluate_metrics as it ranked before: one recall_at_k per direction and
-    k, one topk_class_accuracy per k, on match sets, over the images
-    image_ids and their texts."""
+    """evaluate_metrics as it ranked before: one R@k per direction and k and
+    one top-k accuracy per k, each ranked on a mask built from its own match
+    sets, over the images image_ids and their texts."""
     images = ds.images[image_ids]
     if perturbation is not None:
         images = perturbation.carrier.apply(images, perturbation.delta)
-    img = EmbeddingIndex(encode_batch(enc, images))
+    img = encode_batch(enc, images)
     text_ids = [t for t in range(len(ds.texts)) if ds.text_image[t] in image_ids]
     text_pos = {t: i for i, t in enumerate(text_ids)}
     img_pos = {v: i for i, v in enumerate(image_ids)}
-    texts = EmbeddingIndex(ds.texts.embeddings[text_ids])
+    texts = ds.texts.embeddings[text_ids]
+    protos = ds.prototypes.embeddings
     tr_matches = [{text_pos[t] for t in text_ids if ds.text_image[t] == v} for v in image_ids]
     ir_matches = [{img_pos[ds.text_image[t]]} for t in text_ids]
+    cls_matches = [{ds.labels[v]} for v in image_ids]
+
+    def recall(queries, gallery, match_sets, k):
+        is_match = np.zeros((len(queries), len(gallery)), dtype=bool)
+        for row, matches in zip(is_match, match_sets):
+            row[list(matches)] = True
+        return hit_rate(rank_rows(queries, gallery, is_match), k, len(gallery))
+
     out = {}
     for k in k_list:
-        out[f"tr_r{k}"] = recall_at_k(img, texts, tr_matches, k)
-        out[f"ir_r{k}"] = recall_at_k(texts, img, ir_matches, k)
-    labels = [ds.labels[v] for v in image_ids]
-    out["top1"] = topk_class_accuracy(img, ds.prototypes, labels, 1)
-    out["top5"] = topk_class_accuracy(img, ds.prototypes, labels, min(5, len(ds.prototypes)))
+        out[f"tr_r{k}"] = recall(img, texts, tr_matches, k)
+        out[f"ir_r{k}"] = recall(texts, img, ir_matches, k)
+    out["top1"] = recall(img, protos, cls_matches, 1)
+    out["top5"] = recall(img, protos, cls_matches, min(5, len(protos)))
     return out
 
 
@@ -560,10 +575,9 @@ def test_ira_step_seeded_by_smallest_id_candidate():
     probe_sims = [0.0, 0.0, 0.2, 0.7, 0.5, 0.0, 0.2]
     t = np.eye(8)[0]
     ds = SimpleNamespace(texts=EmbeddingIndex(t[None]), text_image=np.array([3]))
-    gallery = EmbeddingIndex(unit_rows(gallery_sims))
-    batch = StubBatch(gallery.embeddings, unit_rows(probe_sims), (1, 2, 2))
-    r, iters, reason = _ira_inner(batch, ds, 0, R0, tiebreak_cfg(), gallery,
-                                  match_mask([[0]], 4))
+    batch = StubBatch(unit_rows(gallery_sims), unit_rows(probe_sims), (1, 2, 2))
+    r, iters, reason = _ira_inner(batch, ds, 0, R0, tiebreak_cfg(),
+                                  (np.arange(4) == 0)[None])
     assert (iters, reason) == (1, "max_iters")
     [(us, rows)] = batch.step_calls
     np.testing.assert_array_equal(us, np.stack([t, -t]))
@@ -592,34 +606,6 @@ def test_ira_encodes_the_gallery_once_per_distinct_delta(enc, ds, monkeypatch):
     assert galleries == distinct
     # some halves commit the delta they started from and encode nothing
     assert len(distinct) < len(trace.commits) + 1
-
-
-def test_ira_indexes_each_encoded_gallery_once(enc, ds, monkeypatch):
-    # the index checks that every row is unit-norm; an unchanged gallery keeps
-    # the index it already has
-    encoded, indexed = [], []
-    gallery = PerturbedBatch.gallery
-
-    def recording_gallery(self):
-        cache = gallery(self)
-        if not any(cache.embeddings is e for e in encoded):
-            encoded.append(cache.embeddings)
-        return cache
-
-    class CountingIndex(EmbeddingIndex):
-        def __post_init__(self):
-            indexed.append(self.embeddings)
-            super().__post_init__()
-
-    monkeypatch.setattr(PerturbedBatch, "gallery", recording_gallery)
-    monkeypatch.setattr("uapkit.attack.EmbeddingIndex", CountingIndex)
-    cfg = global_cfg(norm="linf", epsilon=0.5, epochs=2)
-    _, trace = run_attack(enc, ds, cfg, "ira")
-    built = [e for e in indexed if any(e is g for g in encoded)]
-    assert len(built) == len(encoded)
-    assert all(sum(e is g for e in built) == 1 for g in encoded)
-    # some text halves commit the delta they started from
-    assert 1 < len(encoded) < len(trace.commits)
 
 
 # -- work on the standard benchmark ------------------------------------------

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from uapkit import boundary
-from uapkit.boundary import (CrossingReport, LinearClassifier, accumulate,
-                             binary_distance, binary_min_perturbation,
-                             cross_k_boundaries, crossing_step,
-                             k_nearest_boundaries, multiclass_min_perturbation,
-                             nearest_boundary)
+from uapkit.boundary import (LinearClassifier, accumulate, binary_distance,
+                             binary_min_perturbation, cross_k_boundaries,
+                             crossing_step, k_nearest_boundaries,
+                             multiclass_min_perturbation, nearest_boundary)
 from uapkit.errors import InvalidArgumentError, PreconditionError
-from uapkit.retrieval import match_mask, match_ranks
+from uapkit.retrieval import match_ranks
 
 
 def random_classifier(rng, n_classes, n_features):
@@ -293,7 +292,8 @@ def test_cross_k_fooled_test_is_the_rank_rule(monkeypatch):
         s = x + 2.0 * r
         fooled, _ = probes[-1](r)
         ties += bool(np.any(s[targets] == s[y]))
-        assert fooled == (match_ranks(s[[y, *targets]][None], match_mask([[0]], k + 1))[0] >= k)
+        row_0 = (np.arange(k + 1) == 0)[None]
+        assert fooled == (match_ranks(s[[y, *targets]][None], row_0)[0] >= k)
     assert ties >= 50
 
 

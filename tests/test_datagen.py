@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from uapkit.datagen import Dataset, DatasetParams, build_dataset, generate, load
+from uapkit.datagen import DatasetParams, build_dataset, generate, load
 from uapkit.encoder import build_encoder, default_toy_encoder
 from uapkit.errors import (CorruptDatasetError, IntegrityError,
                            InvalidArgumentError)
@@ -69,6 +69,15 @@ def test_build_dataset_shapes_and_ranges():
     # text t matches image t // texts_per_image, in one read-only intp array
     np.testing.assert_array_equal(ds.text_image, np.arange(60) // 3)
     assert ds.text_image.dtype == np.intp and not ds.text_image.flags.writeable
+
+
+@pytest.mark.parametrize("scale", [800.0, 1e308])
+def test_a_large_decoder_scale_saturates_without_overflow_warnings(scale):
+    # the logits times -scale overflow exp (at 1e308, the product itself):
+    # the sigmoid saturates to exactly 0 or 1, which pyproject's
+    # filterwarnings would turn into an error if the overflow warned
+    ds = build_dataset(DatasetParams(decoder_scale=scale), default_toy_encoder())
+    assert ds.images.min() == 0.0 and ds.images.max() == 1.0
 
 
 def test_encoder_shape_mismatch_rejected():

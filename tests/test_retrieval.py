@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from uapkit import retrieval
 from uapkit.encoder import PerturbedBatch
 from uapkit.errors import InvalidArgumentError
-from uapkit.retrieval import (EmbeddingIndex, indicator,
-                              match_mask, match_ranks, recall_at_k,
-                              select_nonmatching_topk, topk_class_accuracy)
+from uapkit.retrieval import (EmbeddingIndex, hit_rate, match_ranks, rank_rows,
+                              select_nonmatching_topk)
 
 
 def unit_rows(m):
@@ -20,6 +19,28 @@ def unit_rows(m):
 
 def random_index(rng, m, d):
     return EmbeddingIndex(unit_rows(rng.standard_normal((m, d))))
+
+
+def match_mask(matches_per_query, n: int) -> np.ndarray:
+    """(Q, n) boolean mask of each query's match set."""
+    is_match = np.zeros((len(matches_per_query), n), dtype=bool)
+    for row, matches in zip(is_match, matches_per_query):
+        row[list(matches)] = True
+    return is_match
+
+
+def recall_at_k(queries, gallery, matches_per_query, k):
+    """R@k by the one route, as report_metrics takes it: rank_rows, then
+    hit_rate."""
+    ranks = rank_rows(queries, gallery, match_mask(matches_per_query, len(gallery)))
+    return hit_rate(ranks, k, len(gallery))
+
+
+def indicator(query, gallery, matches, k):
+    """1 iff a match of query survives in the top k: hit_rate of the
+    match_ranks of its one row, the rank the attack's stopping test reads."""
+    ranks = match_ranks((gallery @ query)[None], match_mask([matches], len(gallery)))
+    return int(hit_rate(ranks, k, len(gallery)))
 
 
 def ranked_indices(query: np.ndarray, index: EmbeddingIndex) -> np.ndarray:
@@ -62,20 +83,20 @@ def test_ranked_indices_tie_break_smallest_index():
 
 def test_indicator_basic():
     rng = np.random.default_rng(1)
-    index = random_index(rng, 10, 4)
-    q = index.embeddings[3]
-    assert indicator(q, index, {3}, 1) == 1
+    gallery = random_index(rng, 10, 4).embeddings
+    q = gallery[3]
+    assert indicator(q, gallery, {3}, 1) == 1
     # with k = 1 a different target cannot be hit by an exact-match query
-    assert indicator(q, index, {(3 + 1) % 10}, 1) == 0
+    assert indicator(q, gallery, {(3 + 1) % 10}, 1) == 0
 
 
 def test_indicator_validates_args():
     rng = np.random.default_rng(2)
-    index = random_index(rng, 5, 4)
+    gallery = random_index(rng, 5, 4).embeddings
+    # a row without a match is never a hit: its rank is the gallery size
+    assert match_ranks((gallery @ gallery[0])[None], np.zeros((1, 5), dtype=bool)).tolist() == [5]
     with pytest.raises(InvalidArgumentError):
-        indicator(index.embeddings[0], index, set(), 1)
-    with pytest.raises(InvalidArgumentError):
-        indicator(index.embeddings[0], index, {0}, 6)
+        indicator(gallery[0], gallery, {0}, 6)
 
 
 def test_select_nonmatching_topk_excludes_matches():
@@ -83,7 +104,7 @@ def test_select_nonmatching_topk_excludes_matches():
     index = random_index(rng, 30, 6)
     q = unit_rows(rng.standard_normal((1, 6)))[0]
     matches = {1, 5, 9}
-    out = select_nonmatching_topk(q, index, matches, 10)
+    out = select_nonmatching_topk(q, index.embeddings, matches, 10)
     assert len(out) == 10 and not set(out) & matches
     # oracle: filter the full ranking
     full = [int(i) for i in ranked_indices(q, index) if int(i) not in matches]
@@ -96,7 +117,7 @@ def test_select_nonmatching_topk_validates_args():
     q = index.embeddings[0]
     for matches, k in (({0, 6}, 1), ({-1}, 1), ({0, 1}, 5), ({0}, -1)):
         with pytest.raises(InvalidArgumentError):
-            select_nonmatching_topk(q, index, matches, k)
+            select_nonmatching_topk(q, index.embeddings, matches, k)
 
 
 def test_match_ranks_hand_case():
@@ -191,37 +212,38 @@ def test_rank_rows_checks_its_match_mask():
 
 
 @pytest.mark.parametrize("rank_at", [
-    lambda index, k: indicator(index.embeddings[0], index, {0}, k),
-    lambda index, k: recall_at_k(index, index, [{i} for i in range(len(index))], k),
-    lambda index, k: topk_class_accuracy(index, index, range(len(index)), k),
+    lambda e, k: indicator(e[0], e, {0}, k),
+    lambda e, k: recall_at_k(e, e, [{i} for i in range(len(e))], k),
+    lambda e, k: hit_rate(rank_rows(e, e, np.arange(len(e))[:, None] == np.arange(len(e))),
+                          k, len(e)),
 ], ids=["indicator", "recall_at_k", "topk_class_accuracy"])
 def test_k_must_fit_the_gallery(rank_at):
-    index = random_index(np.random.default_rng(6), 5, 4)
-    assert rank_at(index, 1) == 1
-    assert rank_at(index, 5) == 1
+    e = random_index(np.random.default_rng(6), 5, 4).embeddings
+    assert rank_at(e, 1) == 1
+    assert rank_at(e, 5) == 1
     for k in (0, -1, 6):
         with pytest.raises(InvalidArgumentError):
-            rank_at(index, k)
+            rank_at(e, k)
     # R@2.5 is no R@k: every k goes through hit_rate's operator.index
     with pytest.raises(TypeError):
-        rank_at(index, 2.5)
+        rank_at(e, 2.5)
 
 
 def test_recall_at_k_hand_case():
-    gallery = EmbeddingIndex(np.eye(3))
-    queries = EmbeddingIndex(unit_rows(np.array([
+    gallery = np.eye(3)
+    queries = unit_rows(np.array([
         [1.0, 0.1, 0.0],   # nearest: 0
         [0.0, 1.0, 0.1],   # nearest: 1
         [0.1, 0.0, 1.0],   # nearest: 2
-    ])))
+    ]))
     assert recall_at_k(queries, gallery, [{0}, {1}, {0}], 1) == pytest.approx(2 / 3)
     assert recall_at_k(queries, gallery, [{0}, {1}, {0}], 3) == 1.0
 
 
 def test_recall_monotone_in_k():
     rng = np.random.default_rng(4)
-    gallery = random_index(rng, 40, 8)
-    queries = random_index(rng, 15, 8)
+    gallery = random_index(rng, 40, 8).embeddings
+    queries = random_index(rng, 15, 8).embeddings
     matches = [{int(rng.integers(40))} for _ in range(15)]
     values = [recall_at_k(queries, gallery, matches, k) for k in (1, 5, 10, 40)]
     assert values == sorted(values)
@@ -229,14 +251,20 @@ def test_recall_monotone_in_k():
 
 
 def test_topk_class_accuracy():
-    protos = EmbeddingIndex(np.eye(4))
-    embs = EmbeddingIndex(unit_rows(np.array([
+    # report_metrics' Top-k: each image's one match is its label's prototype
+    protos = np.eye(4)
+    embs = unit_rows(np.array([
         [1.0, 0.2, 0.0, 0.0],
         [0.0, 0.2, 1.0, 0.0],
-    ])))
-    assert topk_class_accuracy(embs, protos, [0, 2], 1) == 1.0
-    assert topk_class_accuracy(embs, protos, [1, 1], 1) == 0.0
-    assert topk_class_accuracy(embs, protos, [1, 1], 2) == 1.0
+    ]))
+
+    def accuracy(labels, k):
+        is_match = np.asarray(labels)[:, None] == np.arange(len(protos))
+        return hit_rate(rank_rows(embs, protos, is_match), k, len(protos))
+
+    assert accuracy([0, 2], 1) == 1.0
+    assert accuracy([1, 1], 1) == 0.0
+    assert accuracy([1, 1], 2) == 1.0
 
 
 # unit vectors with dyadic coordinates: every dot product among them is exact
@@ -263,14 +291,16 @@ def test_rank_routines_match_ranked_indices_loop(data):
 
     expected = [loop_indicator(q, gallery, ms, k)
                 for q, ms in zip(queries.embeddings, matches)]
-    assert [indicator(q, gallery, ms, k)
+    assert [indicator(q, gallery.embeddings, ms, k)
             for q, ms in zip(queries.embeddings, matches)] == expected
-    assert recall_at_k(queries, gallery, matches, k) == sum(expected) / len(expected)
+    assert recall_at_k(queries.embeddings, gallery.embeddings, matches, k) == (
+        sum(expected) / len(expected))
 
     labels = [min(ms) for ms in matches]
     expected = [loop_indicator(q, gallery, {y}, k)
                 for q, y in zip(queries.embeddings, labels)]
-    assert topk_class_accuracy(queries, gallery, labels, k) == sum(expected) / len(expected)
+    assert recall_at_k(queries.embeddings, gallery.embeddings, [{y} for y in labels], k) == (
+        sum(expected) / len(expected))
 
 
 @given(st.data())
@@ -317,6 +347,6 @@ def test_select_nonmatching_topk_matches_ranked_indices(data):
     k = data.draw(st.integers(0, m - len(matches)), label="k")
 
     expected = [int(j) for j in ranked_indices(query, gallery) if j not in matches][:k]
-    assert select_nonmatching_topk(query, gallery, matches, k) == expected
+    assert select_nonmatching_topk(query, gallery.embeddings, matches, k) == expected
 
 
